@@ -14,8 +14,9 @@ import sys
 from dataclasses import dataclass
 
 from . import engine, suites, triangle
-from .graph import (DegenerateFormError, LatcohError, characteristic_base,
-                    graph_hash, parse_graph, spinc_representatives)
+from .graph import (DegenerateFormError, LatcohError, SpincClass,
+                    characteristic_base, graph_hash, parse_graph,
+                    spinc_representatives)
 from .lattice import (BasisCapError, DescentError, Region,
                       RegionTooSmallError)
 
@@ -56,24 +57,37 @@ def _load_graph(cfg):
         return parse_graph(fh.read())
 
 
-def _bounds_region(cfg, graph):
+def _bounds_spec(cfg):
+    """The --bounds JSON object: integer lists "xmin", "xmax" and optional
+    "base", optional integer "mcap"; None when the option is absent."""
     if cfg.bounds is None:
         return None
     spec = json.loads(cfg.bounds)
-    base = tuple(spec.get("base", characteristic_base(graph)))
-    return Region(graph, base, tuple(spec["xmin"]), tuple(spec["xmax"]),
-                  int(spec.get("mcap", cfg.max_depth)))
+    if not isinstance(spec, dict) or not {"xmin", "xmax"} <= spec.keys():
+        raise LatcohError('--bounds needs a JSON object with "xmin" and "xmax"')
+    for key in ("base", "xmin", "xmax"):
+        vals = spec.get(key, [])
+        if not isinstance(vals, list) or any(type(v) is not int for v in vals):
+            raise LatcohError("--bounds %r must be a list of integers" % key)
+    if type(spec.get("mcap", 0)) is not int:
+        raise LatcohError('--bounds "mcap" must be an integer')
+    return spec
 
 
 def cmd_compute(cfg: RunConfig) -> int:
     graph = _load_graph(cfg)
-    bounds = _bounds_region(cfg, graph)
+    spec = _bounds_spec(cfg)
+    bounds = None
+    if spec is not None:
+        bounds = Region(graph, tuple(spec.get("base", characteristic_base(graph))),
+                        tuple(spec["xmin"]), tuple(spec["xmax"]),
+                        spec.get("mcap", cfg.max_depth))
     try:
         classes = spinc_representatives(graph)
     except DegenerateFormError:
         if bounds is None:
             raise
-        classes = [type("X", (), {"base": bounds.base, "index": 0})()]
+        classes = [SpincClass(bounds.base, 0)]
     if cfg.spinc != "all":
         classes = [classes[int(cfg.spinc)]]
 
@@ -107,8 +121,8 @@ def cmd_triangle(cfg: RunConfig) -> int:
         print("error: triangle requires --vertex <id>", file=sys.stderr)
         return EXIT_ERROR
     ctx = triangle.triangle_context(graph, cfg.vertex)
-    if cfg.bounds is not None:
-        spec = json.loads(cfg.bounds)
+    spec = _bounds_spec(cfg)
+    if spec is not None:
         region = triangle.TriangleRegion(ctx, tuple(spec["xmin"]),
                                          tuple(spec["xmax"]), cfg.max_depth)
     else:

@@ -15,14 +15,17 @@ could be processed concurrently; this implementation keeps them sequential
 and deterministic.
 """
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import exact, faults, gf2
 from .graph import (LatcohError, PlumbingGraph, graph_hash,
-                    intersection_matrix, spinc_representatives)
-from .lattice import (BASIS_CAP, BasisCapError, Region, bits, coords_of,
-                      get_engine, truncation_region)
+                    intersection_matrix, is_negative_definite,
+                    spinc_representatives)
+from .lattice import (BASIS_CAP, BasisCapError, Region, bits, cofaces,
+                      continuous_minimum, coords_of, get_engine,
+                      offset_cube_weight, truncation_region)
 from .triangle import TriangleContext, _a_targets
 
 
@@ -50,46 +53,28 @@ class CellBank:
     complete_to: int = None
 
 
-def _definite(graph) -> bool:
-    neg = [[-x for x in row] for row in intersection_matrix(graph)]
-    return all(d > 0 for d in exact.leading_minors(neg))
-
-
-def _continuous_min(graph, base):
-    n = graph.n
-    m = intersection_matrix(graph)
-    if n == 0:
-        return [], Fraction(0)
-    two_m = [[2 * m[i][j] for j in range(n)] for i in range(n)]
-    xbar = exact.solve_fraction(two_m, [-b for b in base])
-    wbar = -(sum(Fraction(base[i]) * xbar[i] for i in range(n))
-             + sum(xbar[i] * m[i][j] * xbar[j]
-                   for i in range(n) for j in range(n))) / 2
-    return xbar, wbar
-
-
 def _sublevel_points(graph, base, wcap_rel, limit=BASIS_CAP):
     """All lattice offsets with relative weight <= wcap_rel (definite forms)."""
     eng = get_engine(graph)
     neg = [[-x for x in row] for row in intersection_matrix(graph)]
-    xbar, wbar = _continuous_min(graph, base)
+    xbar, wbar = continuous_minimum(graph, base)
     bound = 2 * (Fraction(wcap_rel) - wbar)
     out = {}
     if bound < 0:
         return out
-    for x in exact.enumerate_sublevel(neg, xbar, bound, limit=limit):
-        out[x] = eng.rel_weight(base, x)
+    try:
+        for x in exact.enumerate_sublevel(neg, xbar, bound, limit=limit):
+            out[x] = eng.rel_weight(base, x)
+    except RuntimeError as err:  # the enumeration's point limit
+        raise BasisCapError(str(err)) from err
     return out
 
 
-def _box_points(graph, base, box: Region, limit=BASIS_CAP):
+def _box_points(graph, base, box: Region):
+    """Relative weights of every box offset; ``iter_offsets`` enforces the
+    basis cap on the box volume."""
     eng = get_engine(graph)
-    out = {}
-    for x in box.iter_offsets():
-        out[x] = eng.rel_weight(base, x)
-        if len(out) > limit:
-            raise BasisCapError("point enumeration exceeded the basis cap")
-    return out
+    return {x: eng.rel_weight(base, x) for x in box.iter_offsets()}
 
 
 def class_cells(graph: PlumbingGraph, spinc_or_base, mcap: int,
@@ -108,8 +93,8 @@ def class_cells(graph: PlumbingGraph, spinc_or_base, mcap: int,
         if box is None:
             raise ValueError("full_box needs an explicit box")
         pts = _box_points(graph, base, box)
-    elif _definite(graph):
-        _, wbar = _continuous_min(graph, base)
+    elif is_negative_definite(graph).form_negative_definite:
+        _, wbar = continuous_minimum(graph, base)
         probe = wbar.__ceil__()
         step = 1
         pts = _sublevel_points(graph, base, probe)
@@ -139,46 +124,16 @@ def class_cells(graph: PlumbingGraph, spinc_or_base, mcap: int,
         raise NonStabilizingError("no lattice points under the weight cap")
     wmin = min(pts.values())
 
-    points = {}
-    for x in sorted(pts):
-        k = list(base)
-        for j, xj in enumerate(x):
-            if xj:
-                col = eng.cols[j]
-                for i in range(n):
-                    k[i] += xj * col[i]
-        points[x] = (tuple(k), pts[x])
+    points = {x: (eng.point(base, x), pts[x]) for x in sorted(pts)}
 
     # A cube (x, S) is admissible iff every corner offset is an enumerated
-    # point; its weight is the largest corner weight.
-    cellw = {}
-
-    def rec(x, s):
-        if s == 0:
-            return pts.get(x)
-        key = (x, s)
-        if key in cellw:
-            return cellw[key]
-        j = (s & -s).bit_length() - 1
-        rest = s & (s - 1)
-        a = rec(x, rest)
-        val = None
-        if a is not None:
-            x2 = tuple(xi + (1 if i == j else 0) for i, xi in enumerate(x))
-            b = rec(x2, rest)
-            if b is not None:
-                val = a if a >= b else b
-                if (faults.is_active("cube-weight-parity-offset")
-                        and bin(s).count("1") % 2):
-                    val += 1
-        cellw[key] = val
-        return val
-
+    # point, so holes in the point map have no weight.
+    weight = functools.partial(offset_cube_weight, pts.get, {})
     cells = {}
     full = (1 << n) - 1
     for x in points:
         for s in range(full + 1):
-            w = rec(x, s)
+            w = weight((x, s))
             if w is not None and (wcap is None or w <= wcap):
                 cells[(x, s)] = w
     return CellBank(graph, base, points, cells, wmin, complete)
@@ -198,7 +153,6 @@ class GradedGF2Complex:
         self.graph = bank.graph
         self.mcap = mcap
         self.grading_cap = grading_cap
-        self.eng = get_engine(bank.graph)
         self.wmin = bank.wmin
         self.trusted_cap = (None if bank.complete_to is None
                             else 2 * (bank.complete_to - bank.wmin))
@@ -235,30 +189,17 @@ class GradedGF2Complex:
         box-clipped banks can actually lose terms here.
         """
         bank = self.bank
-        n = self.graph.n
         cells = bank.cells
-        w_here = cells[(x, s)]
         deg, g, _ = self.index[(x, s, m)]
+        certain = (bank.complete_to is not None
+                   and cells[(x, s)] + m <= bank.complete_to)
         out = set()
-        full = (1 << n) - 1
-        sign = 1 if faults.is_active("delta-coface-shift-sign") else -1
-        certain = bank.complete_to is not None and w_here + m <= bank.complete_to
-        for w_dir in bits(full & ~s):
-            up = s | (1 << w_dir)
-            x_shift = tuple(xi + (sign if i == w_dir else 0)
-                            for i, xi in enumerate(x))
-            for x2 in (x, x_shift):
-                cell = cells.get((x2, up))
-                if cell is None:
-                    if not certain:
-                        self.escaped.add((deg, g))
-                    continue
-                gap = cell - w_here
-                if gap < 0 and not faults.any_active():
-                    raise LatcohError("weight monotonicity violated")
-                if gap > m:
-                    continue
-                triple = (x2, up, m - gap)
+        for y, up, gap in cofaces(cells.get, x, s, self.graph.n):
+            if gap is None:
+                if not certain:
+                    self.escaped.add((deg, g))
+            elif gap <= m:
+                triple = (y, up, m - gap)
                 if triple in self.index:
                     out.symmetric_difference_update([triple])
                 else:
@@ -356,19 +297,8 @@ class ComplexHomology:
         below = self.pieces.get((deg, g - 2))
         if below is None or below.dim == 0:
             return [0] * here.dim
-        u_cols = self.cx.u_matrix(deg, g)
-        out = []
-        for rep in here.reps:
-            img = 0
-            v = rep
-            j = 0
-            while v:
-                if v & 1:
-                    img ^= u_cols[j]
-                v >>= 1
-                j += 1
-            out.append(below.coords(img))
-        return out
+        return [below.coords(img)
+                for img in gf2.matmul(self.cx.u_matrix(deg, g), here.reps)]
 
     def reduce_chain(self, terms) -> dict:
         """Homology coordinates of a cycle given by offset-indexed dual
@@ -483,7 +413,11 @@ def stabilize(graph: PlumbingGraph, spinc_or_base, mcap: int,
     returned unstabilized with the previous answer attached."""
     base = coords_of(getattr(spinc_or_base, "base", spinc_or_base))
     index = getattr(spinc_or_base, "index", -1)
-    box = bounds if bounds is not None else truncation_region(graph, base, mcap)
+    if bounds is None:
+        box = truncation_region(graph, base, mcap)
+    else:
+        # Offsets are always taken against the class's own base; say so.
+        box = replace(bounds, base=base)
     hom, dims, urk = _presentation_data(graph, base, mcap, box)
     prior = None
     stabilized = False
@@ -499,7 +433,7 @@ def stabilize(graph: PlumbingGraph, spinc_or_base, mcap: int,
         hom, dims, urk, box = hom2, dims2, urk2, box2
     # No stabilization theorem backs non-definite forms: never claim
     # a stable answer for them, however the windows happened to agree.
-    stabilized = stabilized and _definite(graph)
+    stabilized = stabilized and is_negative_definite(graph).form_negative_definite
     degrees = module_presentation(hom, mcap)
     return GradedModulePresentation(
         graph_hash=graph_hash(graph), class_index=index, base=base,
@@ -544,7 +478,7 @@ def _side_homology(graph, mcap, capg):
     ``lookup`` maps raw characteristic vectors to (class index, offset);
     injective because the sides of a triangle check are definite.
     """
-    if not _definite(graph):
+    if not is_negative_definite(graph).form_negative_definite:
         raise NonStabilizingError(
             "graph %r is not negative definite; the truncation does not "
             "stabilize" % (graph.vertices,))
@@ -614,15 +548,10 @@ def _side_map_columns(deg, src_homs, image_terms, dst_homs, dst_lookup,
             basis = hom.cx.bases[(d, g)]
             for rep in piece.reps:
                 terms = set()
-                v = rep
-                pos = 0
-                while v:
-                    if v & 1:
-                        x, s, m = basis[pos]
-                        for t in image_terms(points[x][0], s, m):
-                            terms.symmetric_difference_update([t])
-                    v >>= 1
-                    pos += 1
+                for pos in bits(rep):
+                    x, s, m = basis[pos]
+                    for t in image_terms(points[x][0], s, m):
+                        terms.symmetric_difference_update([t])
                 try:
                     cols.append(_push_chain(terms, dst_homs, dst_lookup,
                                             dst_offsets))
@@ -710,8 +639,8 @@ def _les_attempt(ctx, mcap, capg, pad):
         dim_m = degdim("minus", deg)
         rank_a = gf2.rank(a_cols.get(deg, []))
         rank_b = gf2.rank(b_cols.get(deg, []))
-        mid = (rank_a == dim_g - rank_b) and _im_in_ker(a_cols.get(deg, []),
-                                                        b_cols.get(deg, []))
+        mid = (rank_a == dim_g - rank_b) and not any(
+            gf2.matmul(b_cols.get(deg, []), a_cols.get(deg, [])))
         rank_conn = dim_m - rank_b
         rank_a_next = gf2.rank(a_cols.get(deg + 1, []))
         ends = (rank_conn == degdim("plus", deg + 1) - rank_a_next)
@@ -730,19 +659,3 @@ def _les_attempt(ctx, mcap, capg, pad):
                      mcap=mcap, grading_pad=(capg - 2 * mcap) // 2,
                      dims=dims, rows=tuple(rows),
                      exact=exact and not broken and not broken_hypothesis)
-
-
-def _im_in_ker(a_cols, b_cols) -> bool:
-    """Every A* column must die under the map whose columns are b_cols."""
-    for col in a_cols:
-        img = 0
-        v = col
-        j = 0
-        while v:
-            if v & 1:
-                img ^= b_cols[j] if j < len(b_cols) else 0
-            v >>= 1
-            j += 1
-        if img:
-            return False
-    return True

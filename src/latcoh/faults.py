@@ -2,8 +2,9 @@
 
 Each named fault corrupts one step of the core algebra.  The verification
 suites are required to catch every one of them; production code runs with
-the set empty.  Activating or clearing faults bumps a generation counter so
-weight caches built under a different fault set are discarded.
+the set empty.  Cube-weight memos hold fault-free values and each fault is
+applied at its single site, so no memo depends on the active set.  The set
+is process-global: activate faults only from one thread at a time.
 """
 
 from contextlib import contextmanager
@@ -17,7 +18,6 @@ FAULTS = (
 )
 
 _active: set = set()
-generation = 0
 
 
 def is_active(name: str) -> bool:
@@ -29,18 +29,13 @@ def any_active() -> bool:
 
 
 def activate(name: str) -> None:
-    global generation
     if name not in FAULTS:
         raise ValueError("unknown fault %r" % name)
     _active.add(name)
-    generation += 1
 
 
 def clear() -> None:
-    global generation
-    if _active:
-        _active.clear()
-        generation += 1
+    _active.clear()
 
 
 @contextmanager

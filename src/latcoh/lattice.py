@@ -13,17 +13,23 @@ arithmetic with no determinant in sight.  Cochains are finitely supported
 GF(2) combinations of dual generators U^{-m} (K, S)^v, encoded as frozensets
 of (K, S, m) triples with S a bitmask.
 
-Everything is a pure function over immutable values.
+This module is also the one kernel of the complex that the chain checks
+and the homology engine share: ``offset_cube_weight`` (the weight of a cube
+(x, S) given point weights at offsets x) and ``cofaces`` (the coboundary
+rule).  Each fault hook on them has its single site here.  Values are
+immutable; the only state is a cube-weight memo, owned by the window,
+cell bank or call that fills it.
 """
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import exact, faults
 from .graph import (DegenerateFormError, LatcohError, PlumbingGraph,
-                    intersection_matrix)
+                    intersection_matrix, is_negative_definite)
 
 
 class OutsideRegionError(LatcohError):
@@ -39,6 +45,10 @@ class RegionTooSmallError(LatcohError):
 
 
 class BasisCapError(LatcohError):
+    pass
+
+
+class MonotonicityError(LatcohError):
     pass
 
 
@@ -149,11 +159,9 @@ def bits(mask: int):
 
 
 class WeightEngine:
-    """Per-graph cache of relative cube weights.
-
-    The cache is invalidated whenever the fault-injection generation
-    changes, so mutation runs never see clean values.
-    """
+    """Per-graph intersection data: relative point weights and lattice
+    steps.  Holds no memo; cube-weight memos belong to the windows that
+    use them."""
 
     def __init__(self, graph: PlumbingGraph):
         self.graph = graph
@@ -162,13 +170,6 @@ class WeightEngine:
         self.diag = tuple(self.m[i][i] for i in range(self.n))
         self.cols = tuple(tuple(2 * self.m[i][j] for i in range(self.n))
                           for j in range(self.n))
-        self._cw = {}
-        self._gen = faults.generation
-
-    def _fresh(self):
-        if self._gen != faults.generation:
-            self._cw.clear()
-            self._gen = faults.generation
 
     def check_characteristic(self, k):
         for i in range(self.n):
@@ -190,41 +191,89 @@ class WeightEngine:
         assert total % 2 == 0, "characteristic parity violated"
         return -total // 2
 
-    def step(self, k, j: int, sign: int = 1) -> int:
-        """q(K + 2*sign*E_j) - q(K)."""
-        return -(sign * k[j] + self.diag[j]) // 2
-
-    def shift(self, k, j: int, sign: int = 1) -> tuple:
+    def shift(self, k, j: int) -> tuple:
+        """K + 2E_j."""
         col = self.cols[j]
-        if sign == 1:
-            return tuple(k[i] + col[i] for i in range(self.n))
-        return tuple(k[i] - col[i] for i in range(self.n))
+        return tuple(k[i] + col[i] for i in range(self.n))
 
-    def cube_weight(self, k, s: int) -> int:
-        """max over corners T of S of q(K + 2 E_T) - q(K)."""
-        if self._gen != faults.generation:
-            self._cw.clear()
-            self._gen = faults.generation
-        if type(k) is not tuple:
-            k = tuple(k)
-        val = self._cw_rec(k, s)
-        if faults.is_active("cube-weight-parity-offset") and bin(s).count("1") % 2:
-            val += 1
-        return val
+    def point(self, base, x) -> tuple:
+        """The characteristic vector base + 2Mx."""
+        k = list(base)
+        for j, xj in enumerate(x):
+            if xj:
+                col = self.cols[j]
+                for i in range(self.n):
+                    k[i] += xj * col[i]
+        return tuple(k)
 
-    def _cw_rec(self, k, s):
-        if s == 0:
-            return 0
-        key = (k, s)
-        val = self._cw.get(key)
-        if val is None:
-            j = (s & -s).bit_length() - 1
-            rest = s & (s - 1)
-            stay = self._cw_rec(k, rest)
-            move = self.step(k, j) + self._cw_rec(self.shift(k, j), rest)
-            val = stay if stay >= move else move
-            self._cw[key] = val
+    def cube_weights(self, base):
+        """Cube weights (x, S) -> weight relative to ``base`` of the cube at
+        base + 2Mx, memoised in a dict owned by the returned function."""
+        return functools.partial(offset_cube_weight,
+                                 functools.partial(self.rel_weight, base), {})
+
+
+def offset_cube_weight(point_weight, memo: dict, cube: tuple):
+    """Weight of the cube (x, S) in offset coordinates: the largest
+    ``point_weight`` over its corners x + 1_T, T inside S, or None when some
+    corner has no weight.
+
+    Cubes are (x, S) keys, as in ``CellBank.cells``.  ``memo`` belongs to
+    the caller and holds fault-free values, so it stays valid whichever
+    faults are active.
+    """
+    val = _corner_max(point_weight, memo, cube)
+    if (val is not None and bin(cube[1]).count("1") % 2
+            and faults.is_active("cube-weight-parity-offset")):
+        val += 1
+    return val
+
+
+_UNSEEN = object()
+
+
+def _corner_max(point_weight, memo, cube):
+    val = memo.get(cube, _UNSEEN)
+    if val is not _UNSEEN:
         return val
+    x, s = cube
+    if s:
+        j = (s & -s).bit_length() - 1
+        rest = s & (s - 1)
+        val = _corner_max(point_weight, memo, (x, rest))
+        if val is not None:
+            other = _corner_max(point_weight, memo,
+                                (x[:j] + (x[j] + 1,) + x[j + 1:], rest))
+            val = None if other is None else (val if val >= other else other)
+    else:
+        val = point_weight(x)
+    memo[cube] = val
+    return val
+
+
+def cofaces(cube_weight, x: tuple, s: int, n: int):
+    """The coboundary rule on the cube (x, S) in offset coordinates.
+
+    Yields (y, S + w, gap) for the cofaces y = x and y = x - e_w of every
+    direction w outside S, where gap, the weight of the coface minus that
+    of (x, S), is the U-power the coboundary lowers by.  ``cube_weight``
+    maps an (offset, mask) key to a weight, like ``CellBank.cells.get``;
+    gap is None where it has none.
+    """
+    w_here = cube_weight((x, s))
+    sign = 1 if faults.is_active("delta-coface-shift-sign") else -1
+    for w in bits(((1 << n) - 1) & ~s):
+        up = s | (1 << w)
+        for y in (x, x[:w] + (x[w] + sign,) + x[w + 1:]):
+            w_up = cube_weight((y, up))
+            if w_up is None:
+                yield y, up, None
+                continue
+            gap = w_up - w_here
+            if gap < 0 and not faults.any_active():
+                raise MonotonicityError("weight monotonicity violated at %r"
+                                        % ((y, up),))
+            yield y, up, gap
 
 
 @functools.cache
@@ -252,7 +301,8 @@ def absolute_q(graph: PlumbingGraph, k) -> Fraction:
 
 def cube_weight(graph: PlumbingGraph, k, s) -> int:
     """Relative weight of the cube (K, S): max corner weight against K."""
-    return get_engine(graph).cube_weight(coords_of(k), mask_of(graph, s))
+    return get_engine(graph).cube_weights(coords_of(k))(((0,) * graph.n,
+                                                         mask_of(graph, s)))
 
 
 def cube_corners(graph: PlumbingGraph, cube: CubePair) -> list:
@@ -290,44 +340,62 @@ class Region:
     mcap: int
 
     def __post_init__(self):
+        n = self.graph.n
+        if not len(self.base) == len(self.xmin) == len(self.xmax) == n:
+            raise ValueError("base, xmin and xmax need one entry per vertex "
+                             "(%d)" % n)
+        get_engine(self.graph).check_characteristic(self.base)
         if self.mcap < 0:
             raise ValueError("mcap must be nonnegative")
         if any(a > b for a, b in zip(self.xmin, self.xmax)):
             raise ValueError("empty offset interval")
+
+    @functools.cached_property
+    def cube_weight(self):
+        """Cube weights (x, S) of this class relative to the base, memoised
+        for the lifetime of the region."""
+        return get_engine(self.graph).cube_weights(self.base)
+
+    @functools.cached_property
+    def _materialized(self) -> dict:
+        """Characteristic vector -> first offset reaching it in the box."""
+        out = {}
+        for x in self.iter_offsets():
+            out.setdefault(self.point(x), x)
+        return out
+
+    def frame(self, k):
+        """(offset of K, cube weights of the class), or None when K lies
+        outside the window."""
+        x = self.offset_of(k)
+        if x is None or not self.contains_offset(x):
+            return None
+        return x, self.cube_weight
 
     def offset_of(self, k):
         """Lattice offset x with K = base + 2Mx, or None if K is not in the
         class (only decidable here for nondegenerate forms)."""
         adj, det = _adjugate_data(self.graph)
         if det == 0:
-            kset = _materialized(self)
-            return kset.get(tuple(k))
-        n = self.graph.n
-        diff = [k[i] - self.base[i] for i in range(n)]
+            return self._materialized.get(tuple(k))
+        diff = [a - b for a, b in zip(k, self.base)]
+        den = 2 * det
         x = []
-        for i in range(n):
-            num = sum(adj[i][j] * diff[j] for j in range(n))
-            den = 2 * det
+        for row in adj:
+            num = sum(map(operator.mul, row, diff))
             if num % den:
                 return None
             x.append(num // den)
         return tuple(x)
 
     def contains(self, k) -> bool:
-        x = self.offset_of(k)
-        return x is not None and self.contains_offset(x)
+        return self.frame(k) is not None
 
     def contains_offset(self, x) -> bool:
         return all(a <= xi <= b for xi, a, b in zip(x, self.xmin, self.xmax))
 
     def point(self, x) -> tuple:
-        eng = get_engine(self.graph)
-        k = list(self.base)
-        for j, xj in enumerate(x):
-            col = eng.cols[j]
-            for i in range(len(k)):
-                k[i] += xj * col[i]
-        return tuple(k)
+        return get_engine(self.graph).point(self.base, x)
 
     def iter_offsets(self):
         if self.volume() > BASIS_CAP:
@@ -350,11 +418,6 @@ class Region:
         return {"base": list(self.base), "xmin": list(self.xmin),
                 "xmax": list(self.xmax), "mcap": self.mcap}
 
-    @classmethod
-    def from_json(cls, graph: PlumbingGraph, doc: dict) -> "Region":
-        return cls(graph, tuple(doc["base"]), tuple(doc["xmin"]),
-                   tuple(doc["xmax"]), int(doc["mcap"]))
-
 
 @functools.cache
 def _adjugate_data(graph: PlumbingGraph):
@@ -362,65 +425,44 @@ def _adjugate_data(graph: PlumbingGraph):
     return exact.adjugate(m), exact.det_bareiss(m)
 
 
-@functools.cache
-def _materialized(region: Region) -> dict:
-    if region.volume() > BASIS_CAP:
-        raise BasisCapError("region too large to materialize; tighten bounds")
-    out = {}
-    for x in region.iter_offsets():
-        out.setdefault(region.point(x), x)
-    return out
-
-
-def delta(e: Chain, region: Region) -> Chain:
+def delta(e: Chain, region) -> Chain:
     """The coboundary on finitely supported duals.
 
     Each dual U^{-m} (K, S)^v maps to the sum over cofaces (K, S+w) and
     (K - 2E_w, S+w), w outside S, of U^{-(m - d)} (coface)^v with d the
     weight gap; terms with d > m vanish in the target module.  Image terms
     whose base corner leaves the region are reported in ``escaped``.
+    ``region`` is a Region or any window with the same ``frame``,
+    ``contains`` and ``mcap``: ``frame(K)`` gives K's offset x and the cube
+    weights it is read against, and a coface at offset y has base corner
+    K + 2M(y - x).
     """
     eng = get_engine(region.graph)
-    full = (1 << eng.n) - 1
     inside, out = set(), set()
     for k, s, m in e.terms:
-        if not region.contains(k):
+        frame = region.frame(k)
+        if frame is None:
             raise OutsideRegionError("term %r lies outside the region" % ((k, s, m),))
-        w_here = eng.cube_weight(k, s)
-        for w in bits(full & ~s):
-            up = s | (1 << w)
-            shift_sign = 1 if faults.is_active("delta-coface-shift-sign") else -1
-            for k2, base_gap in ((k, 0),
-                                 (eng.shift(k, w, shift_sign), eng.step(k, w, shift_sign))):
-                gap = base_gap + eng.cube_weight(k2, up) - w_here
-                if gap < 0 and not faults.any_active():
-                    raise LatcohError("weight monotonicity violated at %r" % ((k2, up),))
-                if gap > m:
-                    continue
-                term = (k2, up, m - gap)
-                ok = m - gap <= region.mcap and region.contains(k2)
-                (inside if ok else out).symmetric_difference_update([term])
+        x, weight = frame
+        for y, up, gap in cofaces(weight, x, s, eng.n):
+            if gap > m:
+                continue
+            k2 = k if y is x else eng.point(k, map(operator.sub, y, x))
+            ok = m - gap <= region.mcap and region.contains(k2)
+            (inside if ok else out).symmetric_difference_update([(k2, up, m - gap)])
     return Chain(frozenset(inside), frozenset(out))
 
 
 def weight_monotonicity_check(region: Region) -> bool:
     """Every cube must weigh at least as much as each of its faces, so all
-    U-exponents in the coboundary are nonnegative.  True when that holds on
-    every cube with base corner in the region."""
-    eng = get_engine(region.graph)
-    full = (1 << eng.n) - 1
-    for x in region.iter_offsets():
-        k = region.point(x)
-        for s in range(1, full + 1):
-            w_cube = eng.cube_weight(k, s)
-            for w in bits(s):
-                rest = s & ~(1 << w)
-                if w_cube < eng.cube_weight(k, rest):
-                    return False
-                shifted = eng.shift(k, w)
-                if w_cube < eng.step(k, w) + eng.cube_weight(shifted, rest):
-                    return False
-    return True
+    U-exponents in the coboundary are nonnegative.  True when that holds
+    for every face with base corner in the region and each of its cofaces."""
+    n = region.graph.n
+    try:
+        return all(gap >= 0 for x in region.iter_offsets() for s in range(1 << n)
+                   for _, _, gap in cofaces(region.cube_weight, x, s, n))
+    except MonotonicityError:
+        return False
 
 
 def delta_squared_check(region: Region, mcaps=None) -> bool:
@@ -446,10 +488,12 @@ def delta_squared_check(region: Region, mcaps=None) -> bool:
     return True
 
 
-def _continuous_minimum(graph: PlumbingGraph, base):
+def continuous_minimum(graph: PlumbingGraph, base):
     """Real minimizer and minimum of the relative weight, for definite forms."""
     m = intersection_matrix(graph)
     n = graph.n
+    if n == 0:
+        return [], Fraction(0)
     two_m = [[2 * m[i][j] for j in range(n)] for i in range(n)]
     xbar = exact.solve_fraction(two_m, [-b for b in base])
     wbar = -(sum(Fraction(base[i]) * xbar[i] for i in range(n))
@@ -509,16 +553,15 @@ def truncation_region(graph: PlumbingGraph, spinc_or_base, mcap: int,
     n = graph.n
     if n == 0:
         return Region(graph, base, (), (), mcap)
-    m = intersection_matrix(graph)
-    neg = [[-x for x in row] for row in m]
-    definite = all(d > 0 for d in exact.leading_minors(neg))
+    neg = [[-x for x in row] for row in intersection_matrix(graph)]
+    definite = is_negative_definite(graph).form_negative_definite
 
     # Plain coordinate descent can stall far above the minimum on strongly
     # correlated definite forms; seeding it at the rounded continuous
     # minimizer fixes that without changing the non-definite error paths.
     start = None
     if definite:
-        xbar, wbar = _continuous_minimum(graph, base)
+        xbar, wbar = continuous_minimum(graph, base)
         start = tuple(int(c.__floor__() + (1 if c - c.__floor__() > Fraction(1, 2)
                                            else 0)) for c in xbar)
     xstar, wstar = _descend(graph, base, start=start)

@@ -26,13 +26,13 @@ B equals both the image of A and the explicitly described submodule D
 """
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import isqrt
 
 from . import faults, gf2
 from .graph import (LatcohError, PlumbingGraph, characteristic_base,
                     delete_vertex, graph_hash, increment_weight)
-from .lattice import (Chain, OutsideRegionError, RegionTooSmallError,
+from .lattice import (Chain, OutsideRegionError, RegionTooSmallError, bits,
                       coords_of, delta, get_engine, mask_of)
 
 
@@ -52,6 +52,19 @@ class TriangleContext:
     base_g: tuple
     base_plus: tuple
     base_minus: tuple
+    r_memo: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
+    weights: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
+
+    def cube_weights(self, plus: bool, k):
+        """Cube weights (x, S) relative to K on G+ (``plus``) or on G,
+        memoised per K for the lifetime of the context."""
+        weight = self.weights.get((plus, k))
+        if weight is None:
+            graph = self.plus if plus else self.graph
+            weight = self.weights[(plus, k)] = get_engine(graph).cube_weights(k)
+        return weight
 
     def restrict_coords(self, k) -> tuple:
         vi = self.v_index
@@ -77,16 +90,21 @@ def triangle_context(graph: PlumbingGraph, v: str) -> TriangleContext:
 
 
 def r_value(ctx: TriangleContext, k, s) -> int:
-    """Corner gap r((K,t),S) = q((K,t),S-v) - q((K,t)+2E_v,S-v); v in S."""
+    """Corner gap r((K,t),S) = q((K,t),S-v) - q((K,t)+2E_v,S-v); v in S.
+
+    Memoised per (K, S) on the context for its lifetime."""
     smask = mask_of(ctx.graph, s)
     if not ctx.has_v(smask):
         raise LatcohError("r((K,t),S) needs v in S")
     k = coords_of(k)
-    eng = get_engine(ctx.graph)
-    rest = smask & ~(1 << ctx.v_index)
-    q1 = eng.cube_weight(k, rest)
-    q2 = eng.step(k, ctx.v_index) + eng.cube_weight(eng.shift(k, ctx.v_index), rest)
-    return q1 - q2
+    r = ctx.r_memo.get((k, smask))
+    if r is None:
+        weight = get_engine(ctx.graph).cube_weights(k)
+        rest = smask & ~(1 << ctx.v_index)
+        zero = (0,) * ctx.graph.n
+        e_v = tuple(int(j == ctx.v_index) for j in range(ctx.graph.n))
+        r = ctx.r_memo[(k, smask)] = weight((zero, rest)) - weight((e_v, rest))
+    return r
 
 
 def c_exponent_def(ctx: TriangleContext, i: int, k, s) -> int:
@@ -96,8 +114,9 @@ def c_exponent_def(ctx: TriangleContext, i: int, k, s) -> int:
     k = coords_of(k)
     vi = ctx.v_index
     kp = tuple(x + (2 * i + 1 if j == vi else 0) for j, x in enumerate(k))
-    bracket_g = get_engine(ctx.graph).cube_weight(k, smask)
-    bracket_p = get_engine(ctx.plus).cube_weight(kp, smask)
+    zero = (0,) * ctx.graph.n
+    bracket_g = ctx.cube_weights(False, k)((zero, smask))
+    bracket_p = ctx.cube_weights(True, kp)((zero, smask))
     return bracket_g - bracket_p + i * (i + 1) // 2
 
 
@@ -158,10 +177,10 @@ def map_A(ctx: TriangleContext, e: Chain, region) -> Chain:
     for k, s, m in e.terms:
         if (k[ctx.v_index] - ctx.base_plus[ctx.v_index]) % 2:
             raise LatcohError("term is not characteristic for the raised graph")
-        if not region.contains_plus(k):
+        if not region.plus.contains(k):
             raise OutsideRegionError("source term %r outside the G+ window" % ((k, s, m),))
         for term in _a_targets(ctx, k, s, m):
-            ok = 0 <= term[2] <= region.mcap and region.contains_g(term[0])
+            ok = 0 <= term[2] <= region.mcap and region.g.contains(term[0])
             (inside if ok else out).symmetric_difference_update([term])
     return Chain(frozenset(inside), frozenset(out))
 
@@ -182,7 +201,7 @@ def map_B(ctx: TriangleContext, e: Chain, region) -> Chain:
         if faults.is_active("b-parity-skip") and ((k[vi] - ctx.base_g[vi]) // 2) % 2:
             continue
         term = (ctx.restrict_coords(k), ctx.restrict_mask(s), m)
-        ok = region is None or region.contains_minus(k)
+        ok = region is None or region.minus.contains(term[0])
         (inside if ok else out).symmetric_difference_update([term])
     return Chain(frozenset(inside), frozenset(out))
 
@@ -209,18 +228,70 @@ def _ceil_sqrt(x: int) -> int:
 
 
 @dataclass(frozen=True)
+class KBox:
+    """Characteristic vectors K of one graph with (K - base)/2 in [lo, hi].
+
+    Such a box meets several spin-c classes, so each K is its own frame for
+    the coboundary: cube weights are taken relative to K at offset 0, with
+    one memo per K that lives as long as the box.
+    """
+
+    graph: PlumbingGraph
+    base: tuple
+    lo: tuple
+    hi: tuple
+    mcap: int
+    weights: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
+
+    def __post_init__(self):
+        n = self.graph.n
+        if not len(self.base) == len(self.lo) == len(self.hi) == n:
+            raise ValueError("window bounds need one entry per vertex (%d)" % n)
+
+    def contains(self, k) -> bool:
+        return all(a <= (c - b) // 2 <= h
+                   for c, b, a, h in zip(k, self.base, self.lo, self.hi))
+
+    def frame(self, k):
+        """(offset 0, cube weights relative to K), or None outside."""
+        if not self.contains(k):
+            return None
+        weight = self.weights.get(k)
+        if weight is None:
+            weight = self.weights[k] = get_engine(self.graph).cube_weights(k)
+        return (0,) * len(k), weight
+
+
+@dataclass(frozen=True)
 class TriangleRegion:
     """Aligned coordinate window for all three complexes.
 
     Offsets are half coordinate differences against each graph's parity
-    base; the same per-vertex bounds serve G, G+ (shrunk at v by the
-    A-window so A never clips), and G-v (v dropped).
+    base; the same per-vertex bounds give the windows ``g`` of G, ``plus``
+    of G+ (shrunk at v by the A-window so A never clips) and ``minus`` of
+    G-v (v dropped).
     """
 
     ctx: TriangleContext
     off_lo: tuple
     off_hi: tuple
     mcap: int
+    g: KBox = field(init=False, repr=False, compare=False)
+    plus: KBox = field(init=False, repr=False, compare=False)
+    minus: KBox = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        ctx, lo, hi, mcap = self.ctx, self.off_lo, self.off_hi, self.mcap
+        shrink = [self.win * (j == ctx.v_index) for j in range(len(lo))]
+        for name, box in (
+                ("g", KBox(ctx.graph, ctx.base_g, lo, hi, mcap)),
+                ("plus", KBox(ctx.plus, ctx.base_plus,
+                              tuple(a + d for a, d in zip(lo, shrink)),
+                              tuple(b - d for b, d in zip(hi, shrink)), mcap)),
+                ("minus", KBox(ctx.minus, ctx.base_minus, ctx.restrict_coords(lo),
+                               ctx.restrict_coords(hi), mcap))):
+            object.__setattr__(self, name, box)
 
     @property
     def win(self) -> int:
@@ -230,68 +301,10 @@ class TriangleRegion:
     def t_margin(self) -> int:
         return 2 * _ceil_sqrt(2 * self.mcap) + 4
 
-    def _offsets(self, k, base):
-        return tuple((a - b) // 2 for a, b in zip(k, base))
-
-    def contains_g(self, k) -> bool:
-        off = self._offsets(k, self.ctx.base_g)
-        return all(a <= o <= b for o, a, b in zip(off, self.off_lo, self.off_hi))
-
-    def contains_plus(self, k) -> bool:
-        vi = self.ctx.v_index
-        off = self._offsets(k, self.ctx.base_plus)
-        return all((a + self.win <= o <= b - self.win) if j == vi else (a <= o <= b)
-                   for j, (o, a, b) in enumerate(zip(off, self.off_lo, self.off_hi)))
-
-    def contains_minus(self, k) -> bool:
-        off = self._offsets(self.ctx.restrict_coords(k), self.ctx.base_minus)
-        lo = self.ctx.restrict_coords(self.off_lo)
-        hi = self.ctx.restrict_coords(self.off_hi)
-        return all(a <= o <= b for o, a, b in zip(off, lo, hi))
-
     def to_json(self) -> dict:
         return {"off_lo": list(self.off_lo), "off_hi": list(self.off_hi),
                 "mcap": self.mcap, "a_window": self.win,
                 "t_margin": self.t_margin}
-
-
-@dataclass(frozen=True)
-class _SideRegion:
-    """Adapter giving one side of a TriangleRegion the Region protocol
-    needed by the coboundary."""
-
-    graph: PlumbingGraph
-    mcap: int
-    region: TriangleRegion
-    side: str
-
-    def contains(self, k) -> bool:
-        return getattr(self.region, "contains_" + self.side)(k)
-
-
-def g_side(region: TriangleRegion) -> _SideRegion:
-    return _SideRegion(region.ctx.graph, region.mcap, region, "g")
-
-
-def plus_side(region: TriangleRegion) -> _SideRegion:
-    return _SideRegion(region.ctx.plus, region.mcap, region, "plus")
-
-
-def minus_side(region: TriangleRegion) -> _SideRegion:
-    # Membership over G-v coordinates: wrap back into full coordinates.
-    class _Minus:
-        graph = region.ctx.minus
-        mcap = region.mcap
-
-        @staticmethod
-        def contains(k):
-            lo = region.ctx.restrict_coords(region.off_lo)
-            hi = region.ctx.restrict_coords(region.off_hi)
-            base = region.ctx.base_minus
-            off = tuple((a - b) // 2 for a, b in zip(k, base))
-            return all(a <= o <= b for o, a, b in zip(off, lo, hi))
-
-    return _Minus()
 
 
 def default_region(ctx: TriangleContext, mcap: int, y_halfwidth: int = 6,
@@ -408,13 +421,11 @@ def verify_ses(ctx: TriangleContext, region: TriangleRegion) -> SesReport:
     ba_zero = ker_b_equals_im_a = ker_b_equals_d = True
     blocks = 0
 
+    rows = [(s_off, m) for s_off in range(slo, shi + 1) for m in range(mcap + 1)]
+    row_index = {row: idx for idx, row in enumerate(rows)}
     for y in _interior_y(region):
         for smask in range(full + 1):
             blocks += 1
-            row_index = {}
-            for s_off in range(slo, shi + 1):
-                for m in range(mcap + 1):
-                    row_index[(s_off, m)] = len(row_index)
 
             # Columns of A over the full G+ window of this block.
             a_cols = []
@@ -477,9 +488,8 @@ def verify_ses(ctx: TriangleContext, region: TriangleRegion) -> SesReport:
 
             for g in gens:
                 # Generators must die under B and lie in the image of A.
-                chain = Chain(frozenset(
-                    (_g_vector(ctx, y, s_off), smask, m)
-                    for (s_off, m), idx in row_index.items() if (g >> idx) & 1))
+                chain = Chain(frozenset((_g_vector(ctx, y, rows[idx][0]), smask,
+                                         rows[idx][1]) for idx in bits(g)))
                 if map_B(ctx, chain, None):
                     ker_b_equals_d = False
                 if not a_span.contains(g):
@@ -510,15 +520,15 @@ def chain_map_commutes(ctx: TriangleContext, region: TriangleRegion,
     e = Chain.dual(k, smask, m)
     if which == "A":
         ae = map_A(ctx, e, region)
-        dae = delta(ae, g_side(region))
-        de = delta(e, plus_side(region))
+        dae = delta(ae, region.g)
+        de = delta(e, region.plus)
         ade = map_A(ctx, de, region)
         if ae.escaped or dae.escaped or de.escaped or ade.escaped:
             raise ValueError("clipped")
         return dae.terms == ade.terms
     be = map_B(ctx, e, region)
-    dbe = delta(be, minus_side(region))
-    de = delta(e, g_side(region))
+    dbe = delta(be, region.minus)
+    de = delta(e, region.g)
     bde = map_B(ctx, de, region)
     if be.escaped or dbe.escaped or de.escaped or bde.escaped:
         raise ValueError("clipped")
