@@ -17,8 +17,7 @@ from . import engine, suites, triangle
 from .graph import (DegenerateFormError, LatcohError, SpincClass,
                     characteristic_base, graph_hash, parse_graph,
                     spinc_representatives)
-from .lattice import (BasisCapError, DescentError, Region,
-                      RegionTooSmallError)
+from .lattice import Region, RegionTooSmallError
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -57,14 +56,20 @@ def _load_graph(cfg):
         return parse_graph(fh.read())
 
 
-def _bounds_spec(cfg):
-    """The --bounds JSON object: integer lists "xmin", "xmax" and optional
-    "base", optional integer "mcap"; None when the option is absent."""
+def _bounds_spec(cfg, optional=()):
+    """The --bounds JSON object: integer lists "xmin", "xmax" and whichever
+    of "base" (integer list) and "mcap" (integer) the command reads, named
+    in ``optional``; None when the option is absent.  A key the command
+    does not read is an error, not silently ignored."""
     if cfg.bounds is None:
         return None
     spec = json.loads(cfg.bounds)
     if not isinstance(spec, dict) or not {"xmin", "xmax"} <= spec.keys():
         raise LatcohError('--bounds needs a JSON object with "xmin" and "xmax"')
+    unread = sorted(spec.keys() - {"xmin", "xmax", *optional})
+    if unread:
+        raise LatcohError("%s --bounds does not read %s"
+                          % (cfg.command, ", ".join(map(json.dumps, unread))))
     for key in ("base", "xmin", "xmax"):
         vals = spec.get(key, [])
         if not isinstance(vals, list) or any(type(v) is not int for v in vals):
@@ -76,7 +81,7 @@ def _bounds_spec(cfg):
 
 def cmd_compute(cfg: RunConfig) -> int:
     graph = _load_graph(cfg)
-    spec = _bounds_spec(cfg)
+    spec = _bounds_spec(cfg, ("base", "mcap"))
     bounds = None
     if spec is not None:
         bounds = Region(graph, tuple(spec.get("base", characteristic_base(graph))),
@@ -89,7 +94,11 @@ def cmd_compute(cfg: RunConfig) -> int:
             raise
         classes = [SpincClass(bounds.base, 0)]
     if cfg.spinc != "all":
-        classes = [classes[int(cfg.spinc)]]
+        idx = int(cfg.spinc) if cfg.spinc.isdigit() else -1
+        if not 0 <= idx < len(classes):
+            raise LatcohError("--class must be 'all' or an index in [0, %d)"
+                              % len(classes))
+        classes = [classes[idx]]
 
     records = []
     all_stable = True
@@ -188,7 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("triangle", help="verify the surgery exact triangle")
     common(p)
     p.add_argument("--vertex", default=None, help="distinguished vertex id")
-    p.add_argument("--bounds", default=None)
+    p.add_argument("--bounds", default=None,
+                   help='explicit offset window JSON {"xmin":[..],"xmax":[..]}')
 
     p = sub.add_parser("verify", help="run the randomized property suites")
     common(p, needs_graph=False)
@@ -221,9 +231,6 @@ def main(argv=None) -> int:
         print("hint: rerun with a larger --max-depth or wider bounds",
               file=sys.stderr)
         return EXIT_UNSTABILIZED
-    except (DescentError, BasisCapError, DegenerateFormError) as err:
-        print("error: %s" % err, file=sys.stderr)
-        return EXIT_ERROR
     except (LatcohError, OSError, ValueError, IndexError) as err:
         print("error: %s" % err, file=sys.stderr)
         return EXIT_ERROR

@@ -26,7 +26,8 @@ from .graph import (LatcohError, PlumbingGraph, graph_hash,
 from .lattice import (BASIS_CAP, BasisCapError, Region, bits, cofaces,
                       continuous_minimum, coords_of, get_engine,
                       offset_cube_weight, truncation_region)
-from .triangle import TriangleContext, _a_targets
+from .triangle import (TriangleContext, _a_targets, _chain_map_sample,
+                       default_region)
 
 
 class NonStabilizingError(LatcohError):
@@ -145,7 +146,8 @@ class GradedGF2Complex:
     Basis triples are ordered lexicographically by (offset, mask, U-power);
     the coboundary and the U action are exact sparse GF(2) matrices between
     pieces.  ``escaped`` lists pieces whose coboundary was clipped by the
-    window; pieces at gradings covered by the cell bank never are.
+    window; pieces at gradings covered by the cell bank never are, and
+    ``stabilize`` never calls an answer with escaped pieces stable.
     """
 
     def __init__(self, bank: CellBank, mcap: int, grading_cap: int = None):
@@ -379,7 +381,6 @@ class GradedModulePresentation:
     dims: dict
     stabilized: bool
     region: dict
-    prior: dict = None
 
     def to_json(self) -> list:
         records = []
@@ -410,7 +411,8 @@ def stabilize(graph: PlumbingGraph, spinc_or_base, mcap: int,
     """Compute the presentation on a region and again on the region grown
     by two in every direction; answers stable in all gradings up to twice
     the U cap are flagged, others are retried up to ``rounds`` times and
-    returned unstabilized with the previous answer attached."""
+    returned unstabilized.  An answer whose final window clipped some
+    coboundary (``GradedGF2Complex.escaped``) is never flagged stable."""
     base = coords_of(getattr(spinc_or_base, "base", spinc_or_base))
     index = getattr(spinc_or_base, "index", -1)
     if bounds is None:
@@ -419,7 +421,6 @@ def stabilize(graph: PlumbingGraph, spinc_or_base, mcap: int,
         # Offsets are always taken against the class's own base; say so.
         box = replace(bounds, base=base)
     hom, dims, urk = _presentation_data(graph, base, mcap, box)
-    prior = None
     stabilized = False
     for _ in range(rounds):
         box2 = box.enlarged(2)
@@ -428,17 +429,16 @@ def stabilize(graph: PlumbingGraph, spinc_or_base, mcap: int,
             stabilized = True
             hom, box = hom2, box2
             break
-        prior = {"dims": {"%d,%d" % k: v for k, v in sorted(dims.items())},
-                 "region": box.to_json()}
         hom, dims, urk, box = hom2, dims2, urk2, box2
     # No stabilization theorem backs non-definite forms: never claim
     # a stable answer for them, however the windows happened to agree.
-    stabilized = stabilized and is_negative_definite(graph).form_negative_definite
+    stabilized = (stabilized and not hom.cx.escaped
+                  and is_negative_definite(graph).form_negative_definite)
     degrees = module_presentation(hom, mcap)
     return GradedModulePresentation(
         graph_hash=graph_hash(graph), class_index=index, base=base,
         degrees=degrees, dims=dims, stabilized=stabilized,
-        region=box.to_json(), prior=prior)
+        region=box.to_json())
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +591,6 @@ def _les_attempt(ctx, mcap, capg, pad):
 
     # The induced maps only exist if A and B are chain maps; spot-check the
     # hypothesis so a corrupted map cannot masquerade through homology.
-    from .triangle import _chain_map_sample, default_region
     _, cm_failures = _chain_map_sample(ctx, default_region(ctx, mcap))
     broken_hypothesis = cm_failures > 0
 

@@ -357,8 +357,9 @@ class Region:
         return get_engine(self.graph).cube_weights(self.base)
 
     @functools.cached_property
-    def _materialized(self) -> dict:
-        """Characteristic vector -> first offset reaching it in the box."""
+    def _offset_map(self) -> dict:
+        """Characteristic vector -> first offset reaching it in the box: the
+        one way this window turns K into an offset, for every form."""
         out = {}
         for x in self.iter_offsets():
             out.setdefault(self.point(x), x)
@@ -366,30 +367,24 @@ class Region:
 
     def frame(self, k):
         """(offset of K, cube weights of the class), or None when K lies
-        outside the window."""
+        outside the window.
+
+        The first call builds the window's offset map, so a box of volume
+        above ``BASIS_CAP`` raises ``BasisCapError`` here.  Windows that
+        reach this stay small (the verification suites, the tests and the
+        demos use at most a few hundred offsets); large boxes such as the
+        truncation box of E8 are only ever asked ``contains_offset``.
+        """
         x = self.offset_of(k)
-        if x is None or not self.contains_offset(x):
-            return None
-        return x, self.cube_weight
+        return None if x is None else (x, self.cube_weight)
 
     def offset_of(self, k):
-        """Lattice offset x with K = base + 2Mx, or None if K is not in the
-        class (only decidable here for nondegenerate forms)."""
-        adj, det = _adjugate_data(self.graph)
-        if det == 0:
-            return self._materialized.get(tuple(k))
-        diff = [a - b for a, b in zip(k, self.base)]
-        den = 2 * det
-        x = []
-        for row in adj:
-            num = sum(map(operator.mul, row, diff))
-            if num % den:
-                return None
-            x.append(num // den)
-        return tuple(x)
+        """Lattice offset x in the box with K = base + 2Mx, or None when K
+        is not such a vector (outside the box, another class or parity)."""
+        return self._offset_map.get(tuple(k))
 
     def contains(self, k) -> bool:
-        return self.frame(k) is not None
+        return self.offset_of(k) is not None
 
     def contains_offset(self, x) -> bool:
         return all(a <= xi <= b for xi, a, b in zip(x, self.xmin, self.xmax))
@@ -417,12 +412,6 @@ class Region:
     def to_json(self) -> dict:
         return {"base": list(self.base), "xmin": list(self.xmin),
                 "xmax": list(self.xmax), "mcap": self.mcap}
-
-
-@functools.cache
-def _adjugate_data(graph: PlumbingGraph):
-    m = intersection_matrix(graph)
-    return exact.adjugate(m), exact.det_bareiss(m)
 
 
 def delta(e: Chain, region) -> Chain:
@@ -470,8 +459,7 @@ def delta_squared_check(region: Region, mcaps=None) -> bool:
     stays inside the region; True when all images vanish."""
     graph = region.graph
     full = (1 << graph.n) - 1
-    kset = {region.point(x): x for x in region.iter_offsets()}
-    interior = [k for k, x in kset.items()
+    interior = [k for k, x in region._offset_map.items()
                 if all(a + 2 <= xi for xi, a in zip(x, region.xmin))]
     levels = range(region.mcap + 1) if mcaps is None else mcaps
     for k in interior:

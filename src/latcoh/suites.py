@@ -121,9 +121,7 @@ def suite_chain_maps(seed: int, graphs: int = 8, mcap: int = 3,
     res = SuiteResult("chain-maps", graphs, 0)
     for ctx in _context_corpus(rng, graphs):
         region = triangle.default_region(ctx, mcap)
-        vi = ctx.v_index
-        tm = region.t_margin
-        slo, shi = region.off_lo[vi] + tm, region.off_hi[vi] - tm
+        slo, shi = region.t_middle
         ys = triangle._interior_y(region)
         rng.shuffle(ys)
         full = (1 << ctx.graph.n) - 1
@@ -132,9 +130,7 @@ def suite_chain_maps(seed: int, graphs: int = 8, mcap: int = 3,
                 for s_off in range(slo, shi + 1, 2):
                     for m in (0, mcap):
                         kg = triangle._g_vector(ctx, y, s_off)
-                        kp = tuple(x + 1 if j == vi else x
-                                   for j, x in enumerate(kg))
-                        for which, k in (("A", kp), ("B", kg)):
+                        for which, k in (("A", ctx.to_plus(kg)), ("B", kg)):
                             try:
                                 ok = triangle.chain_map_commutes(
                                     ctx, region, k, smask, m, which)
@@ -203,9 +199,7 @@ def suite_kernel(seed: int, graphs: int = 8, mcap: int = 3,
     res = SuiteResult("kernel-membership", graphs, 0)
     for ctx in _context_corpus(rng, graphs):
         region = triangle.default_region(ctx, mcap)
-        vi = ctx.v_index
-        tm = region.t_margin
-        slo, shi = region.off_lo[vi] + tm, region.off_hi[vi] - tm
+        slo, shi = region.t_middle
         ys = triangle._interior_y(region)
         full = (1 << ctx.graph.n) - 1
         pool = []
@@ -230,8 +224,7 @@ def suite_kernel(seed: int, graphs: int = 8, mcap: int = 3,
                                      "terms": [[list(k), s, m] for k, s, m in sorted(terms)]})
             # A injectivity and B A = 0 on a random G+ dual.
             y, smask, s_off = pool[rng.randrange(len(pool))]
-            kp = tuple(x + 1 if j == vi else x
-                       for j, x in enumerate(triangle._g_vector(ctx, y, s_off)))
+            kp = ctx.to_plus(triangle._g_vector(ctx, y, s_off))
             ep = Chain.dual(kp, smask, rng.randint(0, mcap))
             img = triangle.map_A(ctx, ep, region)
             res.checked += 1

@@ -66,6 +66,11 @@ class TriangleContext:
             weight = self.weights[(plus, k)] = get_engine(graph).cube_weights(k)
         return weight
 
+    def to_plus(self, k) -> tuple:
+        """The G+ vector (K, t + 1) over the G vector (K, t)."""
+        vi = self.v_index
+        return tuple(x + 1 if j == vi else x for j, x in enumerate(k))
+
     def restrict_coords(self, k) -> tuple:
         vi = self.v_index
         return tuple(x for i, x in enumerate(k) if i != vi)
@@ -222,9 +227,16 @@ def is_in_D(ctx: TriangleContext, e: Chain) -> bool:
 # Finite windows for the triangle and the chain-level verification.
 
 
-def _ceil_sqrt(x: int) -> int:
-    r = isqrt(x)
-    return r if r * r == x else r + 1
+def _a_window(mcap: int) -> int:
+    """Largest |i| that A's t-spread reaches at U cap ``mcap``."""
+    return max(abs(i) for i in c_window(mcap))
+
+
+def _t_margin(mcap: int) -> int:
+    """2 ceil(sqrt(2 mcap)) + 4: the width cut from each end of the
+    t-window to leave the middle zone."""
+    r = isqrt(2 * mcap)
+    return 2 * (r if r * r == 2 * mcap else r + 1) + 4
 
 
 @dataclass(frozen=True)
@@ -283,7 +295,7 @@ class TriangleRegion:
 
     def __post_init__(self):
         ctx, lo, hi, mcap = self.ctx, self.off_lo, self.off_hi, self.mcap
-        shrink = [self.win * (j == ctx.v_index) for j in range(len(lo))]
+        shrink = [_a_window(mcap) * (j == ctx.v_index) for j in range(len(lo))]
         for name, box in (
                 ("g", KBox(ctx.graph, ctx.base_g, lo, hi, mcap)),
                 ("plus", KBox(ctx.plus, ctx.base_plus,
@@ -294,26 +306,22 @@ class TriangleRegion:
             object.__setattr__(self, name, box)
 
     @property
-    def win(self) -> int:
-        return max(abs(i) for i in c_window(self.mcap))
-
-    @property
-    def t_margin(self) -> int:
-        return 2 * _ceil_sqrt(2 * self.mcap) + 4
+    def t_middle(self) -> tuple:
+        """Offsets (lo, hi) at v of the middle t-zone."""
+        vi, tm = self.ctx.v_index, _t_margin(self.mcap)
+        return self.off_lo[vi] + tm, self.off_hi[vi] - tm
 
     def to_json(self) -> dict:
         return {"off_lo": list(self.off_lo), "off_hi": list(self.off_hi),
-                "mcap": self.mcap, "a_window": self.win,
-                "t_margin": self.t_margin}
+                "mcap": self.mcap, "a_window": _a_window(self.mcap),
+                "t_margin": _t_margin(self.mcap)}
 
 
 def default_region(ctx: TriangleContext, mcap: int, y_halfwidth: int = 6,
                    t_extra: int = 2) -> TriangleRegion:
     """Window sized so that the interior middle zone is nonempty and A's
     t-spread plus the kernel-generator margins fit."""
-    win = max(abs(i) for i in c_window(mcap))
-    t_margin = 2 * _ceil_sqrt(2 * mcap) + 4
-    s_half = t_margin + win + mcap + t_extra
+    s_half = _t_margin(mcap) + _a_window(mcap) + mcap + t_extra
     lo, hi = [], []
     for j in range(ctx.graph.n):
         half = s_half if j == ctx.v_index else y_halfwidth
@@ -406,14 +414,13 @@ def verify_ses(ctx: TriangleContext, region: TriangleRegion) -> SesReport:
     """
     vi = ctx.v_index
     mcap = region.mcap
-    tm = region.t_margin
     slo, shi = region.off_lo[vi], region.off_hi[vi]
-    mid_lo, mid_hi = slo + tm, shi - tm
-    plus_lo, plus_hi = slo + region.win, shi - region.win
+    mid_lo, mid_hi = region.t_middle
+    plus_lo, plus_hi = region.plus.lo[vi], region.plus.hi[vi]
     if mid_lo > mid_hi or plus_lo > plus_hi:
         raise RegionTooSmallError(
             "t-window [%d, %d] cannot fit margin %d; increase the region "
-            "or lower the U cap" % (slo, shi, tm))
+            "or lower the U cap" % (slo, shi, _t_margin(mcap)))
 
     full = (1 << ctx.graph.n) - 1
     dim_domain = dim_ker_a = dim_im_a = 0
@@ -431,8 +438,7 @@ def verify_ses(ctx: TriangleContext, region: TriangleRegion) -> SesReport:
             a_cols = []
             a_chains = []
             for s_off in range(plus_lo, plus_hi + 1):
-                kp = _g_vector(ctx, y, s_off)
-                kp = tuple(x + 1 if j == vi else x for j, x in enumerate(kp))
+                kp = ctx.to_plus(_g_vector(ctx, y, s_off))
                 for m in range(mcap + 1):
                     vec = 0
                     targets = _a_targets(ctx, kp, smask, m)
@@ -538,9 +544,7 @@ def chain_map_commutes(ctx: TriangleContext, region: TriangleRegion,
 def _chain_map_sample(ctx: TriangleContext, region: TriangleRegion,
                       per_block: int = 2):
     """Deterministic interior sample of both commutation identities."""
-    vi = ctx.v_index
-    tm = region.t_margin
-    slo, shi = region.off_lo[vi] + tm, region.off_hi[vi] - tm
+    slo, shi = region.t_middle
     full = (1 << ctx.graph.n) - 1
     ys = _interior_y(region)
     samples = failures = 0
@@ -549,8 +553,7 @@ def _chain_map_sample(ctx: TriangleContext, region: TriangleRegion,
             for s_off in (slo, (slo + shi) // 2):
                 for m in (0, region.mcap):
                     kg = _g_vector(ctx, y, s_off)
-                    kp = tuple(x + 1 if j == vi else x for j, x in enumerate(kg))
-                    for which, k in (("A", kp), ("B", kg)):
+                    for which, k in (("A", ctx.to_plus(kg)), ("B", kg)):
                         try:
                             ok = chain_map_commutes(ctx, region, k, smask, m, which)
                         except (ValueError, OutsideRegionError):

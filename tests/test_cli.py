@@ -181,6 +181,7 @@ BAD_BOUNDS = {
     "missing key": '{"xmin": [-3, -3]}',
     "not an object": "[1, 2]",
     "not integers": '{"xmin": [-3, "a"], "xmax": [3, 3]}',
+    "unread key": '{"xmn": [1, 1], "xmin": [-3, -3], "xmax": [3, 3]}',
 }
 
 
@@ -193,7 +194,8 @@ def test_compute_rejects_malformed_bounds(graph_file, capsys, bounds):
 
 
 @pytest.mark.parametrize("case", ["short vectors", "missing key",
-                                  "not an object", "not integers"])
+                                  "not an object", "not integers",
+                                  "unread key"])
 def test_triangle_rejects_malformed_bounds(graph_file, capsys, case):
     code, out, err = run(capsys, "triangle", graph_file(CHAIN22),
                          "--vertex", "b", "--bounds", BAD_BOUNDS[case])
@@ -211,3 +213,28 @@ def test_bounded_class_records_report_their_own_base(graph_file, capsys):
     assert len(bases) == len(records) == 3
     for rec in records:
         assert rec["region"]["base"] == bases[rec["class_index"]]
+
+
+@pytest.mark.parametrize("key", ['"base": [1, 1]', '"mcap": 7'])
+def test_triangle_rejects_bounds_keys_it_does_not_read(graph_file, capsys, key):
+    bounds = '{%s, "xmin": [-20, -20], "xmax": [20, 20]}' % key
+    code, out, err = run(capsys, "triangle", graph_file(CHAIN22), "--vertex",
+                         "b", "--max-depth", "1", "--bounds", bounds)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and key.split(":")[0] in err
+
+
+@pytest.mark.parametrize("spinc", ["-1", "3", "7", "x"])
+def test_compute_rejects_class_out_of_range(graph_file, capsys, spinc):
+    code, out, err = run(capsys, "compute", graph_file(CHAIN22), "--class", spinc)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "[0, 3)" in err
+
+
+def test_clipped_window_is_not_stabilized(graph_file, capsys):
+    code, out, _ = run(capsys, "compute", graph_file(CHAIN22), "--max-depth",
+                       "2", "--class", "2", "--bounds",
+                       '{"xmin": [0, 0], "xmax": [0, 0]}')
+    assert code == 2
+    (rec,) = json.loads(out)["classes"]
+    assert rec["region"]["xmin"] == [-2, -2] and rec["stabilized"] is False

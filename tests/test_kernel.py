@@ -1,6 +1,7 @@
 """The shared cube-weight and coboundary kernel, its fault hooks, and the
 validation of windows where they enter."""
 
+import random
 import re
 from pathlib import Path
 
@@ -9,9 +10,10 @@ import pytest
 from latcoh import (BasisCapError, LatcohError, Region, faults,
                     spinc_representatives, stabilize)
 from latcoh.engine import _sublevel_points
-from latcoh.lattice import cofaces, offset_cube_weight
+from latcoh.lattice import BASIS_CAP, cofaces, offset_cube_weight
+from latcoh.suites import random_graph_with_classes
 
-from conftest import chain, e8
+from conftest import chain, e8, vertex
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "latcoh"
 
@@ -80,3 +82,39 @@ def test_sublevel_cap_is_a_basis_cap_error():
     base = spinc_representatives(g)[0].base
     with pytest.raises(BasisCapError, match="exceeded 5 points"):
         _sublevel_points(g, base, 40, limit=5)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_region_membership_matches_brute_force(seed):
+    rng = random.Random(seed)
+    other_classes = 0
+    for _ in range(3):
+        g = random_graph_with_classes(rng, 3, det_cap=12)
+        bases = [c.base for c in spinc_representatives(g)]
+        n = g.n
+        for base in bases:
+            box = Region(g, base, (-1,) * n, (1,) * n, 2)
+            for x in box.enlarged(2).iter_offsets():
+                k = box.point(x)
+                want = x if box.contains_offset(x) else None
+                assert box.offset_of(k) == want
+                assert box.contains(k) is (want is not None)
+                assert box.frame(k) == (None if want is None
+                                        else (x, box.cube_weight))
+                # One unit off K's parity at a vertex is not characteristic.
+                assert box.offset_of((k[0] + 1,) + k[1:]) is None
+            for other in bases:
+                if other == base:
+                    continue
+                other_classes += 1
+                alien = Region(g, other, box.xmin, box.xmax, 2).enlarged(2)
+                assert not any(box.contains(alien.point(x))
+                               for x in alien.iter_offsets())
+    assert other_classes
+
+
+def test_region_over_the_basis_cap_raises_on_frame():
+    reg = Region(vertex(-2), (0,), (0,), (BASIS_CAP,), 1)
+    assert reg.contains_offset((7,))
+    with pytest.raises(BasisCapError, match="exceeds the basis cap"):
+        reg.frame((0,))
