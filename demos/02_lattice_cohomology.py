@@ -4,7 +4,7 @@ The cochain complex of one spin-c class splits into finite pieces by cube
 degree and by the grading 2m + 2(w - wmin); each piece is exact linear
 algebra over GF(2).  Towers (truncated free summands) and U-torsion pieces
 are read off from composite U-ranks, and an answer is only marked stable
-when growing the window twice changes nothing.
+when its cells provably hold the whole sublevel set up to the U cap.
 """
 
 import time

@@ -57,10 +57,10 @@ def _load_graph(cfg):
 
 
 def _bounds_spec(cfg, optional=()):
-    """The --bounds JSON object: integer lists "xmin", "xmax" and whichever
-    of "base" (integer list) and "mcap" (integer) the command reads, named
-    in ``optional``; None when the option is absent.  A key the command
-    does not read is an error, not silently ignored."""
+    """The --bounds JSON object: integer lists "xmin", "xmax" and those of
+    the keys named in ``optional`` (integer lists too) the command reads;
+    None when the option is absent.  A key the command does not read is an
+    error, not silently ignored."""
     if cfg.bounds is None:
         return None
     spec = json.loads(cfg.bounds)
@@ -74,19 +74,16 @@ def _bounds_spec(cfg, optional=()):
         vals = spec.get(key, [])
         if not isinstance(vals, list) or any(type(v) is not int for v in vals):
             raise LatcohError("--bounds %r must be a list of integers" % key)
-    if type(spec.get("mcap", 0)) is not int:
-        raise LatcohError('--bounds "mcap" must be an integer')
     return spec
 
 
 def cmd_compute(cfg: RunConfig) -> int:
     graph = _load_graph(cfg)
-    spec = _bounds_spec(cfg, ("base", "mcap"))
+    spec = _bounds_spec(cfg, ("base",))
     bounds = None
     if spec is not None:
         bounds = Region(graph, tuple(spec.get("base", characteristic_base(graph))),
-                        tuple(spec["xmin"]), tuple(spec["xmax"]),
-                        spec.get("mcap", cfg.max_depth))
+                        tuple(spec["xmin"]), tuple(spec["xmax"]), cfg.max_depth)
     try:
         classes = spinc_representatives(graph)
     except DegenerateFormError:
@@ -185,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-depth", type=int, default=3, metavar="M",
                        help="U-power cap (default 3)")
         p.add_argument("--format", choices=("json", "table"), default="json")
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("compute", help="lattice cohomology per spin-c class")
     common(p)
@@ -202,6 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the randomized property suites")
     common(p, needs_graph=False)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--graphs", type=int, default=12,
                    help="corpus size (default 12)")
     return parser

@@ -25,7 +25,7 @@ from .graph import (LatcohError, PlumbingGraph, graph_hash,
                     spinc_representatives)
 from .lattice import (BASIS_CAP, BasisCapError, Region, bits, cofaces,
                       continuous_minimum, coords_of, get_engine,
-                      offset_cube_weight, truncation_region)
+                      offset_cube_weight)
 from .triangle import (TriangleContext, _a_targets, _chain_map_sample,
                        default_region)
 
@@ -114,7 +114,8 @@ def class_cells(graph: PlumbingGraph, spinc_or_base, mcap: int,
             complete = wcap
     else:
         if box is None:
-            raise NonStabilizingError("non-definite form: supply explicit bounds")
+            raise LatcohError("the form is not negative definite, so its "
+                              "sublevel sets are not finite: pass --bounds")
         pts = _box_points(graph, base, box)
         if pts:
             wmin = min(pts.values())
@@ -156,8 +157,6 @@ class GradedGF2Complex:
         self.mcap = mcap
         self.grading_cap = grading_cap
         self.wmin = bank.wmin
-        self.trusted_cap = (None if bank.complete_to is None
-                            else 2 * (bank.complete_to - bank.wmin))
         self.bases = {}
         self.index = {}
         self.escaped = set()
@@ -330,8 +329,8 @@ def module_presentation(hom: ComplexHomology, mcap: int = None) -> dict:
     """Decompose graded homology into cyclic U-summands per degree.
 
     Interval multiplicities come from composite U-ranks; a summand whose
-    chain reaches the grading of the U cap is reported as a tower
-    (provisionally; the stabilization rule arbitrates).
+    chain reaches the grading of the U cap is reported as a tower (exactly
+    so when the cell bank is certified complete, see ``stabilize``).
     """
     if mcap is None:
         mcap = hom.cx.mcap
@@ -401,44 +400,34 @@ class GradedModulePresentation:
 def _presentation_data(graph, base, mcap, box):
     bank = class_cells(graph, base, mcap, box=box)
     cx = GradedGF2Complex(bank, mcap, grading_cap=2 * mcap)
-    hom = homology_ranks(cx)
-    urk = {pg: gf2.rank(hom.u_on_homology(*pg)) for pg in sorted(hom.dims)}
-    return hom, dict(hom.dims), urk
+    return bank, homology_ranks(cx)
 
 
 def stabilize(graph: PlumbingGraph, spinc_or_base, mcap: int,
-              bounds: Region = None, rounds: int = 3) -> GradedModulePresentation:
-    """Compute the presentation on a region and again on the region grown
-    by two in every direction; answers stable in all gradings up to twice
-    the U cap are flagged, others are retried up to ``rounds`` times and
-    returned unstabilized.  An answer whose final window clipped some
-    coboundary (``GradedGF2Complex.escaped``) is never flagged stable."""
+              bounds: Region = None) -> GradedModulePresentation:
+    """Compute the presentation of one class once, in every grading up to
+    twice the U cap.
+
+    Without ``bounds`` the cells are the exact sublevel set of the class
+    (definite forms only); with them, the cells inside ``bounds`` rebased
+    onto the class.  The answer is flagged stable exactly when the cell
+    bank is certified to hold every cube of the infinite lattice up to the
+    cap (``CellBank.complete_to``, which only definite forms reach) and no
+    coboundary was clipped.  ``region`` is the bounding box of the
+    enumerated offsets at this U cap; passing it back as ``bounds``
+    reproduces the answer."""
     base = coords_of(getattr(spinc_or_base, "base", spinc_or_base))
     index = getattr(spinc_or_base, "index", -1)
-    if bounds is None:
-        box = truncation_region(graph, base, mcap)
-    else:
-        # Offsets are always taken against the class's own base; say so.
-        box = replace(bounds, base=base)
-    hom, dims, urk = _presentation_data(graph, base, mcap, box)
-    stabilized = False
-    for _ in range(rounds):
-        box2 = box.enlarged(2)
-        hom2, dims2, urk2 = _presentation_data(graph, base, mcap, box2)
-        if dims == dims2 and urk == urk2:
-            stabilized = True
-            hom, box = hom2, box2
-            break
-        hom, dims, urk, box = hom2, dims2, urk2, box2
-    # No stabilization theorem backs non-definite forms: never claim
-    # a stable answer for them, however the windows happened to agree.
-    stabilized = (stabilized and not hom.cx.escaped
-                  and is_negative_definite(graph).form_negative_definite)
-    degrees = module_presentation(hom, mcap)
+    box = None if bounds is None else replace(bounds, base=base)
+    bank, hom = _presentation_data(graph, base, mcap, box)
+    corners = list(zip(*bank.points))
+    region = Region(graph, base, tuple(map(min, corners)),
+                    tuple(map(max, corners)), mcap)
     return GradedModulePresentation(
         graph_hash=graph_hash(graph), class_index=index, base=base,
-        degrees=degrees, dims=dims, stabilized=stabilized,
-        region=box.to_json())
+        degrees=module_presentation(hom, mcap), dims=dict(hom.dims),
+        stabilized=bank.complete_to is not None and not hom.cx.escaped,
+        region=region.to_json())
 
 
 # ---------------------------------------------------------------------------

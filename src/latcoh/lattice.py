@@ -317,7 +317,7 @@ def cube_boundary(graph: PlumbingGraph, cube: CubePair) -> list:
     """GF(2)-reduced faces of a cube: (K, S - w) and (K + 2E_w, S - w).
 
     Coincident faces (possible only when a matrix column vanishes) cancel
-    in пairs; the empty cube has no boundary.
+    in pairs; the empty cube has no boundary.
     """
     eng = get_engine(graph)
     out = {}

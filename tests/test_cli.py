@@ -152,13 +152,13 @@ def test_verify_exits_three_on_mutation(capsys):
 DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 PINNED = [
     (("compute", "s3.graph"),
-     "d5ea67dccacbb9b4240fd5dfa815bea3096d670535031fcb37f3024d03a353b3"),
+     "2796d29e28b11e120494ddae09b33437f8c05586a8de983ab4eb70bec660473d"),
     (("compute", "rp3.graph"),
-     "f5b4c20c0180d404fd9fa18132a4578136c2e29699727840bc799c5169bcc7cb"),
+     "faf75bc8dd053c05935fe15d8aa22665ec1b368d7bb336799dcc072fce4cfb96"),
     (("compute", "chain22.graph"),
-     "539ff0426642f3e3523532446c23b9f8077de381d37272b8085b7d03c92a63cc"),
+     "ffa4eeb1a426e8b9deda92b3fe500c0c4a054ef97718f441db0f4e700ae5a9eb"),
     (("compute", "star232.graph"),
-     "f87cd7ab0062db7600d81d5ab7140515aaa0844a592966c27ee107c8c5268862"),
+     "b02d1fefa0133f83c8baa459d5c40fc1550b2ec6d294eaca4948425f2e1bf618"),
     (("triangle", "chain22.graph", "--vertex", "b"),
      "a213b82556f8fecfb6b6d69c2b2712cc5f99036f1c45f879f2f2e203aefa2f63"),
     (("verify", "--seed", "42"),
@@ -237,4 +237,28 @@ def test_clipped_window_is_not_stabilized(graph_file, capsys):
                        '{"xmin": [0, 0], "xmax": [0, 0]}')
     assert code == 2
     (rec,) = json.loads(out)["classes"]
-    assert rec["region"]["xmin"] == [-2, -2] and rec["stabilized"] is False
+    assert rec["region"]["xmin"] == [0, 0] and rec["stabilized"] is False
+
+
+def test_compute_non_definite_without_bounds_is_usage_error(graph_file, capsys):
+    code, out, err = run(capsys, "compute",
+                         graph_file("plumbing v1\nvertex a 1\n"))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "--bounds" in err
+
+
+def test_compute_rejects_bounds_keys_it_does_not_read(graph_file, capsys):
+    code, out, err = run(capsys, "compute", graph_file(CHAIN22), "--max-depth",
+                         "1", "--bounds",
+                         '{"mcap": 7, "xmin": [-4, -4], "xmax": [4, 4]}')
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and '"mcap"' in err
+
+
+@pytest.mark.parametrize("argv", [["compute"], ["triangle", "--vertex", "a"]],
+                         ids=["compute", "triangle"])
+def test_seed_is_verify_only(graph_file, capsys, argv):
+    code, out, err = run(capsys, *argv, graph_file(RP3), "--max-depth", "1",
+                         "--seed", "1")
+    assert code == 1 and out == ""
+    assert "unrecognized arguments: --seed 1" in err

@@ -1,9 +1,12 @@
+import random
+from pathlib import Path
+
 import pytest
 
 from latcoh import (NonStabilizingError, Region, build_complex, class_cells,
-                    faults, gf2, homology_ranks, les_check,
-                    module_presentation, spinc_representatives, stabilize,
-                    triangle_context, truncation_region)
+                    faults, gf2, homology_ranks, is_negative_definite,
+                    les_check, module_presentation, spinc_representatives,
+                    stabilize, triangle_context, truncation_region)
 from latcoh.engine import DegreeModule, GradedGF2Complex
 
 from conftest import chain, e8, vertex
@@ -247,3 +250,74 @@ def test_brieskorn_sphere_torsion():
     pres = stabilize(g, cls, 4)
     assert pres.stabilized
     assert pres.degrees == {0: DegreeModule(towers=(0,), torsions=((0, 1),))}
+
+
+# --- the completeness certificate -------------------------------------------
+
+DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
+
+
+def _certificate_cases():
+    """Demo graphs, and seeded random definite trees with small
+    determinants, each with a U cap that keeps the test quick."""
+    from latcoh import determinant, parse_graph
+    from latcoh.suites import random_graph
+    cases = [pytest.param(parse_graph((DATA / name).read_text()), mcap,
+                          id=name)
+             for name, mcap in (("s3.graph", 3), ("rp3.graph", 3),
+                                ("chain22.graph", 3), ("star232.graph", 2),
+                                ("e8.graph", 1))]
+    rng = random.Random(5)
+    trees = []
+    while len(trees) < 8:
+        g = random_graph(rng, max_vertices=4, weights=(-4, -1), extra_edge=0)
+        if (is_negative_definite(g).form_negative_definite
+                and abs(determinant(g)) <= 12):
+            trees.append(pytest.param(g, 2, id="tree%d" % len(trees)))
+    return cases + trees
+
+
+@pytest.mark.parametrize("g, mcap", _certificate_cases())
+def test_certified_answer_matches_enlarged_window(g, mcap):
+    # The reference is the rule the certificate replaced: recompute on the
+    # truncation box grown by two.  A certified answer must agree with it.
+    for cls in spinc_representatives(g):
+        pres = stabilize(g, cls, mcap)
+        assert pres.stabilized
+        box = truncation_region(g, cls.base, mcap).enlarged(2)
+        hom = homology_ranks(build_complex(g, cls.base, box,
+                                           grading_cap=2 * mcap))
+        assert pres.dims == hom.dims
+        assert pres.degrees == module_presentation(hom, mcap)
+
+
+@pytest.mark.parametrize("g, mcap", _certificate_cases()[:4])
+def test_reported_region_reproduces_the_answer(g, mcap):
+    # Both for a certified answer and for one on a box that clips the
+    # sublevel set (a corner box at its least offset).
+    for cls in spinc_representatives(g):
+        x0 = min(class_cells(g, cls.base, mcap).points)
+        clipped = Region(g, cls.base, x0, tuple(c + 1 for c in x0), mcap)
+        for bounds in (None, clipped):
+            pres = stabilize(g, cls, mcap, bounds=bounds)
+            r = pres.region
+            again = stabilize(g, cls, r["mcap"], bounds=Region(
+                g, tuple(r["base"]), tuple(r["xmin"]), tuple(r["xmax"]),
+                r["mcap"]))
+            assert again.to_json() == pres.to_json()
+
+
+def test_stabilize_enumerates_each_class_once(monkeypatch):
+    from latcoh import engine
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return class_cells(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "class_cells", counted)
+    g = chain(-2, -2)
+    classes = spinc_representatives(g)
+    for cls in classes:
+        stabilize(g, cls, 3)
+    assert calls == [cls.base for cls in classes]
