@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 from . import engine, suites, triangle
 from .graph import (DegenerateFormError, LatcohError, SpincClass,
-                    characteristic_base, graph_hash, parse_graph,
-                    spinc_representatives)
+                    characteristic_base, graph_hash, is_negative_definite,
+                    parse_graph, spinc_representatives)
 from .lattice import Region, RegionTooSmallError
 
 EXIT_OK = 0
@@ -127,6 +127,12 @@ def cmd_triangle(cfg: RunConfig) -> int:
         print("error: triangle requires --vertex <id>", file=sys.stderr)
         return EXIT_ERROR
     ctx = triangle.triangle_context(graph, cfg.vertex)
+    for name, side in (("G", ctx.graph), ("G+", ctx.plus),
+                       ("G-%s" % cfg.vertex, ctx.minus)):
+        if not is_negative_definite(side).form_negative_definite:
+            raise LatcohError(
+                "triangle needs G, G+ and G-v negative definite; %s (weights "
+                "%s) is not" % (name, list(side.weights)))
     spec = _bounds_spec(cfg)
     if spec is not None:
         region = triangle.TriangleRegion(ctx, tuple(spec["xmin"]),

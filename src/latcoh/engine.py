@@ -330,7 +330,7 @@ def module_presentation(hom: ComplexHomology, mcap: int = None) -> dict:
 
     Interval multiplicities come from composite U-ranks; a summand whose
     chain reaches the grading of the U cap is reported as a tower (exactly
-    so when the cell bank is certified complete, see ``stabilize``).
+    so when ``stabilize`` certifies the answer).
     """
     if mcap is None:
         mcap = hom.cx.mcap
@@ -397,6 +397,19 @@ class GradedModulePresentation:
         return records
 
 
+def _one_tower(degrees: dict) -> bool:
+    """Whether the summands reaching the top grading are exactly the
+    towers a negative definite lattice has.
+
+    For a negative definite lattice H^0 has exactly one tower and H^q is
+    finite for q >= 1 (Nemethi's structure theorem).  A summand that reaches
+    grading 2 mcap may still be torsion longer than the window, so the
+    presentation is exact only when exactly one degree-0 summand and no
+    summand of higher degree reaches it."""
+    towers = {deg: len(mod.towers) for deg, mod in degrees.items()}
+    return towers.pop(0, 0) == 1 and not any(towers.values())
+
+
 def _presentation_data(graph, base, mcap, box):
     bank = class_cells(graph, base, mcap, box=box)
     cx = GradedGF2Complex(bank, mcap, grading_cap=2 * mcap)
@@ -412,10 +425,12 @@ def stabilize(graph: PlumbingGraph, spinc_or_base, mcap: int,
     (definite forms only); with them, the cells inside ``bounds`` rebased
     onto the class.  The answer is flagged stable exactly when the cell
     bank is certified to hold every cube of the infinite lattice up to the
-    cap (``CellBank.complete_to``, which only definite forms reach) and no
-    coboundary was clipped.  ``region`` is the bounding box of the
-    enumerated offsets at this U cap; passing it back as ``bounds``
-    reproduces the answer."""
+    cap (``CellBank.complete_to``, which only definite forms reach), no
+    coboundary was clipped, and the summands at the top grading are the
+    single degree-0 tower the structure theorem allows (``_one_tower``);
+    otherwise a torsion summand may be reported as a tower.  ``region`` is
+    the bounding box of the enumerated offsets at this U cap; passing it
+    back as ``bounds`` reproduces the answer."""
     base = coords_of(getattr(spinc_or_base, "base", spinc_or_base))
     index = getattr(spinc_or_base, "index", -1)
     box = None if bounds is None else replace(bounds, base=base)
@@ -423,10 +438,12 @@ def stabilize(graph: PlumbingGraph, spinc_or_base, mcap: int,
     corners = list(zip(*bank.points))
     region = Region(graph, base, tuple(map(min, corners)),
                     tuple(map(max, corners)), mcap)
+    degrees = module_presentation(hom, mcap)
     return GradedModulePresentation(
         graph_hash=graph_hash(graph), class_index=index, base=base,
-        degrees=module_presentation(hom, mcap), dims=dict(hom.dims),
-        stabilized=bank.complete_to is not None and not hom.cx.escaped,
+        degrees=degrees, dims=dict(hom.dims),
+        stabilized=(bank.complete_to is not None and not hom.cx.escaped
+                    and _one_tower(degrees)),
         region=region.to_json())
 
 

@@ -401,108 +401,158 @@ def _g_vector(ctx, y, s_off):
     return tuple(coords)
 
 
+def _block_type(ctx: TriangleContext, region: TriangleRegion, y, smask: int):
+    """The key that fixes the matrices of the (y, S) block.
+
+    For v outside S the exponent c(i) = i(i+1)/2 does not read K, so every
+    such block has key (False,).  For v in S, c reads K only through the
+    corner gap r at the target's t, and r obeys the step law: it rises by
+    exactly 1 per t-offset step.  Every corner e_v + 1_T of the second
+    bracket of r contains e_v and no corner 1_T of the first one does, so
+    one offset step (t up by 2) lowers every corner weight -(K.x + x.Mx)/2
+    of the second bracket by exactly 1 and leaves the first bracket alone;
+    both brackets are maxima over their corners, so r rises by 1.  The key
+    is then (True, r0) with r0 the gap at the window's first t.  The law is
+    checked on every block, not assumed: r at the last t must be r0 plus
+    the width of the window.
+    """
+    if not ctx.has_v(smask):
+        return (False,)
+    vi = ctx.v_index
+    lo, hi = region.off_lo[vi], region.off_hi[vi]
+    r_lo = r_value(ctx, _g_vector(ctx, y, lo), smask)
+    r_hi = r_value(ctx, _g_vector(ctx, y, hi), smask)
+    if r_hi - r_lo != hi - lo:
+        names = [ctx.graph.vertices[j] for j in bits(smask)]
+        raise LatcohError(
+            "step law of r fails at y=%r, S=%s: r=%d at t-offset %d but "
+            "r=%d at t-offset %d" % (y, names, r_lo, lo, r_hi, hi))
+    return (True, r_lo)
+
+
+def _ses_block(ctx: TriangleContext, region: TriangleRegion, y, smask: int):
+    """Exact GF(2) elimination on the duals of one (y, S) block.
+
+    Returns the six dimensions (domain, ker A, im A, ker B, im B, B targets)
+    and the three booleans (ba_zero, ker_b_equals_d, ker_b_equals_im_a).
+    Rows are indexed by (t-offset, U power) only, so two blocks with the
+    same ``_block_type`` give the same result.
+    """
+    vi = ctx.v_index
+    mcap = region.mcap
+    mid_lo, mid_hi = region.t_middle
+    plus_lo, plus_hi = region.plus.lo[vi], region.plus.hi[vi]
+    slo, shi = region.off_lo[vi], region.off_hi[vi]
+    rows = [(s_off, m) for s_off in range(slo, shi + 1) for m in range(mcap + 1)]
+    row_index = {row: idx for idx, row in enumerate(rows)}
+    ba_zero = ker_b_equals_im_a = ker_b_equals_d = True
+    dim_ker_b = dim_im_b = dim_b_targets = 0
+
+    # Columns of A over the full G+ window of this block.
+    a_cols = []
+    a_chains = []
+    for s_off in range(plus_lo, plus_hi + 1):
+        kp = ctx.to_plus(_g_vector(ctx, y, s_off))
+        for m in range(mcap + 1):
+            vec = 0
+            targets = _a_targets(ctx, kp, smask, m)
+            for kg, _, m2 in targets:
+                t_off = (kg[vi] - ctx.base_g[vi]) // 2
+                idx = row_index.get((t_off, m2))
+                if idx is None:
+                    # Only reachable under fault injection; the window
+                    # arithmetic of TriangleRegion guarantees coverage.
+                    if not faults.any_active():
+                        raise LatcohError("A image left its window")
+                    ba_zero = False
+                    continue
+                vec ^= 1 << idx
+            a_cols.append(vec)
+            a_chains.append(targets)
+    a_span = gf2.Basis(a_cols)
+
+    # B A = 0, checked at chain level on every column.
+    for targets in a_chains:
+        if map_B(ctx, Chain(frozenset(targets)), None):
+            ba_zero = False
+
+    # B on the middle zone and the D generators.
+    mids = list(range(mid_lo, mid_hi + 1))
+    if ctx.has_v(smask):
+        # Every dual is killed by B; each one is a D generator.
+        gens = [1 << row_index[(s_off, m)]
+                for s_off in mids for m in range(mcap + 1)]
+        dim_ker_b = len(gens)
+    else:
+        b_cols = [1 << m for _ in mids for m in range(mcap + 1)]
+        dim_im_b = gf2.rank(b_cols)
+        dim_b_targets = mcap + 1
+        dim_ker_b = len(b_cols) - dim_im_b
+        gens = [(1 << row_index[(s_off, m)]) ^ (1 << row_index[(s_off + 1, m)])
+                for s_off in mids[:-1] for m in range(mcap + 1)]
+        if gf2.rank(gens) != dim_ker_b:
+            ker_b_equals_d = False
+
+    for g in gens:
+        # Generators must die under B and lie in the image of A.
+        chain = Chain(frozenset((_g_vector(ctx, y, rows[idx][0]), smask,
+                                 rows[idx][1]) for idx in bits(g)))
+        if map_B(ctx, chain, None):
+            ker_b_equals_d = False
+        if not a_span.contains(g):
+            ker_b_equals_im_a = False
+
+    dims = (len(a_cols), len(a_cols) - a_span.rank, a_span.rank,
+            dim_ker_b, dim_im_b, dim_b_targets)
+    return dims, (ba_zero, ker_b_equals_d, ker_b_equals_im_a)
+
+
 def verify_ses(ctx: TriangleContext, region: TriangleRegion) -> SesReport:
     """Machine-check the short exact sequence on interior windows.
 
-    A and B never move the non-v coordinates or S, so the verification
+    A and B never move the non-v coordinates y or S, so the verification
     decomposes into independent blocks indexed by (y, S).  Within a block,
     exact GF(2) elimination establishes: A has zero kernel, B hits every
     interior target, B A = 0, and the kernel of B on the middle zone equals
     both the span of the D generators and a subspace of the column space of
     A.  A seeded sample of interior duals double-checks that A and B
     commute with the coboundaries.
+
+    A block's matrices depend on y and S only through its ``_block_type``,
+    so each type is eliminated once per call and its dimensions are added
+    once per block.  On the A side that is the step law of r.  The B-side
+    results do not depend on y either: B drops t and keeps K without v and
+    S, so all duals of one block land on the same (K without v, S) and a
+    chain's image cancels according to its t-values and U powers alone;
+    the ``b-parity-skip`` fault reads only t.  The type memo lives for one
+    call, so an active fault still reaches the computation of every type.
     """
     vi = ctx.v_index
-    mcap = region.mcap
-    slo, shi = region.off_lo[vi], region.off_hi[vi]
     mid_lo, mid_hi = region.t_middle
-    plus_lo, plus_hi = region.plus.lo[vi], region.plus.hi[vi]
-    if mid_lo > mid_hi or plus_lo > plus_hi:
+    if mid_lo > mid_hi or region.plus.lo[vi] > region.plus.hi[vi]:
         raise RegionTooSmallError(
             "t-window [%d, %d] cannot fit margin %d; increase the region "
-            "or lower the U cap" % (slo, shi, _t_margin(mcap)))
+            "or lower the U cap" % (region.off_lo[vi], region.off_hi[vi],
+                                    _t_margin(region.mcap)))
 
-    full = (1 << ctx.graph.n) - 1
-    dim_domain = dim_ker_a = dim_im_a = 0
-    dim_ker_b = dim_im_b = dim_b_targets = 0
-    ba_zero = ker_b_equals_im_a = ker_b_equals_d = True
+    types = {}
+    dims = (0,) * 6
+    flags = (True,) * 3
     blocks = 0
-
-    rows = [(s_off, m) for s_off in range(slo, shi + 1) for m in range(mcap + 1)]
-    row_index = {row: idx for idx, row in enumerate(rows)}
     for y in _interior_y(region):
-        for smask in range(full + 1):
+        for smask in range(1 << ctx.graph.n):
             blocks += 1
+            key = _block_type(ctx, region, y, smask)
+            if key not in types:
+                types[key] = _ses_block(ctx, region, y, smask)
+            block_dims, block_flags = types[key]
+            dims = tuple(a + b for a, b in zip(dims, block_dims))
+            flags = tuple(a and b for a, b in zip(flags, block_flags))
 
-            # Columns of A over the full G+ window of this block.
-            a_cols = []
-            a_chains = []
-            for s_off in range(plus_lo, plus_hi + 1):
-                kp = ctx.to_plus(_g_vector(ctx, y, s_off))
-                for m in range(mcap + 1):
-                    vec = 0
-                    targets = _a_targets(ctx, kp, smask, m)
-                    for kg, _, m2 in targets:
-                        t_off = (kg[vi] - ctx.base_g[vi]) // 2
-                        idx = row_index.get((t_off, m2))
-                        if idx is None:
-                            # Only reachable under fault injection; the
-                            # window arithmetic above guarantees coverage.
-                            if not faults.any_active():
-                                raise LatcohError("A image left its window")
-                            ba_zero = False
-                            continue
-                        vec ^= 1 << idx
-                    a_cols.append(vec)
-                    a_chains.append(targets)
-            a_span = gf2.Basis(a_cols)
-            dim_domain += len(a_cols)
-            dim_im_a += a_span.rank
-            dim_ker_a += len(a_cols) - a_span.rank
-
-            # B A = 0, checked at chain level on every column.
-            for targets in a_chains:
-                img = map_B(ctx, Chain(frozenset(targets)), None)
-                if img:
-                    ba_zero = False
-
-            # B on the middle zone and the D generators.
-            mids = list(range(mid_lo, mid_hi + 1))
-            if ctx.has_v(smask):
-                # Every dual is killed by B; each one is a D generator.
-                gens = []
-                for s_off in mids:
-                    for m in range(mcap + 1):
-                        gens.append(1 << row_index[(s_off, m)])
-                dim_ker_b += len(gens)
-            else:
-                b_cols = []
-                for s_off in mids:
-                    for m in range(mcap + 1):
-                        b_cols.append(1 << m)
-                b_rank = gf2.rank(b_cols)
-                dim_im_b += b_rank
-                dim_b_targets += mcap + 1
-                dim_ker_b += len(b_cols) - b_rank
-                gens = []
-                for s_off in mids[:-1]:
-                    for m in range(mcap + 1):
-                        gens.append((1 << row_index[(s_off, m)])
-                                    ^ (1 << row_index[(s_off + 1, m)]))
-                if gf2.rank(gens) != len(b_cols) - b_rank:
-                    ker_b_equals_d = False
-
-            for g in gens:
-                # Generators must die under B and lie in the image of A.
-                chain = Chain(frozenset((_g_vector(ctx, y, rows[idx][0]), smask,
-                                         rows[idx][1]) for idx in bits(g)))
-                if map_B(ctx, chain, None):
-                    ker_b_equals_d = False
-                if not a_span.contains(g):
-                    ker_b_equals_im_a = False
-
+    dim_domain, dim_ker_a, dim_im_a, dim_ker_b, dim_im_b, dim_b_targets = dims
+    ba_zero, ker_b_equals_d, ker_b_equals_im_a = flags
     samples, failures = _chain_map_sample(ctx, region)
-    report = SesReport(
+    return SesReport(
         graph_hash=graph_hash(ctx.graph), vertex=ctx.v,
         region=region.to_json(), blocks=blocks,
         dim_domain=dim_domain, dim_ker_A=dim_ker_a, dim_im_A=dim_im_a,
@@ -511,7 +561,6 @@ def verify_ses(ctx: TriangleContext, region: TriangleRegion) -> SesReport:
         ker_b_equals_im_a=ker_b_equals_im_a and ba_zero,
         ker_b_equals_d=ker_b_equals_d,
         chain_maps_ok=(failures == 0), chain_map_samples=samples)
-    return report
 
 
 def chain_map_commutes(ctx: TriangleContext, region: TriangleRegion,

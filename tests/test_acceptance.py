@@ -82,6 +82,7 @@ def _ses_battery():
 
 
 def test_criterion_4_ses_exactness_and_mutations():
+    t0 = time.time()
     clean = _ses_battery()
     ok = all(clean.values())
     caught = {}
@@ -90,9 +91,12 @@ def test_criterion_4_ses_exactness_and_mutations():
             res = _ses_battery()
         caught[name] = [k for k, v in res.items() if not v]
     all_caught = all(caught.values())
-    report(4, "chain-level SES + 5 seeded mutations", ok and all_caught,
-           "clean=%s mutations_caught={%s}"
-           % (ok, ", ".join("%s:%d" % (k, len(v)) for k, v in caught.items())))
+    took = time.time() - t0
+    report(4, "chain-level SES + 5 seeded mutations",
+           ok and all_caught and took < 10,
+           "clean=%s mutations_caught={%s} %.1fs (budget 10s)"
+           % (ok, ", ".join("%s:%d" % (k, len(v)) for k, v in caught.items()),
+              took))
 
 
 def test_criterion_5_les_exactness():

@@ -262,3 +262,44 @@ def test_seed_is_verify_only(graph_file, capsys, argv):
                          "--seed", "1")
     assert code == 1 and out == ""
     assert "unrecognized arguments: --seed 1" in err
+
+
+@pytest.mark.parametrize("weight, side", [("1", "G"), ("-1", "G+")])
+def test_triangle_non_definite_side_is_usage_error(graph_file, capsys,
+                                                   weight, side):
+    # vertex a 1 fails on G itself; vertex a -1 raises to weight 0 on G+.
+    code, out, err = run(capsys, "triangle",
+                         graph_file("plumbing v1\nvertex a %s\n" % weight),
+                         "--vertex", "a", "--max-depth", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and " %s (weights" % side in err
+    assert "hint" not in err
+
+
+def _towers(rec):
+    return [t["bottom"] for t in rec["towers"]]
+
+
+def test_twonode_summands_at_the_top_grading_are_not_towers(capsys):
+    # Class 0 has three degree-0 and four degree-1 summands reaching grading
+    # 2 mcap at U cap 1; the structure theorem allows one tower in degree 0
+    # only, so the answer cannot be certified.  Class 1 has just its tower.
+    code, out, _ = run(capsys, "compute", str(DATA / "twonode.graph"),
+                       "--max-depth", "1")
+    assert code == 2
+    recs = {(r["class_index"], r["degree"]): r
+            for r in json.loads(out)["classes"]}
+    assert _towers(recs[(0, 0)]) == [0, 2, 2]
+    assert _towers(recs[(0, 1)]) == [2, 2, 2, 2]
+    assert not recs[(0, 0)]["stabilized"] and not recs[(0, 1)]["stabilized"]
+    assert _towers(recs[(1, 0)]) == [0] and recs[(1, 0)]["stabilized"]
+
+
+def test_twonode_is_certified_at_u_cap_two(capsys):
+    code, out, _ = run(capsys, "compute", str(DATA / "twonode.graph"),
+                       "--max-depth", "2")
+    assert code == 0
+    recs = json.loads(out)["classes"]
+    assert all(r["stabilized"] for r in recs)
+    assert [_towers(r) for r in recs if r["degree"] == 0] == [[0], [0]]
+    assert all(not r["towers"] for r in recs if r["degree"] > 0)

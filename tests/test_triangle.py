@@ -1,16 +1,21 @@
+import contextlib
 import random
 
 import pytest
 
 from latcoh import (Chain, LatcohError, RegionTooSmallError, c_exponent_closed,
-                    c_exponent_def, faults, is_in_D, map_A, map_B, r_value,
+                    c_exponent_def, faults, gf2, graph_hash, is_in_D,
+                    is_negative_definite, make_graph, map_A, map_B, r_value,
                     triangle_context, verify_ses)
 from latcoh import default_region
-from latcoh.lattice import get_engine
-from latcoh.suites import random_graph_with_classes
-from latcoh.triangle import c_window, chain_map_commutes
+from latcoh.lattice import bits, get_engine
+from latcoh.suites import random_graph, random_graph_with_classes
+from latcoh.triangle import (SesReport, _a_targets, _chain_map_sample,
+                             _g_vector, _interior_y, _t_margin, c_window,
+                             chain_map_commutes)
 
 from conftest import chain, vertex
+from test_acceptance import SES_CORPUS
 
 
 @pytest.fixture
@@ -32,14 +37,37 @@ def test_r_single_vertex(ctx1):
         r_value(ctx1, (0,), [])
 
 
-def test_r_shift_law(ctx1, ctx2):
-    for ctx, k0 in ((ctx1, (0,)), (ctx2, (0, 0)), (ctx2, (0, 2))):
+def _step_law_cases():
+    """The SES corpus at U cap 3, and seeded random definite trees at U cap
+    1 on a narrower window, each with every vertex distinguished."""
+    cases = [(make_graph(spec), v, 3, 6) for spec, v in SES_CORPUS]
+    rng = random.Random(17)
+    while len(cases) < len(SES_CORPUS) + 6:
+        g = random_graph(rng, max_vertices=4, weights=(-4, -1), extra_edge=0)
+        if is_negative_definite(g).form_negative_definite:
+            cases += [(g, v, 1, 3) for v in g.vertices]
+    return cases
+
+
+def test_r_shift_law():
+    # The step law verify_ses keys its block types on: along the t-line
+    # r((K, t), S) rises by exactly 1 per offset step, for every S holding v
+    # and every interior y.
+    checked = 0
+    for g, v, mcap, half in _step_law_cases():
+        ctx = triangle_context(g, v)
+        region = default_region(ctx, mcap, y_halfwidth=half)
         vi = ctx.v_index
-        smask = (1 << vi) | (1 << (1 - vi) if ctx.graph.n > 1 else 0) or (1 << vi)
-        base = r_value(ctx, k0, 1 << vi)
-        for j in range(-4, 5):
-            k = tuple(x + (2 * j if i == vi else 0) for i, x in enumerate(k0))
-            assert r_value(ctx, k, 1 << vi) == base + j
+        lo, hi = region.off_lo[vi], region.off_hi[vi]
+        for y in _interior_y(region):
+            for smask in range(1 << g.n):
+                if not ctx.has_v(smask):
+                    continue
+                r0 = r_value(ctx, _g_vector(ctx, y, lo), smask)
+                for t in range(lo, hi + 1):
+                    assert r_value(ctx, _g_vector(ctx, y, t), smask) == r0 + t - lo
+                    checked += 1
+    assert checked > 10 ** 4
 
 
 def test_r_zero_when_corners_match(ctx1):
@@ -237,6 +265,23 @@ def test_verify_ses_catches_b_parity_fault(ctx1):
     assert not rep.passed
 
 
+def test_verify_ses_checks_the_step_law(ctx2, monkeypatch):
+    # The block types rest on r rising by 1 per t-offset step; a gap that
+    # breaks the law at the window's last t must stop the check.
+    import latcoh.triangle as tri
+    region = default_region(ctx2, 1)
+    hi = region.off_hi[ctx2.v_index]
+    exact_r = tri.r_value
+
+    def broken_r(ctx, k, s):
+        t_off = (k[ctx.v_index] - ctx.base_g[ctx.v_index]) // 2
+        return exact_r(ctx, k, s) + (t_off == hi)
+
+    monkeypatch.setattr(tri, "r_value", broken_r)
+    with pytest.raises(LatcohError, match=r"step law .* S=\['v0'\]"):
+        verify_ses(ctx2, region)
+
+
 def test_verify_ses_report_json_round_trip(ctx1):
     import json
     rep = verify_ses(ctx1, default_region(ctx1, 3))
@@ -251,3 +296,120 @@ def test_map_b_u_equivariance(ctx2):
             e = Chain.dual((t, 0), 2, m)
             assert map_B(ctx2, e.times_u(), reg).terms == \
                 map_B(ctx2, e, reg).times_u().terms
+
+
+def _reference_verify_ses(ctx, region):
+    """verify_ses as one elimination per (y, S) block, with no block types:
+    the reference the per-type memo is compared against."""
+    vi = ctx.v_index
+    mcap = region.mcap
+    slo, shi = region.off_lo[vi], region.off_hi[vi]
+    mid_lo, mid_hi = region.t_middle
+    plus_lo, plus_hi = region.plus.lo[vi], region.plus.hi[vi]
+    if mid_lo > mid_hi or plus_lo > plus_hi:
+        raise RegionTooSmallError(
+            "t-window [%d, %d] cannot fit margin %d; increase the region "
+            "or lower the U cap" % (slo, shi, _t_margin(mcap)))
+
+    full = (1 << ctx.graph.n) - 1
+    dim_domain = dim_ker_a = dim_im_a = 0
+    dim_ker_b = dim_im_b = dim_b_targets = 0
+    ba_zero = ker_b_equals_im_a = ker_b_equals_d = True
+    blocks = 0
+
+    rows = [(s_off, m) for s_off in range(slo, shi + 1) for m in range(mcap + 1)]
+    row_index = {row: idx for idx, row in enumerate(rows)}
+    for y in _interior_y(region):
+        for smask in range(full + 1):
+            blocks += 1
+            a_cols = []
+            a_chains = []
+            for s_off in range(plus_lo, plus_hi + 1):
+                kp = ctx.to_plus(_g_vector(ctx, y, s_off))
+                for m in range(mcap + 1):
+                    vec = 0
+                    targets = _a_targets(ctx, kp, smask, m)
+                    for kg, _, m2 in targets:
+                        t_off = (kg[vi] - ctx.base_g[vi]) // 2
+                        idx = row_index.get((t_off, m2))
+                        if idx is None:
+                            if not faults.any_active():
+                                raise LatcohError("A image left its window")
+                            ba_zero = False
+                            continue
+                        vec ^= 1 << idx
+                    a_cols.append(vec)
+                    a_chains.append(targets)
+            a_span = gf2.Basis(a_cols)
+            dim_domain += len(a_cols)
+            dim_im_a += a_span.rank
+            dim_ker_a += len(a_cols) - a_span.rank
+
+            for targets in a_chains:
+                if map_B(ctx, Chain(frozenset(targets)), None):
+                    ba_zero = False
+
+            mids = list(range(mid_lo, mid_hi + 1))
+            if ctx.has_v(smask):
+                gens = []
+                for s_off in mids:
+                    for m in range(mcap + 1):
+                        gens.append(1 << row_index[(s_off, m)])
+                dim_ker_b += len(gens)
+            else:
+                b_cols = []
+                for s_off in mids:
+                    for m in range(mcap + 1):
+                        b_cols.append(1 << m)
+                b_rank = gf2.rank(b_cols)
+                dim_im_b += b_rank
+                dim_b_targets += mcap + 1
+                dim_ker_b += len(b_cols) - b_rank
+                gens = []
+                for s_off in mids[:-1]:
+                    for m in range(mcap + 1):
+                        gens.append((1 << row_index[(s_off, m)])
+                                    ^ (1 << row_index[(s_off + 1, m)]))
+                if gf2.rank(gens) != len(b_cols) - b_rank:
+                    ker_b_equals_d = False
+
+            for g in gens:
+                chain = Chain(frozenset((_g_vector(ctx, y, rows[idx][0]), smask,
+                                         rows[idx][1]) for idx in bits(g)))
+                if map_B(ctx, chain, None):
+                    ker_b_equals_d = False
+                if not a_span.contains(g):
+                    ker_b_equals_im_a = False
+
+    samples, failures = _chain_map_sample(ctx, region)
+    return SesReport(
+        graph_hash=graph_hash(ctx.graph), vertex=ctx.v,
+        region=region.to_json(), blocks=blocks,
+        dim_domain=dim_domain, dim_ker_A=dim_ker_a, dim_im_A=dim_im_a,
+        dim_ker_B=dim_ker_b, dim_im_B=dim_im_b, dim_b_targets=dim_b_targets,
+        ba_zero=ba_zero, b_surjective=(dim_im_b == dim_b_targets),
+        ker_b_equals_im_a=ker_b_equals_im_a and ba_zero,
+        ker_b_equals_d=ker_b_equals_d,
+        chain_maps_ok=(failures == 0), chain_map_samples=samples)
+
+
+def _outcome(fn, ctx, region):
+    try:
+        return fn(ctx, region)
+    except LatcohError as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("fault", (None,) + faults.FAULTS)
+def test_verify_ses_equals_per_block_reference(fault):
+    # One elimination per block type must report exactly what one
+    # elimination per (y, S) block reports, also when a fault is active.
+    for spec, v in SES_CORPUS:
+        ctx = triangle_context(make_graph(spec), v)
+        region = default_region(ctx, 3)
+        with faults.injected(fault) if fault else contextlib.nullcontext():
+            want = _outcome(_reference_verify_ses, ctx, region)
+            got = _outcome(verify_ses, ctx, region)
+        assert got == want, (spec, v, fault)
+        if fault is None:
+            assert isinstance(got, SesReport) and got.passed
