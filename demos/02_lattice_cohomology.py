@@ -9,9 +9,9 @@ when its cells provably hold the whole sublevel set up to the U cap.
 
 import time
 
-from latcoh import (build_complex, homology_ranks, module_presentation,
-                    parse_graph, spinc_representatives, stabilize,
-                    truncation_region)
+from latcoh import (ComplexHomology, GradedGF2Complex, class_cells,
+                    module_presentation, parse_graph, spinc_representatives,
+                    stabilize)
 
 for name, path, mcap in [("S^3 (vertex -1)", "demos/data/s3.graph", 3),
                          ("RP^3 (vertex -2)", "demos/data/rp3.graph", 3),
@@ -38,9 +38,8 @@ print("  (one tower, nothing in higher degrees: an L-space)")
 
 print("\n=== under the hood: graded pieces of the RP^3 complex ===")
 g = parse_graph(open("demos/data/rp3.graph").read())
-region = truncation_region(g, (0,), 3)
-cx = build_complex(g, (0,), region, grading_cap=6)
-hom = homology_ranks(cx)
+cx = GradedGF2Complex(class_cells(g, (0,), 3), 3, grading_cap=6)
+hom = ComplexHomology(cx)
 print("  chain dims per (degree, grading):",
       {pg: cx.dim(*pg) for pg in cx.pieces()})
 print("  homology dims:", dict(sorted(hom.dims.items())))

@@ -1,12 +1,13 @@
 """The exact triangle on cohomology, rank by rank.
 
-With the chain maps verified, the three truncated cohomologies fit into a
-long exact sequence.  The connecting map is never constructed: its rank is
+With the chain maps verified (``les_check`` consumes the ``verify_ses``
+report), the three truncated cohomologies fit into a long exact sequence.  The connecting map is never constructed: its rank is
 forced by exactness at one node and must match the kernel of A one degree
 up, which is exactly what the checker confirms.
 """
 
-from latcoh import les_check, parse_graph, triangle_context
+from latcoh import (default_region, les_check, parse_graph, triangle_context,
+                    verify_ses)
 
 for path, v in [("demos/data/rp3.graph", "a"),
                 ("demos/data/chain22.graph", "a"),
@@ -14,7 +15,7 @@ for path, v in [("demos/data/rp3.graph", "a"),
                 ("demos/data/star232.graph", "b")]:
     g = parse_graph(open(path).read())
     ctx = triangle_context(g, v)
-    rep = les_check(ctx, 3)
+    rep = les_check(ctx, 3, verify_ses(ctx, default_region(ctx, 3)))
     print("=== %s, vertex %s ===" % (path.split("/")[-1], v))
     print("  raised graph: %s  deleted graph: %s"
           % (ctx.plus.weights, ctx.minus.weights))

@@ -8,27 +8,24 @@ exact sequence, and the induced long exact sequence is checked rank by rank
 on homology.
 """
 
-from .graph import (DefiniteCheck, DegenerateFormError, IntersectionForm,
-                    LatcohError, ParseError, PlumbingGraph, SpincClass,
-                    UnknownVertexError, bad_vertices, characteristic_base,
-                    delete_vertex, determinant, graph_hash, increment_weight,
-                    intersection_form, intersection_matrix,
-                    is_negative_definite, make_graph, parse_graph,
-                    spinc_representatives)
-from .lattice import (BasisCapError, Chain, CharVector, CubePair,
-                      DescentError, OutsideRegionError, Region,
-                      RegionTooSmallError, TPlusElement, absolute_q,
-                      cube_boundary, cube_corners, cube_weight, delta,
-                      delta_squared_check, relative_weight, truncation_region,
-                      weight_monotonicity_check)
+from .graph import (DefiniteCheck, DegenerateFormError, LatcohError,
+                    ParseError, PlumbingGraph, SpincClass, UnknownVertexError,
+                    bad_vertices, characteristic_base, delete_vertex,
+                    determinant, graph_hash, increment_weight,
+                    intersection_matrix, is_negative_definite, make_graph,
+                    parse_graph, spinc_representatives)
+from .lattice import (BasisCapError, Chain, CubePair, DescentError,
+                      OutsideRegionError, Region, RegionTooSmallError,
+                      absolute_q, cube_boundary, cube_corners, cube_weight,
+                      delta, delta_squared_check, relative_weight,
+                      truncation_region, weight_monotonicity_check)
 from .triangle import (SesReport, TriangleContext, TriangleRegion,
                        c_exponent_closed, c_exponent_def, chain_map_commutes,
                        default_region, is_in_D, map_A, map_B, r_value,
                        triangle_context, verify_ses)
 from .engine import (ComplexHomology, DegreeModule, GradedGF2Complex,
                      GradedModulePresentation, LesReport, NonStabilizingError,
-                     build_complex, class_cells, homology_ranks, les_check,
-                     module_presentation, stabilize)
+                     class_cells, les_check, module_presentation, stabilize)
 
 __version__ = "0.1.0"
 

@@ -11,7 +11,6 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
 
 from . import engine, suites, triangle
 from .graph import (DegenerateFormError, LatcohError, SpincClass,
@@ -23,19 +22,6 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_UNSTABILIZED = 2
 EXIT_SUITE_FAILED = 3
-
-
-@dataclass
-class RunConfig:
-    command: str
-    graph_path: str = None
-    vertex: str = None
-    max_depth: int = 3
-    spinc: str = "all"
-    bounds: str = None
-    format: str = "json"
-    seed: int = 0
-    graphs: int = 12
 
 
 def _emit(payload, fmt, table_fn):
@@ -51,25 +37,25 @@ def _report_hash(payload) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _load_graph(cfg):
-    with open(cfg.graph_path, encoding="utf-8") as fh:
+def _load_graph(args):
+    with open(args.graph, encoding="utf-8") as fh:
         return parse_graph(fh.read())
 
 
-def _bounds_spec(cfg, optional=()):
+def _bounds_spec(args, optional=()):
     """The --bounds JSON object: integer lists "xmin", "xmax" and those of
     the keys named in ``optional`` (integer lists too) the command reads;
     None when the option is absent.  A key the command does not read is an
     error, not silently ignored."""
-    if cfg.bounds is None:
+    if args.bounds is None:
         return None
-    spec = json.loads(cfg.bounds)
+    spec = json.loads(args.bounds)
     if not isinstance(spec, dict) or not {"xmin", "xmax"} <= spec.keys():
         raise LatcohError('--bounds needs a JSON object with "xmin" and "xmax"')
     unread = sorted(spec.keys() - {"xmin", "xmax", *optional})
     if unread:
         raise LatcohError("%s --bounds does not read %s"
-                          % (cfg.command, ", ".join(map(json.dumps, unread))))
+                          % (args.command, ", ".join(map(json.dumps, unread))))
     for key in ("base", "xmin", "xmax"):
         vals = spec.get(key, [])
         if not isinstance(vals, list) or any(type(v) is not int for v in vals):
@@ -77,21 +63,21 @@ def _bounds_spec(cfg, optional=()):
     return spec
 
 
-def cmd_compute(cfg: RunConfig) -> int:
-    graph = _load_graph(cfg)
-    spec = _bounds_spec(cfg, ("base",))
+def cmd_compute(args: argparse.Namespace) -> int:
+    graph = _load_graph(args)
+    spec = _bounds_spec(args, ("base",))
     bounds = None
     if spec is not None:
         bounds = Region(graph, tuple(spec.get("base", characteristic_base(graph))),
-                        tuple(spec["xmin"]), tuple(spec["xmax"]), cfg.max_depth)
+                        tuple(spec["xmin"]), tuple(spec["xmax"]), args.max_depth)
     try:
         classes = spinc_representatives(graph)
     except DegenerateFormError:
         if bounds is None:
             raise
         classes = [SpincClass(bounds.base, 0)]
-    if cfg.spinc != "all":
-        idx = int(cfg.spinc) if cfg.spinc.isdigit() else -1
+    if args.spinc != "all":
+        idx = int(args.spinc) if args.spinc.isdigit() else -1
         if not 0 <= idx < len(classes):
             raise LatcohError("--class must be 'all' or an index in [0, %d)"
                               % len(classes))
@@ -100,10 +86,10 @@ def cmd_compute(cfg: RunConfig) -> int:
     records = []
     all_stable = True
     for cls in classes:
-        pres = engine.stabilize(graph, cls, cfg.max_depth, bounds=bounds)
+        pres = engine.stabilize(graph, cls, args.max_depth, bounds=bounds)
         all_stable = all_stable and pres.stabilized
         records.extend(pres.to_json())
-    payload = {"graph_hash": graph_hash(graph), "max_depth": cfg.max_depth,
+    payload = {"graph_hash": graph_hash(graph), "max_depth": args.max_depth,
                "classes": records}
     payload["report_hash"] = _report_hash(payload)
 
@@ -117,36 +103,36 @@ def cmd_compute(cfg: RunConfig) -> int:
                   % (r["class_index"], r["degree"], towers, tors,
                      "" if r["stabilized"] else "  UNSTABILIZED"))
 
-    _emit(payload, cfg.format, table)
+    _emit(payload, args.format, table)
     return EXIT_OK if all_stable else EXIT_UNSTABILIZED
 
 
-def cmd_triangle(cfg: RunConfig) -> int:
-    graph = _load_graph(cfg)
-    if cfg.vertex is None:
+def cmd_triangle(args: argparse.Namespace) -> int:
+    graph = _load_graph(args)
+    if args.vertex is None:
         print("error: triangle requires --vertex <id>", file=sys.stderr)
         return EXIT_ERROR
-    ctx = triangle.triangle_context(graph, cfg.vertex)
+    ctx = triangle.triangle_context(graph, args.vertex)
     for name, side in (("G", ctx.graph), ("G+", ctx.plus),
-                       ("G-%s" % cfg.vertex, ctx.minus)):
+                       ("G-%s" % args.vertex, ctx.minus)):
         if not is_negative_definite(side).form_negative_definite:
             raise LatcohError(
                 "triangle needs G, G+ and G-v negative definite; %s (weights "
                 "%s) is not" % (name, list(side.weights)))
-    spec = _bounds_spec(cfg)
+    spec = _bounds_spec(args)
     if spec is not None:
         region = triangle.TriangleRegion(ctx, tuple(spec["xmin"]),
-                                         tuple(spec["xmax"]), cfg.max_depth)
+                                         tuple(spec["xmax"]), args.max_depth)
     else:
-        region = triangle.default_region(ctx, cfg.max_depth)
+        region = triangle.default_region(ctx, args.max_depth)
     ses = triangle.verify_ses(ctx, region)
-    les = engine.les_check(ctx, cfg.max_depth)
+    les = engine.les_check(ctx, args.max_depth, ses)
     payload = {"ses": ses.to_json(), "les": les.to_json()}
     payload["report_hash"] = _report_hash(payload)
 
     def table(p):
         s = p["ses"]
-        print("short exact sequence at vertex %s:" % cfg.vertex)
+        print("short exact sequence at vertex %s:" % args.vertex)
         for key in ("a_injective", "b_surjective", "ba_zero",
                     "ker_b_equals_im_a", "ker_b_equals_d", "chain_maps_ok"):
             print("  %-18s %s" % (key, s[key]))
@@ -154,12 +140,12 @@ def cmd_triangle(cfg: RunConfig) -> int:
         for row in p["les"]["table"]:
             print("  " + " ".join("%s=%s" % kv for kv in sorted(row.items())))
 
-    _emit(payload, cfg.format, table)
+    _emit(payload, args.format, table)
     return EXIT_OK if (ses.passed and les.exact) else EXIT_UNSTABILIZED
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    payload = suites.run_all(cfg.seed, cfg.graphs)
+def cmd_verify(args: argparse.Namespace) -> int:
+    payload = suites.run_all(args.seed, args.graphs)
     payload["report_hash"] = _report_hash(payload)
 
     def table(p):
@@ -171,7 +157,7 @@ def cmd_verify(cfg: RunConfig) -> int:
                 print("   counterexample: %s" % json.dumps(f, sort_keys=True))
         print("report hash %s" % p["report_hash"])
 
-    _emit(payload, cfg.format, table)
+    _emit(payload, args.format, table)
     return EXIT_OK if payload["passed"] else EXIT_SUITE_FAILED
 
 
@@ -213,22 +199,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit:
         return EXIT_ERROR
-    cfg = RunConfig(command=ns.command,
-                    graph_path=getattr(ns, "graph", None),
-                    vertex=getattr(ns, "vertex", None),
-                    max_depth=getattr(ns, "max_depth", 3),
-                    spinc=getattr(ns, "spinc", "all"),
-                    bounds=getattr(ns, "bounds", None),
-                    format=ns.format if hasattr(ns, "format") else "json",
-                    seed=getattr(ns, "seed", 0),
-                    graphs=getattr(ns, "graphs", 12))
     handler = {"compute": cmd_compute, "triangle": cmd_triangle,
-               "verify": cmd_verify}[cfg.command]
+               "verify": cmd_verify}[args.command]
     try:
-        return handler(cfg)
+        return handler(args)
     except (RegionTooSmallError, engine.NonStabilizingError) as err:
         print("error: %s" % err, file=sys.stderr)
         print("hint: rerun with a larger --max-depth or wider bounds",

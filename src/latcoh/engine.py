@@ -26,8 +26,7 @@ from .graph import (LatcohError, PlumbingGraph, graph_hash,
 from .lattice import (BASIS_CAP, BasisCapError, Region, bits, cofaces,
                       continuous_minimum, coords_of, get_engine,
                       offset_cube_weight)
-from .triangle import (TriangleContext, _a_targets, _chain_map_sample,
-                       default_region)
+from .triangle import SesReport, TriangleContext, _a_targets
 
 
 class NonStabilizingError(LatcohError):
@@ -71,30 +70,18 @@ def _sublevel_points(graph, base, wcap_rel, limit=BASIS_CAP):
     return out
 
 
-def _box_points(graph, base, box: Region):
-    """Relative weights of every box offset; ``iter_offsets`` enforces the
-    basis cap on the box volume."""
-    eng = get_engine(graph)
-    return {x: eng.rel_weight(base, x) for x in box.iter_offsets()}
-
-
 def class_cells(graph: PlumbingGraph, spinc_or_base, mcap: int,
-                box: Region = None, wcap_extra: int = 0,
-                full_box: bool = False) -> CellBank:
+                box: Region = None, wcap_extra: int = 0) -> CellBank:
     """Enumerate the cubes of one class up to relative weight
-    wmin + mcap + wcap_extra, or everything in ``box`` when full_box."""
+    wmin + mcap + wcap_extra: the exact sublevel set for definite forms
+    (restricted to ``box`` when given), the points of ``box`` otherwise."""
     base = coords_of(getattr(spinc_or_base, "base", spinc_or_base))
     eng = get_engine(graph)
     eng.check_characteristic(base)
     n = graph.n
 
-    wcap = None
     complete = None
-    if full_box:
-        if box is None:
-            raise ValueError("full_box needs an explicit box")
-        pts = _box_points(graph, base, box)
-    elif is_negative_definite(graph).form_negative_definite:
+    if is_negative_definite(graph).form_negative_definite:
         _, wbar = continuous_minimum(graph, base)
         probe = wbar.__ceil__()
         step = 1
@@ -116,11 +103,10 @@ def class_cells(graph: PlumbingGraph, spinc_or_base, mcap: int,
         if box is None:
             raise LatcohError("the form is not negative definite, so its "
                               "sublevel sets are not finite: pass --bounds")
-        pts = _box_points(graph, base, box)
-        if pts:
-            wmin = min(pts.values())
-            wcap = wmin + mcap + wcap_extra
-            pts = {x: w for x, w in pts.items() if w <= wcap}
+        # ``iter_offsets`` enforces the basis cap on the box volume.
+        pts = {x: eng.rel_weight(base, x) for x in box.iter_offsets()}
+        wcap = min(pts.values()) + mcap + wcap_extra
+        pts = {x: w for x, w in pts.items() if w <= wcap}
 
     if not pts:
         raise NonStabilizingError("no lattice points under the weight cap")
@@ -136,7 +122,7 @@ def class_cells(graph: PlumbingGraph, spinc_or_base, mcap: int,
     for x in points:
         for s in range(full + 1):
             w = weight((x, s))
-            if w is not None and (wcap is None or w <= wcap):
+            if w is not None and w <= wcap:
                 cells[(x, s)] = w
     return CellBank(graph, base, points, cells, wmin, complete)
 
@@ -234,23 +220,6 @@ class GradedGF2Complex:
         return cols
 
 
-def build_complex(graph: PlumbingGraph, spinc_or_base, region: Region,
-                  grading_cap: int = None) -> GradedGF2Complex:
-    """Assemble the complex over a region box.
-
-    With ``grading_cap`` set, enumeration is restricted to cells that can
-    appear in gradings up to the cap, which keeps large windows tractable;
-    without it every box point contributes a full stack of duals.
-    """
-    if grading_cap is None:
-        bank = class_cells(graph, spinc_or_base, region.mcap,
-                           box=region, full_box=True)
-    else:
-        bank = class_cells(graph, spinc_or_base, region.mcap, box=region,
-                           wcap_extra=grading_cap // 2 - region.mcap)
-    return GradedGF2Complex(bank, region.mcap, grading_cap)
-
-
 class PieceHomology:
     def __init__(self, boundary_cols, cycle_vectors):
         self.quotient = gf2.Quotient(gf2.Basis(boundary_cols))
@@ -309,11 +278,6 @@ class ComplexHomology:
             deg, g, pos = self.cx.index[(x, s, m)]
             grouped[(deg, g)] = grouped.get((deg, g), 0) ^ (1 << pos)
         return {pg: self.pieces[pg].coords(vec) for pg, vec in grouped.items()}
-
-
-def homology_ranks(cx: GradedGF2Complex) -> ComplexHomology:
-    """Kernel-mod-image of every piece, plus the induced U action."""
-    return ComplexHomology(cx)
 
 
 @dataclass(frozen=True)
@@ -410,10 +374,15 @@ def _one_tower(degrees: dict) -> bool:
     return towers.pop(0, 0) == 1 and not any(towers.values())
 
 
-def _presentation_data(graph, base, mcap, box):
-    bank = class_cells(graph, base, mcap, box=box)
-    cx = GradedGF2Complex(bank, mcap, grading_cap=2 * mcap)
-    return bank, homology_ranks(cx)
+def _presentation_data(graph, base, mcap, box=None, grading_cap=None):
+    """Cell bank and homology of one class in every grading up to
+    ``grading_cap`` (default twice the U cap): the one place a class's
+    cells become a complex and its homology."""
+    if grading_cap is None:
+        grading_cap = 2 * mcap
+    bank = class_cells(graph, base, mcap, box=box,
+                       wcap_extra=grading_cap // 2 - mcap)
+    return bank, ComplexHomology(GradedGF2Complex(bank, mcap, grading_cap))
 
 
 def stabilize(graph: PlumbingGraph, spinc_or_base, mcap: int,
@@ -491,9 +460,7 @@ def _side_homology(graph, mcap, capg):
     homs = []
     lookup = {}
     for cls in spinc_representatives(graph):
-        bank = class_cells(graph, cls.base, mcap, wcap_extra=capg // 2 - mcap)
-        cx = GradedGF2Complex(bank, mcap, grading_cap=capg)
-        hom = ComplexHomology(cx)
+        bank, hom = _presentation_data(graph, cls.base, mcap, grading_cap=capg)
         for x, (k, _) in bank.points.items():
             lookup[k] = (cls.index, x)
         homs.append(hom)
@@ -569,42 +536,48 @@ def _side_map_columns(deg, src_homs, image_terms, dst_homs, dst_lookup,
     return cols, broken
 
 
-def les_check(ctx: TriangleContext, mcap: int, pad: int = 4,
-              rounds: int = 4) -> LesReport:
+# The i-th of LES_ROUNDS grading windows reaches 2 mcap + 2 i LES_PAD.
+LES_PAD = 4
+LES_ROUNDS = 4
+
+
+def les_check(ctx: TriangleContext, mcap: int, ses: SesReport) -> LesReport:
     """Verify the exact triangle on homology at every cube degree.
 
     Computes the three truncated cohomologies, pushes A and B to homology,
     and checks per degree: the image of A* equals the kernel of B*,
     B* A* = 0, and the connecting rank inferred at the bottom node matches
-    the kernel of A* one degree up.  Raises NonStabilizingError when a side
-    cannot stabilize; grows the grading window when homology or map images
-    touch its top.
+    the kernel of A* one degree up.  The induced maps exist only if A and B
+    are chain maps, which ``ses`` (the caller's ``verify_ses`` report for
+    the same triangle) samples; its verdict is folded into ``exact``,
+    because the ranks alone cannot see a corrupted map.  Raises
+    NonStabilizingError when a side cannot stabilize; grows the grading
+    window, up to LES_ROUNDS times, when homology or map images touch its
+    top.
     """
-    for attempt in range(rounds):
-        capg = 2 * mcap + 2 * pad * (attempt + 1)
+    if (ses.graph_hash, ses.vertex) != (graph_hash(ctx.graph), ctx.v):
+        raise ValueError("the SES report belongs to another triangle")
+    for attempt in range(LES_ROUNDS):
+        capg = 2 * mcap + 2 * LES_PAD * (attempt + 1)
         try:
-            return _les_attempt(ctx, mcap, capg, pad)
+            rep = _les_attempt(ctx, mcap, capg)
         except _NeedEnlarge:
             continue
+        return replace(rep, exact=rep.exact and ses.chain_maps_ok)
     raise NonStabilizingError("triangle homology did not fit any window; "
                               "raise the grading pad")
 
 
-def _les_attempt(ctx, mcap, capg, pad):
+def _les_attempt(ctx, mcap, capg):
     homs_p, lookup_p = _side_homology(ctx.plus, mcap, capg)
     homs_g, lookup_g = _side_homology(ctx.graph, mcap, capg)
     homs_m, lookup_m = _side_homology(ctx.minus, mcap, capg)
-
-    # The induced maps only exist if A and B are chain maps; spot-check the
-    # hypothesis so a corrupted map cannot masquerade through homology.
-    _, cm_failures = _chain_map_sample(ctx, default_region(ctx, mcap))
-    broken_hypothesis = cm_failures > 0
 
     # Homology in the top pad zone means the window may be clipping
     # genuine classes above the cap: enlarge.
     for homs in (homs_p, homs_g, homs_m):
         for hom in homs:
-            if any(g > capg - 2 * pad for (_, g) in hom.dims):
+            if any(g > capg - 2 * LES_PAD for (_, g) in hom.dims):
                 raise _NeedEnlarge()
 
     dims = {"plus": {}, "g": {}, "minus": {}}
@@ -663,4 +636,4 @@ def _les_attempt(ctx, mcap, capg, pad):
     return LesReport(graph_hash=graph_hash(ctx.graph), vertex=ctx.v,
                      mcap=mcap, grading_pad=(capg - 2 * mcap) // 2,
                      dims=dims, rows=tuple(rows),
-                     exact=exact and not broken and not broken_hypothesis)
+                     exact=exact and not broken)

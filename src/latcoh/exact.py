@@ -44,22 +44,6 @@ def leading_minors(mat) -> list:
     return [det_bareiss([row[:k] for row in mat[:k]]) for k in range(1, n + 1)]
 
 
-def adjugate(mat) -> list:
-    """Adjugate of an integer matrix: adj(M) @ M = det(M) * I."""
-    n = len(mat)
-    if n == 0:
-        return []
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [mat[r][c] for c in range(n) if c != i]
-                for r in range(n) if r != j
-            ]
-            adj[i][j] = (-1) ** (i + j) * det_bareiss(minor)
-    return adj
-
-
 def solve_fraction(mat, rhs):
     """Solve ``mat @ x = rhs`` exactly over the rationals.
 

@@ -190,17 +190,6 @@ def _parse_json(text: str) -> PlumbingGraph:
     return make_graph((vspec, edges))
 
 
-@dataclass(frozen=True)
-class IntersectionForm:
-    """Symmetric matrix of the pairing in vertex coordinate order."""
-
-    matrix: tuple
-
-    def evaluate(self, x, y) -> int:
-        return sum(self.matrix[i][j] * x[i] * y[j]
-                   for i in range(len(x)) for j in range(len(x)))
-
-
 @functools.cache
 def intersection_matrix(graph: PlumbingGraph) -> tuple:
     n = graph.n
@@ -211,10 +200,6 @@ def intersection_matrix(graph: PlumbingGraph) -> tuple:
         m[i][j] += sign
         m[j][i] += sign
     return tuple(tuple(row) for row in m)
-
-
-def intersection_form(graph: PlumbingGraph) -> IntersectionForm:
-    return IntersectionForm(intersection_matrix(graph))
 
 
 def determinant(graph: PlumbingGraph) -> int:

@@ -55,18 +55,7 @@ class MonotonicityError(LatcohError):
 BASIS_CAP = 5_000_000
 
 
-@dataclass(frozen=True)
-class CharVector:
-    """Coordinates of a characteristic vector, optionally tagged with the
-    base vector of its spin-c class."""
-
-    coords: tuple
-    base: tuple = None
-
-
 def coords_of(k) -> tuple:
-    if isinstance(k, CharVector):
-        return k.coords
     return tuple(k)
 
 
@@ -80,30 +69,6 @@ class CubePair:
     @property
     def dimension(self) -> int:
         return bin(self.S).count("1")
-
-
-@dataclass(frozen=True)
-class TPlusElement:
-    """Finite GF(2) sum of U^{-d}, d >= 0, inside F[U,U^-1] / U F[U]."""
-
-    powers: frozenset
-
-    def __post_init__(self):
-        if any(d < 0 for d in self.powers):
-            raise ValueError("negative U-powers are not allowed")
-
-    def __add__(self, other):
-        return TPlusElement(self.powers ^ other.powers)
-
-    def __bool__(self):
-        return bool(self.powers)
-
-    def times_u(self):
-        return TPlusElement(frozenset(d - 1 for d in self.powers if d >= 1))
-
-    def gradings(self) -> frozenset:
-        """Gradings 2d of the supporting generators."""
-        return frozenset(2 * d for d in self.powers)
 
 
 @dataclass(frozen=True)
@@ -404,11 +369,6 @@ class Region:
             v *= b - a + 1
         return v
 
-    def enlarged(self, d: int) -> "Region":
-        return Region(self.graph, self.base,
-                      tuple(a - d for a in self.xmin),
-                      tuple(b + d for b in self.xmax), self.mcap)
-
     def to_json(self) -> dict:
         return {"base": list(self.base), "xmin": list(self.xmin),
                 "xmax": list(self.xmax), "mcap": self.mcap}
@@ -489,28 +449,23 @@ def continuous_minimum(graph: PlumbingGraph, base):
     return xbar, wbar
 
 
-def _descend(graph: PlumbingGraph, base, start=None, cap=1_000_000):
-    """Single-coordinate descent of the relative weight.
+def _descend(graph: PlumbingGraph, base, start):
+    """Single-coordinate descent of the relative weight from ``start``.
 
     Cycles the vertices in declaration order, trying -1 then +1, moving
-    while the weight strictly decreases.  Deterministic; raises
-    DescentError when the step budget is exhausted (non-definite forms).
+    while the weight strictly decreases.  Deterministic; it terminates
+    because a definite form has finitely many offsets below any weight.
     """
     eng = get_engine(graph)
     n = graph.n
-    x = [0] * n if start is None else list(start)
+    x = list(start)
     w = eng.rel_weight(base, x)
-    steps = 0
     improved = True
     while improved:
         improved = False
         for j in range(n):
             for sign in (-1, 1):
                 while True:
-                    steps += 1
-                    if steps > cap:
-                        raise DescentError(
-                            "weight descent did not terminate; pass explicit bounds")
                     trial = list(x)
                     trial[j] += sign
                     wt = eng.rel_weight(base, trial)
@@ -525,13 +480,13 @@ def _descend(graph: PlumbingGraph, base, start=None, cap=1_000_000):
 def truncation_region(graph: PlumbingGraph, spinc_or_base, mcap: int,
                       hard_halfwidth: int = 1000) -> Region:
     """Finite region guaranteed to contain every cube of relative weight up
-    to ``mcap`` plus a safety margin.
+    to ``mcap`` plus a safety margin, for negative definite forms.
 
     Runs the coordinate descent, then bounds the sublevel set
     {x : w(x) - w* <= mcap + n + maxvar} where maxvar is the largest
-    single-step weight change at the minimizer.  For definite forms the
-    bound is the exact bounding box of the corresponding ellipsoid; the
-    result is intersected with a hard bounding box either way.
+    single-step weight change at the minimizer: the exact bounding box of
+    the corresponding ellipsoid, intersected with a hard bounding box.
+    Other forms have unbounded sublevel sets and raise DescentError.
     """
     if mcap < 0:
         raise ValueError("mcap must be nonnegative")
@@ -541,57 +496,28 @@ def truncation_region(graph: PlumbingGraph, spinc_or_base, mcap: int,
     n = graph.n
     if n == 0:
         return Region(graph, base, (), (), mcap)
+    if not is_negative_definite(graph).form_negative_definite:
+        raise DescentError("the form is not negative definite, so its "
+                           "sublevel sets are unbounded; pass explicit bounds")
     neg = [[-x for x in row] for row in intersection_matrix(graph)]
-    definite = is_negative_definite(graph).form_negative_definite
 
     # Plain coordinate descent can stall far above the minimum on strongly
-    # correlated definite forms; seeding it at the rounded continuous
-    # minimizer fixes that without changing the non-definite error paths.
-    start = None
-    if definite:
-        xbar, wbar = continuous_minimum(graph, base)
-        start = tuple(int(c.__floor__() + (1 if c - c.__floor__() > Fraction(1, 2)
-                                           else 0)) for c in xbar)
-    xstar, wstar = _descend(graph, base, start=start)
+    # correlated definite forms, so it starts at the rounded continuous
+    # minimizer.
+    xbar, wbar = continuous_minimum(graph, base)
+    start = tuple(int(c.__floor__() + (1 if c - c.__floor__() > Fraction(1, 2)
+                                       else 0)) for c in xbar)
+    xstar, wstar = _descend(graph, base, start)
     maxvar = max(abs(eng.rel_weight(base, tuple(xi + (sign if i == j else 0)
                                                 for i, xi in enumerate(xstar)))
                      - wstar)
                  for j in range(n) for sign in (-1, 1))
-    threshold = mcap + n + maxvar
-
-    if definite:
-        budget = 2 * (Fraction(wstar) + threshold - wbar)
-        det_neg = exact.det_bareiss(neg)
-        adj = exact.adjugate(neg)
-        xmin, xmax = [], []
-        for j in range(n):
-            rad_sq = budget * Fraction(adj[j][j], det_neg)
-            lo, hi = exact.int_interval(xbar[j], rad_sq)
-            xmin.append(max(lo, -hard_halfwidth))
-            xmax.append(min(hi, hard_halfwidth))
-        return Region(graph, base, tuple(xmin), tuple(xmax), mcap)
-
-    # Non-definite fallback: flood out the sublevel set from the descent
-    # point, bounded by the hard box and a cell cap.
-    seen = {xstar}
-    frontier = [xstar]
-    cap = 200_000
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for j in range(n):
-                for sign in (-1, 1):
-                    y = tuple(xi + (sign if i == j else 0) for i, xi in enumerate(x))
-                    if y in seen:
-                        continue
-                    if eng.rel_weight(base, y) - wstar <= threshold:
-                        if any(abs(t) >= hard_halfwidth for t in y) or len(seen) >= cap:
-                            raise DescentError(
-                                "sublevel set is unbounded or too large to box; "
-                                "pass explicit bounds")
-                        seen.add(y)
-                        nxt.append(y)
-        frontier = nxt
-    xmin = tuple(min(x[j] for x in seen) for j in range(n))
-    xmax = tuple(max(x[j] for x in seen) for j in range(n))
-    return Region(graph, base, xmin, xmax, mcap)
+    budget = 2 * (Fraction(wstar) + mcap + n + maxvar - wbar)
+    xmin, xmax = [], []
+    for j in range(n):
+        # The ellipsoid's half-width along x_j is sqrt(budget * (-M)^-1_jj).
+        inv_jj = exact.solve_fraction(neg, [int(i == j) for i in range(n)])[j]
+        lo, hi = exact.int_interval(xbar[j], budget * inv_jj)
+        xmin.append(max(lo, -hard_halfwidth))
+        xmax.append(min(hi, hard_halfwidth))
+    return Region(graph, base, tuple(xmin), tuple(xmax), mcap)

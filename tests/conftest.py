@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from latcoh import make_graph
@@ -27,6 +29,12 @@ def e8():
     espec = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"),
              ("e", "f"), ("f", "g"), ("e", "h")]
     return make_graph((vspec, espec))
+
+
+def grown(region, d):
+    """The region with its offset box widened by d on every side."""
+    return replace(region, xmin=tuple(a - d for a in region.xmin),
+                   xmax=tuple(b + d for b in region.xmax))
 
 
 @pytest.fixture

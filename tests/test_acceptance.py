@@ -110,7 +110,8 @@ def test_criterion_5_les_exactness():
     results = []
     for spec, v in triples:
         ctx = triangle_context(make_graph(spec), v)
-        results.append(les_check(ctx, 3).exact)
+        ses = verify_ses(ctx, default_region(ctx, 3))
+        results.append(les_check(ctx, 3, ses).exact)
     took = time.time() - t0
     ok = all(results) and took < 120
     report(5, "long exact sequence on homology", ok,

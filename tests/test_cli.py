@@ -136,6 +136,31 @@ def test_triangle_chain22_and_determinism(capsys):
     assert out1 == out2
 
 
+def test_triangle_samples_the_chain_maps_once(capsys, monkeypatch):
+    # verify_ses samples whether A and B commute with the coboundaries, and
+    # les_check folds in that verdict instead of sampling again.  Every
+    # module binding of the sampler is counted, so a second import of it
+    # cannot hide a second call.
+    import sys
+    from latcoh import triangle
+    sample = triangle._chain_map_sample
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sample(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if (name.partition(".")[0] == "latcoh"
+                and getattr(mod, "_chain_map_sample", None) is sample):
+            monkeypatch.setattr(mod, "_chain_map_sample", counted)
+    code = main(["triangle", "demos/data/chain22.graph", "--vertex", "b",
+                 "--max-depth", "3"])
+    capsys.readouterr()
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_verify_exits_three_on_mutation(capsys):
     from latcoh import faults
     with faults.injected("b-parity-skip"):

@@ -3,31 +3,22 @@ from pathlib import Path
 
 import pytest
 
-from latcoh import (NonStabilizingError, Region, build_complex, class_cells,
-                    faults, gf2, homology_ranks, is_negative_definite,
+from latcoh import (ComplexHomology, NonStabilizingError, Region, class_cells,
+                    default_region, faults, gf2, is_negative_definite,
                     les_check, module_presentation, spinc_representatives,
-                    stabilize, triangle_context, truncation_region)
-from latcoh.engine import DegreeModule, GradedGF2Complex
+                    stabilize, triangle_context, truncation_region,
+                    verify_ses)
+from latcoh.engine import DegreeModule, GradedGF2Complex, _presentation_data
 
-from conftest import chain, e8, vertex
+from conftest import chain, e8, grown, vertex
 
 
 # --- complexes --------------------------------------------------------------
 
-def test_build_complex_basis_counts(rp3):
-    region = Region(rp3, (0,), (-2,), (2,), 0)
-    cx = build_complex(rp3, (0,), region)
-    deg0 = sum(cx.dim(0, g) for _, g in cx.pieces() if _ == 0)
-    deg0 = sum(cx.dim(d, g) for d, g in cx.pieces() if d == 0)
-    deg1 = sum(cx.dim(d, g) for d, g in cx.pieces() if d == 1)
-    assert deg0 == 5           # five box points, one U level
-    assert deg1 == 4           # edge cubes need both corners in the box
-
-
 def test_delta_column_sparsity():
     g = chain(-2, -2, -3)
     region = Region(g, tuple(g.weights), (-1,) * 3, (1,) * 3, 2)
-    cx = build_complex(g, tuple(g.weights), region)
+    cx = GradedGF2Complex(class_cells(g, tuple(g.weights), 2, box=region), 2)
     for deg, grade in cx.pieces():
         for col in cx.delta_matrix(deg, grade):
             # At most two cofaces per direction not already spanned.
@@ -36,7 +27,7 @@ def test_delta_column_sparsity():
 
 def test_delta_squared_as_matrix_product_on_e8():
     region = truncation_region(e8(), tuple([-2] * 8), 1)
-    cx = build_complex(e8(), tuple([-2] * 8), region, grading_cap=2)
+    cx = _presentation_data(e8(), tuple([-2] * 8), 1, box=region)[1].cx
     for deg, grade in cx.pieces():
         first = cx.delta_matrix(deg, grade)
         second = cx.delta_matrix(deg + 1, grade)
@@ -49,7 +40,7 @@ def test_zero_differential_toy():
     g = vertex(-4)
     bank = class_cells(g, (0,), 0)
     cx = GradedGF2Complex(bank, 0)
-    hom = homology_ranks(cx)
+    hom = ComplexHomology(cx)
     for pg in cx.pieces():
         assert all(v == 0 for v in cx.delta_matrix(*pg))
         assert hom.dims.get(pg, 0) == cx.dim(*pg)
@@ -58,8 +49,7 @@ def test_zero_differential_toy():
 def test_homology_single_vertex_minus_one(s3):
     # Hand-checked: one U-chain of length 4 in degree 0, nothing above.
     region = truncation_region(s3, (-1,), 3)
-    cx = build_complex(s3, (-1,), region, grading_cap=6)
-    hom = homology_ranks(cx)
+    _, hom = _presentation_data(s3, (-1,), 3, box=region)
     assert hom.dims == {(0, 0): 1, (0, 2): 1, (0, 4): 1, (0, 6): 1}
     pres = module_presentation(hom, 3)
     assert pres == {0: DegreeModule(towers=(0,), torsions=())}
@@ -67,8 +57,8 @@ def test_homology_single_vertex_minus_one(s3):
 
 def test_homology_rp3_second_class(rp3):
     region = truncation_region(rp3, (2,), 3)
-    cx = build_complex(rp3, (2,), region, grading_cap=6)
-    pres = module_presentation(homology_ranks(cx), 3)
+    _, hom = _presentation_data(rp3, (2,), 3, box=region)
+    pres = module_presentation(hom, 3)
     assert pres == {0: DegreeModule(towers=(0,), torsions=())}
 
 
@@ -92,8 +82,7 @@ def test_module_presentation_round_trip(s3, rp3):
     # Expanding the interval presentation reproduces the graded dims.
     for g, base in ((s3, (-1,)), (rp3, (0,)), (rp3, (2,))):
         region = truncation_region(g, base, 3)
-        cx = build_complex(g, base, region, grading_cap=6)
-        hom = homology_ranks(cx)
+        _, hom = _presentation_data(g, base, 3, box=region)
         pres = module_presentation(hom, 3)
         expanded = {}
         for deg, mod in pres.items():
@@ -165,7 +154,7 @@ def test_presentation_json_schema(s3):
 
 def test_les_single_vertex(rp3):
     ctx = triangle_context(rp3, "a")
-    rep = les_check(ctx, 3)
+    rep = les_check(ctx, 3, verify_ses(ctx, default_region(ctx, 3)))
     assert rep.exact
     row = rep.rows[0]
     assert row["dim_plus"] == 4 and row["dim_g"] == 8 and row["dim_minus"] == 4
@@ -175,26 +164,50 @@ def test_les_single_vertex(rp3):
 def test_les_chain_both_vertices():
     g = chain(-2, -2)
     for v in g.vertices:
-        rep = les_check(triangle_context(g, v), 3)
+        ctx = triangle_context(g, v)
+        rep = les_check(ctx, 3, verify_ses(ctx, default_region(ctx, 3)))
         assert rep.exact, rep.to_json()
 
 
 def test_les_rejects_indefinite():
     g = vertex(1)
     ctx = triangle_context(g, "a")
+    ses = verify_ses(ctx, default_region(ctx, 2))
     with pytest.raises(NonStabilizingError):
-        les_check(ctx, 2)
+        les_check(ctx, 2, ses)
 
 
 def test_les_mutation_fails():
     ctx = triangle_context(chain(-2, -2), "v0")
     with faults.injected("c-always-first-case"):
         try:
-            rep = les_check(ctx, 3)
+            rep = les_check(ctx, 3, verify_ses(ctx, default_region(ctx, 3)))
             failed = not rep.exact
         except Exception:
             failed = True
     assert failed
+
+
+@pytest.mark.parametrize("fault", ("c-always-first-case", "c-drop-quadratic",
+                                   "b-parity-skip"))
+def test_les_carries_the_chain_map_verdict(fault):
+    # Under these map faults the ranks on homology still look exact; only
+    # the chain-map sample inside verify_ses sees them, so les_check must
+    # carry that verdict.
+    ctx = triangle_context(chain(-2, -2), "v0")
+    with faults.injected(fault):
+        ses = verify_ses(ctx, default_region(ctx, 3))
+        rep = les_check(ctx, 3, ses)
+    assert not ses.chain_maps_ok
+    assert not rep.exact
+
+
+def test_les_rejects_the_ses_report_of_another_triangle():
+    g = chain(-2, -2)
+    other = triangle_context(g, "v1")
+    ses = verify_ses(other, default_region(other, 3))
+    with pytest.raises(ValueError, match="another triangle"):
+        les_check(triangle_context(g, "v0"), 3, ses)
 
 
 def test_graded_complex_escape_tracking():
@@ -213,7 +226,7 @@ def test_graded_complex_escape_tracking():
 def test_u_delta_commute_as_matrices():
     g = chain(-2, -3)
     region = truncation_region(g, tuple(g.weights), 3)
-    cx = build_complex(g, tuple(g.weights), region, grading_cap=6)
+    cx = _presentation_data(g, tuple(g.weights), 3, box=region)[1].cx
     for deg, grade in cx.pieces():
         du = gf2.matmul(cx.delta_matrix(deg, grade - 2), cx.u_matrix(deg, grade))
         ud = gf2.matmul(cx.u_matrix(deg + 1, grade), cx.delta_matrix(deg, grade))
@@ -284,9 +297,8 @@ def test_certified_answer_matches_enlarged_window(g, mcap):
     for cls in spinc_representatives(g):
         pres = stabilize(g, cls, mcap)
         assert pres.stabilized
-        box = truncation_region(g, cls.base, mcap).enlarged(2)
-        hom = homology_ranks(build_complex(g, cls.base, box,
-                                           grading_cap=2 * mcap))
+        box = grown(truncation_region(g, cls.base, mcap), 2)
+        _, hom = _presentation_data(g, cls.base, mcap, box=box)
         assert pres.dims == hom.dims
         assert pres.degrees == module_presentation(hom, mcap)
 

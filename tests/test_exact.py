@@ -41,17 +41,6 @@ def test_empty_matrix_determinant_is_one():
     assert exact.det_bareiss([]) == 1
 
 
-def test_adjugate_identity():
-    m = [[-2, 1, 0], [1, -3, 1], [0, 1, -2]]
-    adj = exact.adjugate(m)
-    det = exact.det_bareiss(m)
-    n = len(m)
-    for i in range(n):
-        for j in range(n):
-            s = sum(adj[i][k] * m[k][j] for k in range(n))
-            assert s == (det if i == j else 0)
-
-
 def test_solve_fraction():
     m = [[2, 1], [1, 3]]
     x = exact.solve_fraction(m, [5, 10])

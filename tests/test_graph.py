@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from latcoh import (DegenerateFormError, ParseError, UnknownVertexError,
                     bad_vertices, delete_vertex, determinant, graph_hash,
-                    increment_weight, intersection_form, intersection_matrix,
+                    increment_weight, intersection_matrix,
                     is_negative_definite, make_graph, parse_graph,
                     spinc_representatives)
 from latcoh.exact import solve_fraction
@@ -222,10 +222,3 @@ def test_graph_hash_stable_under_edge_order():
                      [("b", "c"), ("a", "b")]))
     assert graph_hash(g1) == graph_hash(g2)
     assert graph_hash(g1) != graph_hash(increment_weight(g1, "a"))
-
-
-def test_intersection_form_evaluate():
-    form = intersection_form(chain(-2, -2))
-    assert form.evaluate((1, 0), (1, 0)) == -2
-    assert form.evaluate((1, 0), (0, 1)) == 1
-    assert form.evaluate((1, 1), (1, 1)) == -2

@@ -13,7 +13,7 @@ from latcoh.engine import _sublevel_points
 from latcoh.lattice import BASIS_CAP, cofaces, offset_cube_weight
 from latcoh.suites import random_graph_with_classes
 
-from conftest import chain, e8, vertex
+from conftest import chain, e8, grown, vertex
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "latcoh"
 
@@ -94,7 +94,7 @@ def test_region_membership_matches_brute_force(seed):
         n = g.n
         for base in bases:
             box = Region(g, base, (-1,) * n, (1,) * n, 2)
-            for x in box.enlarged(2).iter_offsets():
+            for x in grown(box, 2).iter_offsets():
                 k = box.point(x)
                 want = x if box.contains_offset(x) else None
                 assert box.offset_of(k) == want
@@ -107,7 +107,7 @@ def test_region_membership_matches_brute_force(seed):
                 if other == base:
                     continue
                 other_classes += 1
-                alien = Region(g, other, box.xmin, box.xmax, 2).enlarged(2)
+                alien = grown(Region(g, other, box.xmin, box.xmax, 2), 2)
                 assert not any(box.contains(alien.point(x))
                                for x in alien.iter_offsets())
     assert other_classes

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latcoh import (Chain, CharVector, CubePair, DescentError,
-                    OutsideRegionError, Region, TPlusElement, absolute_q,
-                    cube_boundary, cube_corners, cube_weight, delta,
-                    delta_squared_check, faults, intersection_matrix,
-                    relative_weight, truncation_region,
+from latcoh import (Chain, CubePair, DescentError, OutsideRegionError,
+                    Region, absolute_q, cube_boundary, cube_corners,
+                    cube_weight, delta, delta_squared_check, faults,
+                    intersection_matrix, relative_weight, truncation_region,
                     weight_monotonicity_check)
 from latcoh.lattice import get_engine
 from latcoh.suites import random_graph
@@ -239,18 +238,6 @@ def test_region_membership_degenerate_form():
     # All offsets give the same vector: the class is a single point.
     assert reg.contains((0,))
     assert not reg.contains((2,))
-
-
-def test_char_vector_and_tplus_types():
-    cv = CharVector((0,), base=(0,))
-    assert cv.coords == (0,)
-    t = TPlusElement(frozenset({0, 2}))
-    assert t.times_u() == TPlusElement(frozenset({1}))
-    assert (t + TPlusElement(frozenset({2, 5}))) == TPlusElement(frozenset({0, 5}))
-    assert t.gradings() == {0, 4}
-    with pytest.raises(ValueError):
-        TPlusElement(frozenset({-1}))
-    assert not TPlusElement(frozenset())
 
 
 def test_chain_algebra():
