@@ -5,8 +5,11 @@ grading g = 2m + 2(w - wmin): the coboundary preserves g, the U action drops
 it by two.  Each (s, g) piece is a finite GF(2) complex, and a piece is the
 literal truth about the infinite lattice whenever the enumerated cells cover
 the full sublevel set of weight g/2 + wmin, which is how regions are sized.
-Cells are enumerated exactly by rational lattice-point enumeration for
-definite forms, or by scanning an explicit box otherwise.
+The points are the exact sublevel set for definite forms (integer
+lattice-point enumeration, ``exact.enumerate_sublevel``), or the points of
+an explicit box under the cap otherwise.  Cubes are then built from the
+faces up over either point map: a cube is admissible iff its corners are
+all points, and admissible cubes are downward closed.
 
 Homology is computed by plain Gaussian elimination over bitset rows, basis
 order fixed by (offset, mask, U-power), so rerunning an input gives
@@ -15,7 +18,6 @@ could be processed concurrently; this implementation keeps them sequential
 and deterministic.
 """
 
-import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -43,6 +45,11 @@ class CellBank:
     weight.  ``complete_to`` is the relative weight up to which the bank
     provably contains every cube of the infinite lattice (None when the box
     clipped the sublevel set or no weight cap was applied).
+
+    ``cells`` holds exactly the cubes whose corners are all in ``points``
+    and whose weight is within the cap.  They are built layer by layer
+    from their faces (``_admissible_cubes``), never by trying every mask
+    at every point, and the memo that builds them holds nothing else.
     """
 
     graph: PlumbingGraph
@@ -68,6 +75,37 @@ def _sublevel_points(graph, base, wcap_rel, limit=BASIS_CAP):
     except RuntimeError as err:  # the enumeration's point limit
         raise BasisCapError(str(err)) from err
     return out
+
+
+def _admissible_cubes(pts, n):
+    """Weights of every cube (x, S) whose corners are all in ``pts``, in
+    the fault-free memo form ``offset_cube_weight`` reads.
+
+    Admissible cubes are downward closed: the corners of (x, S + j) are
+    those of its faces (x, S) and (x + e_j, S), and it weighs the larger
+    of the two.  So masks grow one popcount layer at a time, (x, S) is
+    extended only by directions j above the highest bit of S (each mask is
+    built once), and only when (x + e_j, S) is already present; no miss is
+    stored.  Raises ``BasisCapError`` once more than ``BASIS_CAP`` cubes
+    are built.
+    """
+    memo = {(x, 0): w for x, w in pts.items()}
+    layer = list(memo)
+    while layer:
+        grown = []
+        for cube in layer:
+            x, s = cube
+            w = memo[cube]
+            for j in range(s.bit_length(), n):
+                other = memo.get((x[:j] + (x[j] + 1,) + x[j + 1:], s))
+                if other is not None:
+                    up = (x, s | 1 << j)
+                    memo[up] = w if w >= other else other
+                    grown.append(up)
+            if len(memo) > BASIS_CAP:
+                raise BasisCapError("cell bank exceeded %d cubes" % BASIS_CAP)
+        layer = grown
+    return memo
 
 
 def class_cells(graph: PlumbingGraph, spinc_or_base, mcap: int,
@@ -113,17 +151,14 @@ def class_cells(graph: PlumbingGraph, spinc_or_base, mcap: int,
     wmin = min(pts.values())
 
     points = {x: (eng.point(base, x), pts[x]) for x in sorted(pts)}
-
-    # A cube (x, S) is admissible iff every corner offset is an enumerated
-    # point, so holes in the point map have no weight.
-    weight = functools.partial(offset_cube_weight, pts.get, {})
+    # Every admissible cube is read once through the kernel's weight
+    # routine, which adds the active faults to the memo's fault-free value.
+    memo = _admissible_cubes(pts, n)
     cells = {}
-    full = (1 << n) - 1
-    for x in points:
-        for s in range(full + 1):
-            w = weight((x, s))
-            if w is not None and w <= wcap:
-                cells[(x, s)] = w
+    for cube in memo:
+        w = offset_cube_weight(pts.get, memo, cube)
+        if w <= wcap:
+            cells[cube] = w
     return CellBank(graph, base, points, cells, wmin, complete)
 
 

@@ -3,11 +3,12 @@
 Everything in this module runs over Python ints and ``fractions.Fraction``;
 no floating point is used anywhere.  Matrices are small (the number of graph
 vertices), so the quadratic/cubic algorithms below are more than fast enough
-and keep every result exact.
+and keep every result exact.  Lattice-point enumeration uses Fractions only
+to set up its integer recursion, whose budgets and bounds are plain ints.
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 
 def det_bareiss(mat) -> int:
@@ -176,36 +177,67 @@ def enumerate_sublevel(q_form, center, bound, limit=None):
     """All integer points x with (x-center)^T Q (x-center) <= bound.
 
     ``q_form`` must be symmetric positive definite (ints or Fractions),
-    ``center`` a rational point, ``bound`` a nonnegative rational.  Classic
-    lattice-point enumeration over an exact LDL^T decomposition; raises
-    RuntimeError if more than ``limit`` points are produced.
+    ``center`` a rational point, ``bound`` a rational.  Classic
+    lattice-point enumeration (Fincke-Pohst), run in integers: with den the
+    common denominator of the center, y = den x - den center and Delta_k
+    the leading minors (Delta_0 = 1), the form f(x) satisfies
+    den^2 f = sum_k v_k^2 / (Delta_k Delta_{k+1}) where
+    v_k = Delta_{k+1} y_k + sum_{j>k} Delta_{k+1} L_jk y_j is an integer
+    (L from ``ldlt`` of Q, first scaled to integers when its entries are
+    Fractions).  Scaled by T = lcm_k(Delta_k Delta_{k+1}) every
+    budget is an int and every coordinate interval comes from ``isqrt``;
+    Fractions appear only in this set-up.  Raises RuntimeError if more
+    than ``limit`` points are produced.
     """
     n = len(q_form)
+    qden = lcm(*(Fraction(v).denominator for row in q_form for v in row))
+    q_int = [[int(Fraction(v) * qden) for v in row] for row in q_form]
+    center = [Fraction(c) for c in center]
+    den = lcm(*(c.denominator for c in center))
+    p = [int(c * den) for c in center]
+    lower, _ = ldlt(q_int)
+    minors = [1] + leading_minors(q_int)
+    ell = [[0] * n for _ in range(n)]
+    for k in range(n):
+        for j in range(k + 1, n):
+            v = minors[k + 1] * lower[j][k]
+            assert v.denominator == 1, "Delta_{k+1} L_jk is not an integer"
+            ell[j][k] = int(v)
+    scale = lcm(*(minors[k] * minors[k + 1] for k in range(n)))
+    weight = [scale // (minors[k] * minors[k + 1]) for k in range(n)]
+    step = [minors[k + 1] * den for k in range(n)]
+    budget = (Fraction(bound) * qden * scale * den * den).__floor__()
+    if budget < 0:
+        return
     if n == 0:
         yield ()
         return
-    lower, diag = ldlt(q_form)
-    center = [Fraction(c) for c in center]
-    bound = Fraction(bound)
     x = [0] * n
+    y = [0] * n
     count = 0
 
     def rec(k, budget):
         nonlocal count
-        if budget < 0:
+        # v_k = step_k x_k - b with b collecting the center and the
+        # coordinates above k; weight_k v_k^2 <= budget bounds |v_k| by r.
+        b = minors[k + 1] * p[k] - sum(ell[j][k] * y[j] for j in range(k + 1, n))
+        a = step[k]
+        r = isqrt(budget // weight[k])
+        lo, hi = -((r - b) // a), (b + r) // a
+        if k == 0:
+            for t in range(lo, hi + 1):
+                count += 1
+                if limit is not None and count > limit:
+                    raise RuntimeError("sublevel enumeration exceeded %d points"
+                                       % limit)
+                x[0] = t
+                yield tuple(x)
             return
-        if k < 0:
-            count += 1
-            if limit is not None and count > limit:
-                raise RuntimeError("sublevel enumeration exceeded %d points" % limit)
-            yield tuple(x)
-            return
-        # w_k = z_k + sum_{j>k} L[j][k] z_j contributes diag[k] * w_k^2.
-        shift = sum(lower[j][k] * (x[j] - center[j]) for j in range(k + 1, n))
-        mid = center[k] - shift
-        lo, hi = int_interval(mid, budget / diag[k])
+        c = weight[k]
         for t in range(lo, hi + 1):
             x[k] = t
-            yield from rec(k - 1, budget - diag[k] * (t - mid) ** 2)
+            y[k] = den * t - p[k]
+            v = a * t - b
+            yield from rec(k - 1, budget - c * v * v)
 
-    yield from rec(n - 1, bound)
+    yield from rec(n - 1, budget)

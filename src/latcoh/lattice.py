@@ -18,7 +18,9 @@ and the homology engine share: ``offset_cube_weight`` (the weight of a cube
 (x, S) given point weights at offsets x) and ``cofaces`` (the coboundary
 rule).  Each fault hook on them has its single site here.  Values are
 immutable; the only state is a cube-weight memo, owned by the window,
-cell bank or call that fills it.
+cell bank or call that fills it.  Read top down, a memo also records the
+cubes found to have no weight; a cell bank fills its memo bottom up with
+its admissible cubes only, so it holds no miss.
 """
 
 import functools
@@ -185,7 +187,9 @@ def offset_cube_weight(point_weight, memo: dict, cube: tuple):
 
     Cubes are (x, S) keys, as in ``CellBank.cells``.  ``memo`` belongs to
     the caller and holds fault-free values, so it stays valid whichever
-    faults are active.
+    faults are active; a caller may fill it beforehand with the same
+    two-face rule (``engine._admissible_cubes`` does), and then a cube in
+    it is read without recursion.
     """
     val = _corner_max(point_weight, memo, cube)
     if (val is not None and bin(cube[1]).count("1") % 2

@@ -1,3 +1,4 @@
+import contextlib
 import random
 from pathlib import Path
 
@@ -333,3 +334,148 @@ def test_stabilize_enumerates_each_class_once(monkeypatch):
     for cls in classes:
         stabilize(g, cls, 3)
     assert calls == [cls.base for cls in classes]
+
+
+# --- cells from the faces up ------------------------------------------------
+
+def _reference_class_cells(graph, spinc_or_base, mcap, box=None,
+                           wcap_extra=0):
+    """The mask scan the face-up build replaced: every one of the 2^n masks
+    at every point, read through ``offset_cube_weight`` with a memo of its
+    own.  It shares ``_sublevel_points`` with ``class_cells``; the point
+    enumeration has its own brute-force test in test_exact.py."""
+    from latcoh import engine
+    from latcoh.lattice import offset_cube_weight
+    base = tuple(getattr(spinc_or_base, "base", spinc_or_base))
+    eng = engine.get_engine(graph)
+    complete = None
+    if is_negative_definite(graph).form_negative_definite:
+        _, wbar = engine.continuous_minimum(graph, base)
+        probe, step = wbar.__ceil__(), 1
+        pts = engine._sublevel_points(graph, base, probe)
+        while not pts:
+            probe += step
+            step *= 2
+            pts = engine._sublevel_points(graph, base, probe)
+        wcap = min(pts.values()) + mcap + wcap_extra
+        unfiltered = engine._sublevel_points(graph, base, wcap)
+        pts = {x: w for x, w in unfiltered.items()
+               if box is None or box.contains_offset(x)}
+        if len(pts) == len(unfiltered):
+            complete = wcap
+    else:
+        pts = {x: eng.rel_weight(base, x) for x in box.iter_offsets()}
+        wcap = min(pts.values()) + mcap + wcap_extra
+        pts = {x: w for x, w in pts.items() if w <= wcap}
+    points = {x: (eng.point(base, x), pts[x]) for x in sorted(pts)}
+    memo = {}
+    cells = {}
+    for x in points:
+        for s in range(1 << graph.n):
+            w = offset_cube_weight(pts.get, memo, (x, s))
+            if w is not None and w <= wcap:
+                cells[(x, s)] = w
+    return engine.CellBank(graph, base, points, cells, min(pts.values()),
+                           complete)
+
+
+def _lower_half(bank, mcap):
+    """A box that clips the bank's points: their bounding box with every
+    coordinate range cut to its lower half."""
+    lo = tuple(map(min, zip(*bank.points)))
+    hi = tuple(map(max, zip(*bank.points)))
+    return Region(bank.graph, bank.base, lo,
+                  tuple((a + b) // 2 for a, b in zip(lo, hi)), mcap)
+
+
+def _cell_cases():
+    from latcoh import determinant, parse_graph
+    from latcoh.suites import random_graph
+    cases = []
+    for name, caps in (("s3.graph", (1, 2, 3)), ("rp3.graph", (1, 2, 3)),
+                       ("chain22.graph", (1, 2, 3)),
+                       ("star232.graph", (1, 2, 3)),
+                       ("twonode.graph", (1, 2)), ("e8.graph", (1, 2))):
+        g = parse_graph((DATA / name).read_text())
+        for mcap in caps:
+            cases.append(pytest.param(g, mcap, id="%s-%d" % (name, mcap)))
+    rng = random.Random(11)
+    demos = len(cases)
+    while len(cases) < demos + 8:
+        g = random_graph(rng, max_vertices=4, weights=(-4, -1), extra_edge=0)
+        if (is_negative_definite(g).form_negative_definite
+                and abs(determinant(g)) <= 12):
+            cases.append(pytest.param(g, 2, id="tree%d" % (len(cases) - demos)))
+    return cases
+
+
+FAULT_STATES = (None, "cube-weight-parity-offset", "delta-coface-shift-sign")
+
+
+def _fault_state(fault):
+    return contextlib.nullcontext() if fault is None else faults.injected(fault)
+
+
+def _same_bank(got, want):
+    assert got.points == want.points
+    assert got.cells == want.cells
+    assert got.wmin == want.wmin
+    assert got.complete_to == want.complete_to
+
+
+@pytest.mark.parametrize("fault", FAULT_STATES)
+@pytest.mark.parametrize("g, mcap", _cell_cases())
+def test_face_up_cells_match_the_mask_scan(g, mcap, fault):
+    for cls in spinc_representatives(g):
+        with _fault_state(fault):
+            want = _reference_class_cells(g, cls, mcap)
+            _same_bank(class_cells(g, cls, mcap), want)
+            box = _lower_half(want, mcap)
+            clipped = _reference_class_cells(g, cls, mcap, box=box)
+            assert clipped.complete_to is None
+            _same_bank(class_cells(g, cls, mcap, box=box), clipped)
+
+
+@pytest.mark.parametrize("fault", FAULT_STATES)
+def test_face_up_cells_match_the_mask_scan_on_a_bounds_box(fault):
+    g = chain(-2, -1, -2)  # degenerate: det 0
+    assert not is_negative_definite(g).form_negative_definite
+    base = tuple(g.weights)
+    box = Region(g, base, (-2, -2, -2), (2, 2, 2), 3)
+    cubes = _reference_class_cells(g, base, 3, box=box).cells
+    assert any(bin(s).count("1") == 3 for _, s in cubes)
+    with _fault_state(fault):
+        want = _reference_class_cells(g, base, 3, box=box)
+        _same_bank(class_cells(g, base, 3, box=box), want)
+
+
+def test_cells_read_each_cube_once(monkeypatch):
+    # The face-up build keeps no memo of misses: one weight read per cell,
+    # where the mask scan read all 2401 * 2^8 = 614,656 masks.
+    from latcoh import engine
+    calls = []
+    real = engine.offset_cube_weight
+
+    def counted(*args):
+        calls.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(engine, "offset_cube_weight", counted)
+    g = e8()
+    bank = class_cells(g, spinc_representatives(g)[0].base, 2)
+    assert len(bank.points) == 2401
+    assert len(bank.cells) == 22009
+    assert sorted(calls) == sorted(bank.cells)
+
+
+def test_cell_bank_cap_is_a_basis_cap_error(monkeypatch):
+    from latcoh import BasisCapError, engine
+    g = e8()
+    base = spinc_representatives(g)[0].base
+    size = len(class_cells(g, base, 1).cells)
+    monkeypatch.setattr(engine, "BASIS_CAP", size)
+    assert len(class_cells(g, base, 1).cells) == size
+    monkeypatch.setattr(engine, "BASIS_CAP", size - 1)
+    with pytest.raises(BasisCapError, match="cell bank exceeded %d cubes"
+                       % (size - 1)):
+        class_cells(g, base, 1)

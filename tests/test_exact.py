@@ -1,3 +1,7 @@
+import itertools
+import math
+import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -110,3 +114,89 @@ def test_enumerate_sublevel_matches_brute_force():
 
 def test_enumerate_sublevel_zero_dims():
     assert list(exact.enumerate_sublevel([], [], Fraction(1))) == [()]
+
+
+def _sublevel_cases():
+    """Seeded positive definite integer forms of dimension 1-5: negated
+    forms of random definite trees, and dense A^T A + I."""
+    from latcoh import intersection_matrix, is_negative_definite
+    from latcoh.suites import random_graph
+    rng = random.Random(2024)
+    forms = []
+    while len(forms) < 10:
+        g = random_graph(rng, max_vertices=5, weights=(-4, -1), extra_edge=0.3)
+        if is_negative_definite(g).form_negative_definite:
+            forms.append([[-v for v in row] for row in intersection_matrix(g)])
+    for n in (2, 3, 4, 5):
+        a = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)]
+        forms.append([[sum(a[k][i] * a[k][j] for k in range(n)) + (i == j)
+                       for j in range(n)] for i in range(n)])
+    assert {len(q) for q in forms} == {1, 2, 3, 4, 5}
+    for q in forms:
+        center = [Fraction(rng.randint(-20, 20), rng.randint(1, 9))
+                  for _ in q]
+        yield q, center, rng
+
+
+def _form_value(q, center, x):
+    z = [xi - c for xi, c in zip(x, center)]
+    return sum(z[i] * q[i][j] * z[j] for i in range(len(q)) for j in range(len(q)))
+
+
+def _brute_values(q, center, top):
+    """f at every integer point of the bounding box of {f <= top}, by
+    (x_i - c_i)^2 <= top (Q^-1)_ii; f is summed in integers (times den^2)."""
+    n = len(q)
+    den = math.lcm(*(c.denominator for c in center))
+    ranges = []
+    for i in range(n):
+        inv_ii = exact.solve_fraction(q, [int(j == i) for j in range(n)])[i]
+        half = math.isqrt((max(top, 0) * inv_ii).__ceil__()) + 1
+        ranges.append(range(center[i].__floor__() - half,
+                            center[i].__ceil__() + half + 1))
+    out = {}
+    for x in itertools.product(*ranges):
+        y = [den * xi - int(c * den) for xi, c in zip(x, center)]
+        out[x] = Fraction(sum(yi * sum(map(operator.mul, row, y))
+                              for yi, row in zip(y, q)), den * den)
+    return out
+
+
+def test_enumerate_sublevel_matches_brute_force_seeded():
+    for q, center, rng in _sublevel_cases():
+        # f at a lattice point near the center puts a point on the boundary.
+        near = tuple(round(c) + rng.randint(-1, 1) for c in center)
+        edge = _form_value(q, center, near)
+        values = _brute_values(q, center, edge)
+        for bound in (edge, edge - Fraction(1, 7), Fraction(0), Fraction(-1, 3)):
+            got = list(exact.enumerate_sublevel(q, center, bound))
+            assert len(got) == len(set(got))
+            assert set(got) == {x for x, f in values.items() if f <= bound}
+            assert (near in got) == (bound >= edge)
+        # At bound 0 an integral center is the only point.
+        corner = [c.__floor__() for c in center]
+        assert list(exact.enumerate_sublevel(q, corner, 0)) == [tuple(corner)]
+
+
+def test_enumerate_sublevel_rational_form():
+    q = [[Fraction(3, 2), Fraction(-1, 3)], [Fraction(-1, 3), Fraction(5, 7)]]
+    center = [Fraction(2, 9), Fraction(-7, 4)]
+    values = _brute_values(q, center, Fraction(9))
+    for bound in (Fraction(0), Fraction(1, 2), Fraction(11, 3), Fraction(9)):
+        got = set(exact.enumerate_sublevel(q, center, bound))
+        assert got == {x for x, f in values.items() if f <= bound}
+    with pytest.raises(ValueError):
+        list(exact.enumerate_sublevel([[1, 2], [2, 1]], [0, 0], 1))
+
+
+def test_enumerate_sublevel_limit_raises_at_the_next_point():
+    q, center, _ = next(_sublevel_cases())
+    points = list(exact.enumerate_sublevel(q, center, 40))
+    assert len(points) >= 3
+    assert list(exact.enumerate_sublevel(q, center, 40,
+                                         limit=len(points))) == points
+    cap = len(points) - 1
+    gen = exact.enumerate_sublevel(q, center, 40, limit=cap)
+    assert [next(gen) for _ in range(cap)] == points[:cap]
+    with pytest.raises(RuntimeError, match="exceeded %d points" % cap):
+        next(gen)
