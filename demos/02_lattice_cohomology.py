@@ -3,8 +3,9 @@
 The cochain complex of one spin-c class splits into finite pieces by cube
 degree and by the grading 2m + 2(w - wmin); each piece is exact linear
 algebra over GF(2).  Towers (truncated free summands) and U-torsion pieces
-are read off from composite U-ranks, and an answer is only marked stable
-when its cells provably hold the whole sublevel set up to the U cap.
+are the bars of one reduction of the coboundary in sublevel-filtration
+order, and an answer is only marked stable when its cells provably hold
+the whole sublevel set up to the U cap.
 """
 
 import time
@@ -38,9 +39,10 @@ print("  (one tower, nothing in higher degrees: an L-space)")
 
 print("\n=== under the hood: graded pieces of the RP^3 complex ===")
 g = parse_graph(open("demos/data/rp3.graph").read())
-cx = GradedGF2Complex(class_cells(g, (0,), 3), 3, grading_cap=6)
+bank = class_cells(g, (0,), 3)
+cx = GradedGF2Complex(bank, 3)
 hom = ComplexHomology(cx)
 print("  chain dims per (degree, grading):",
       {pg: cx.dim(*pg) for pg in cx.pieces()})
 print("  homology dims:", dict(sorted(hom.dims.items())))
-print("  presentation:", module_presentation(hom, 3))
+print("  presentation:", module_presentation(bank))

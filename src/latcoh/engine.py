@@ -1,21 +1,20 @@
-"""Exact homology of truncated lattice complexes.
+"""Exact cohomology of the lattice complex of one spin-c class.
 
-The complex of one spin-c class splits by cube degree s and by the integer
-grading g = 2m + 2(w - wmin): the coboundary preserves g, the U action drops
-it by two.  Each (s, g) piece is a finite GF(2) complex, and a piece is the
-literal truth about the infinite lattice whenever the enumerated cells cover
-the full sublevel set of weight g/2 + wmin, which is how regions are sized.
-The points are the exact sublevel set for definite forms (integer
-lattice-point enumeration, ``exact.enumerate_sublevel``), or the points of
-an explicit box under the cap otherwise.  Cubes are then built from the
-faces up over either point map: a cube is admissible iff its corners are
-all points, and admissible cubes are downward closed.
+The points of a class are its exact sublevel set for definite forms
+(integer lattice-point enumeration, ``exact.enumerate_sublevel``), or the
+points of an explicit box under the cap otherwise.  Cubes are then built
+from the faces up over either point map: a cube is admissible iff its
+corners are all points, and admissible cubes are downward closed.
 
-Homology is computed by plain Gaussian elimination over bitset rows, basis
-order fixed by (offset, mask, U-power), so rerunning an input gives
-byte-identical output.  Distinct (class, degree) pieces are independent and
-could be processed concurrently; this implementation keeps them sequential
-and deterministic.
+By Nemethi's definition H^q of a class is the persistence module of its
+sublevel filtration, with U acting as restriction, so
+``module_presentation`` reads its towers and torsions off one reduction of
+the cell bank's coboundary in filtration order.  The long-exact-sequence
+check needs cycle representatives instead: for it the complex splits by
+cube degree and by the grading g = 2m + 2(w - wmin) (the coboundary keeps
+g, U drops it by two) into finite GF(2) pieces, eliminated one by one.
+Every elimination runs over bitset columns in a fixed order, so rerunning
+an input gives byte-identical output.
 """
 
 from dataclasses import dataclass, replace
@@ -163,31 +162,33 @@ def class_cells(graph: PlumbingGraph, spinc_or_base, mcap: int,
 
 
 class GradedGF2Complex:
-    """Bases and matrices of one class window, split by (degree, grading).
+    """Bases and coboundary matrices of one class, split by (degree,
+    grading), for the long-exact-sequence check only.
 
-    Basis triples are ordered lexicographically by (offset, mask, U-power);
-    the coboundary and the U action are exact sparse GF(2) matrices between
-    pieces.  ``escaped`` lists pieces whose coboundary was clipped by the
-    window; pieces at gradings covered by the cell bank never are, and
-    ``stabilize`` never calls an answer with escaped pieces stable.
+    Basis triples are ordered lexicographically by (offset, mask, U-power),
+    up to the grading 2(complete_to - wmin) that the bank certifies; the
+    coboundary is an exact sparse GF(2) matrix between pieces.  Above
+    grading 2 mcap the pieces are U-truncated, which the sublevel
+    filtration behind ``module_presentation`` does not represent.  Only
+    complete banks are accepted: in a box-clipped bank a missing coface
+    may be a cube the box cut off.
     """
 
-    def __init__(self, bank: CellBank, mcap: int, grading_cap: int = None):
+    def __init__(self, bank: CellBank, mcap: int):
+        if bank.complete_to is None:
+            raise ValueError("the cell bank is not complete: a box clipped "
+                             "its sublevel set")
         self.bank = bank
-        self.graph = bank.graph
-        self.mcap = mcap
-        self.grading_cap = grading_cap
-        self.wmin = bank.wmin
         self.bases = {}
         self.index = {}
-        self.escaped = set()
+        grading_cap = 2 * (bank.complete_to - bank.wmin)
         count = 0
         for x, s in sorted(bank.cells):
-            w = bank.cells[(x, s)] - self.wmin
+            w = bank.cells[(x, s)] - bank.wmin
             deg = bin(s).count("1")
             for m in range(mcap + 1):
                 g = 2 * m + 2 * w
-                if grading_cap is not None and g > grading_cap:
+                if g > grading_cap:
                     continue
                 piece = self.bases.setdefault((deg, g), [])
                 self.index[(x, s, m)] = (deg, g, len(piece))
@@ -203,29 +204,20 @@ class GradedGF2Complex:
         return len(self.bases.get((deg, g), ()))
 
     def delta_triple(self, x, s, m):
-        """In-window coboundary image of one dual; clipped targets flag the
-        source piece as escaped.
+        """Coboundary image of one dual.
 
-        A coface missing from a sublevel-complete bank has weight above the
-        cap, so it is a legal drop whenever w + m stays under the cap; only
-        box-clipped banks can actually lose terms here.
+        A coface missing from the complete bank weighs more than
+        ``complete_to`` >= w + m, so its gap exceeds m and it is dropped
+        by the U-power rule anyway.  Only a negative gap, which an injected
+        weight fault can cause, gives a triple outside the basis.
         """
-        bank = self.bank
-        cells = bank.cells
-        deg, g, _ = self.index[(x, s, m)]
-        certain = (bank.complete_to is not None
-                   and cells[(x, s)] + m <= bank.complete_to)
         out = set()
-        for y, up, gap in cofaces(cells.get, x, s, self.graph.n):
-            if gap is None:
-                if not certain:
-                    self.escaped.add((deg, g))
-            elif gap <= m:
+        bank = self.bank
+        for y, up, gap in cofaces(bank.cells.get, x, s, bank.graph.n):
+            if gap is not None and gap <= m:
                 triple = (y, up, m - gap)
                 if triple in self.index:
                     out.symmetric_difference_update([triple])
-                else:
-                    self.escaped.add((deg, g))
         return out
 
     def delta_matrix(self, deg, g):
@@ -242,18 +234,6 @@ class GradedGF2Complex:
             cols.append(vec)
         return cols
 
-    def u_matrix(self, deg, g):
-        """Columns of the U action from (deg, g) into (deg, g-2)."""
-        src = self.bases.get((deg, g), ())
-        cols = []
-        for x, s, m in src:
-            if m == 0:
-                cols.append(0)
-                continue
-            pos = self.index[(x, s, m - 1)][2]
-            cols.append(1 << pos)
-        return cols
-
 
 class PieceHomology:
     def __init__(self, boundary_cols, cycle_vectors):
@@ -267,12 +247,10 @@ class PieceHomology:
     def dim(self):
         return self.quotient.dim
 
-    def coords(self, vec) -> int:
-        return self.quotient.coords(vec)
-
 
 class ComplexHomology:
-    """Homology of every (degree, grading) piece, with the induced U maps.
+    """Homology of every (degree, grading) piece, for the long-exact-sequence
+    check only.
 
     Representative cycles are kept so chain maps can be pushed to homology
     exactly.
@@ -291,20 +269,6 @@ class ComplexHomology:
     def dims(self):
         return {pg: h.dim for pg, h in self.pieces.items() if h.dim}
 
-    def piece(self, deg, g) -> PieceHomology:
-        return self.pieces.get((deg, g))
-
-    def u_on_homology(self, deg, g):
-        """Columns of U: H(deg, g) -> H(deg, g-2) on homology coordinates."""
-        here = self.pieces.get((deg, g))
-        if here is None or here.dim == 0:
-            return []
-        below = self.pieces.get((deg, g - 2))
-        if below is None or below.dim == 0:
-            return [0] * here.dim
-        return [below.coords(img)
-                for img in gf2.matmul(self.cx.u_matrix(deg, g), here.reps)]
-
     def reduce_chain(self, terms) -> dict:
         """Homology coordinates of a cycle given by offset-indexed dual
         triples, split by (degree, grading) piece."""
@@ -312,7 +276,8 @@ class ComplexHomology:
         for x, s, m in terms:
             deg, g, pos = self.cx.index[(x, s, m)]
             grouped[(deg, g)] = grouped.get((deg, g), 0) ^ (1 << pos)
-        return {pg: self.pieces[pg].coords(vec) for pg, vec in grouped.items()}
+        return {pg: self.pieces[pg].quotient.coords(vec)
+                for pg, vec in grouped.items()}
 
 
 @dataclass(frozen=True)
@@ -324,47 +289,60 @@ class DegreeModule:
     torsions: tuple
 
 
-def module_presentation(hom: ComplexHomology, mcap: int = None) -> dict:
-    """Decompose graded homology into cyclic U-summands per degree.
+def module_presentation(bank: CellBank) -> dict:
+    """Decompose the class's cohomology into cyclic U-summands per degree.
 
-    Interval multiplicities come from composite U-ranks; a summand whose
-    chain reaches the grading of the U cap is reported as a tower (exactly
-    so when ``stabilize`` certifies the answer).
+    H^q is the persistence module of the sublevel filtration, with U the
+    restriction map, so its summands are the bars of one reduction of the
+    bank's coboundary in filtration order: the cohomology form with
+    clearing (de Silva, Morozov and Vejdemo-Johansson 2011; Chen and
+    Kerber 2011).  Within a degree the cells are ordered by (weight,
+    (x, S)), and rows are indexed per degree, which keeps the columns
+    short.  Degree d is reduced before d + 1, its columns from last to
+    first, each pivoting at its earliest row; a degree-(d+1) cell that was
+    a pivot row of degree d is already paired, so its column is skipped.
+
+    A pair (sigma, tau) is torsion of bottom 2(w(sigma) - wmin) and length
+    w(tau) - w(sigma); a pair of equal weights is no summand.  An unpaired
+    cell is a summand that reaches the top grading, reported as a tower
+    (exactly so when ``stabilize`` certifies the answer).
     """
-    if mcap is None:
-        mcap = hom.cx.mcap
-    degrees = sorted({deg for deg, _ in hom.dims})
+    cells, n, wmin = bank.cells, bank.graph.n, bank.wmin
+    layers = {}
+    for cube, w in cells.items():
+        layers.setdefault(bin(cube[1]).count("1"), []).append((w, cube))
     out = {}
-    for deg in degrees:
-        grades = sorted(g for d, g in hom.dims if d == deg)
-        dim = {g: hom.dims.get((deg, g), 0) for g in grades}
-        ucols = {g: hom.u_on_homology(deg, g) for g in grades}
-
-        def composite_rank(top, bot, _deg=deg, _dim=dim, _ucols=ucols):
-            if top < bot or not _dim.get(top):
-                return 0
-            cols = [1 << i for i in range(_dim[top])]
-            g = top
-            while g > bot:
-                if not _dim.get(g - 2):
-                    return 0
-                cols = gf2.matmul(_ucols[g], cols)
-                g -= 2
-            return gf2.rank(cols)
-
+    cleared = set()
+    order = sorted(layers.get(0, ()))
+    for deg in range(len(layers)):
+        upper = sorted(layers.get(deg + 1, ()))
+        rows = {cube: i for i, (_, cube) in enumerate(upper)}
+        pivots = {}
         towers, torsions = [], []
-        for bot in grades:
-            for top in (g for g in grades if g >= bot):
-                mult = (composite_rank(top, bot)
-                        - composite_rank(top + 2, bot)
-                        - composite_rank(top, bot - 2)
-                        + composite_rank(top + 2, bot - 2))
-                for _ in range(mult):
-                    if top >= 2 * mcap:
-                        towers.append(bot)
-                    else:
-                        torsions.append((bot, (top - bot) // 2 + 1))
-        out[deg] = DegreeModule(tuple(sorted(towers)), tuple(sorted(torsions)))
+        for pos in range(len(order) - 1, -1, -1):
+            if pos in cleared:
+                continue
+            w, (x, s) = order[pos]
+            col = 0
+            for y, up, gap in cofaces(cells.get, x, s, n):
+                if gap is not None:
+                    col ^= 1 << rows[(y, up)]
+            while col:
+                low = (col & -col).bit_length() - 1
+                other = pivots.get(low)
+                if other is None:
+                    pivots[low] = col
+                    break
+                col ^= other
+            if not col:
+                towers.append(2 * (w - wmin))
+            elif upper[low][0] > w:
+                torsions.append((2 * (w - wmin), upper[low][0] - w))
+        if towers or torsions:
+            out[deg] = DegreeModule(tuple(sorted(towers)),
+                                    tuple(sorted(torsions)))
+        cleared = set(pivots)
+        order = upper
     return out
 
 
@@ -376,7 +354,6 @@ class GradedModulePresentation:
     class_index: int
     base: tuple
     degrees: dict
-    dims: dict
     stabilized: bool
     region: dict
 
@@ -409,15 +386,11 @@ def _one_tower(degrees: dict) -> bool:
     return towers.pop(0, 0) == 1 and not any(towers.values())
 
 
-def _presentation_data(graph, base, mcap, box=None, grading_cap=None):
-    """Cell bank and homology of one class in every grading up to
-    ``grading_cap`` (default twice the U cap): the one place a class's
-    cells become a complex and its homology."""
-    if grading_cap is None:
-        grading_cap = 2 * mcap
-    bank = class_cells(graph, base, mcap, box=box,
-                       wcap_extra=grading_cap // 2 - mcap)
-    return bank, ComplexHomology(GradedGF2Complex(bank, mcap, grading_cap))
+def _presentation_data(graph, base, mcap, grading_cap):
+    """Cell bank and graded homology of one class in every grading up to
+    ``grading_cap``, for the long-exact-sequence check."""
+    bank = class_cells(graph, base, mcap, wcap_extra=grading_cap // 2 - mcap)
+    return bank, ComplexHomology(GradedGF2Complex(bank, mcap))
 
 
 def stabilize(graph: PlumbingGraph, spinc_or_base, mcap: int,
@@ -429,25 +402,24 @@ def stabilize(graph: PlumbingGraph, spinc_or_base, mcap: int,
     (definite forms only); with them, the cells inside ``bounds`` rebased
     onto the class.  The answer is flagged stable exactly when the cell
     bank is certified to hold every cube of the infinite lattice up to the
-    cap (``CellBank.complete_to``, which only definite forms reach), no
-    coboundary was clipped, and the summands at the top grading are the
-    single degree-0 tower the structure theorem allows (``_one_tower``);
-    otherwise a torsion summand may be reported as a tower.  ``region`` is
-    the bounding box of the enumerated offsets at this U cap; passing it
-    back as ``bounds`` reproduces the answer."""
+    cap (``CellBank.complete_to``, which only definite forms reach) and
+    the summands at the top grading are the single degree-0 tower the
+    structure theorem allows (``_one_tower``); otherwise a torsion summand
+    may be reported as a tower.  ``region`` is the bounding box of the
+    enumerated offsets at this U cap; passing it back as ``bounds``
+    reproduces the answer."""
     base = coords_of(getattr(spinc_or_base, "base", spinc_or_base))
     index = getattr(spinc_or_base, "index", -1)
     box = None if bounds is None else replace(bounds, base=base)
-    bank, hom = _presentation_data(graph, base, mcap, box)
+    bank = class_cells(graph, base, mcap, box=box)
     corners = list(zip(*bank.points))
     region = Region(graph, base, tuple(map(min, corners)),
                     tuple(map(max, corners)), mcap)
-    degrees = module_presentation(hom, mcap)
+    degrees = module_presentation(bank)
     return GradedModulePresentation(
         graph_hash=graph_hash(graph), class_index=index, base=base,
-        degrees=degrees, dims=dict(hom.dims),
-        stabilized=(bank.complete_to is not None and not hom.cx.escaped
-                    and _one_tower(degrees)),
+        degrees=degrees,
+        stabilized=bank.complete_to is not None and _one_tower(degrees),
         region=region.to_json())
 
 
@@ -552,9 +524,8 @@ def _side_map_columns(deg, src_homs, image_terms, dst_homs, dst_lookup,
         for (d, g) in sorted(hom.dims):
             if d != deg:
                 continue
-            piece = hom.piece(d, g)
             basis = hom.cx.bases[(d, g)]
-            for rep in piece.reps:
+            for rep in hom.pieces[(d, g)].reps:
                 terms = set()
                 for pos in bits(rep):
                     x, s, m = basis[pos]

@@ -42,8 +42,8 @@ class Basis:
 
 
 class Quotient:
-    """Cosets of a subspace: reduce against the subspace, then track a
-    staircase of representatives with coordinates over insertion order."""
+    """Cosets of a subspace: a staircase of representatives, with
+    coordinates over insertion order, kept reduced modulo the subspace."""
 
     def __init__(self, sub: Basis):
         self.sub = sub
@@ -51,10 +51,16 @@ class Quotient:
         self.dim = 0
 
     def _reduce(self, v: int):
+        # One loop over both staircases: xoring a representative in can
+        # bring a subspace pivot back to the top.
         c = 0
-        v = self.sub.reduce(v)
+        sub = self.sub.pivots
         while v:
             p = v.bit_length() - 1
+            w = sub.get(p)
+            if w is not None:
+                v ^= w
+                continue
             entry = self.pivots.get(p)
             if entry is None:
                 return v, c
