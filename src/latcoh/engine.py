@@ -19,15 +19,16 @@ an input gives byte-identical output.
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 
 from . import exact, faults, gf2
 from .graph import (LatcohError, PlumbingGraph, graph_hash,
                     intersection_matrix, is_negative_definite,
                     spinc_representatives)
-from .lattice import (BASIS_CAP, BasisCapError, Region, bits, cofaces,
-                      continuous_minimum, coords_of, get_engine,
-                      offset_cube_weight)
-from .triangle import SesReport, TriangleContext, _a_targets
+from .lattice import (BASIS_CAP, BasisCapError, Region, bits,
+                      check_characteristic, cofaces, continuous_minimum,
+                      lattice_point, offset_cube_weight, relative_weight)
+from .triangle import SesReport, TriangleContext, _a_targets, _b_targets
 
 
 class NonStabilizingError(LatcohError):
@@ -61,7 +62,6 @@ class CellBank:
 
 def _sublevel_points(graph, base, wcap_rel, limit=BASIS_CAP):
     """All lattice offsets with relative weight <= wcap_rel (definite forms)."""
-    eng = get_engine(graph)
     neg = [[-x for x in row] for row in intersection_matrix(graph)]
     xbar, wbar = continuous_minimum(graph, base)
     bound = 2 * (Fraction(wcap_rel) - wbar)
@@ -70,7 +70,7 @@ def _sublevel_points(graph, base, wcap_rel, limit=BASIS_CAP):
         return out
     try:
         for x in exact.enumerate_sublevel(neg, xbar, bound, limit=limit):
-            out[x] = eng.rel_weight(base, x)
+            out[x] = relative_weight(graph, base, x)
     except RuntimeError as err:  # the enumeration's point limit
         raise BasisCapError(str(err)) from err
     return out
@@ -112,9 +112,8 @@ def class_cells(graph: PlumbingGraph, spinc_or_base, mcap: int,
     """Enumerate the cubes of one class up to relative weight
     wmin + mcap + wcap_extra: the exact sublevel set for definite forms
     (restricted to ``box`` when given), the points of ``box`` otherwise."""
-    base = coords_of(getattr(spinc_or_base, "base", spinc_or_base))
-    eng = get_engine(graph)
-    eng.check_characteristic(base)
+    base = tuple(getattr(spinc_or_base, "base", spinc_or_base))
+    check_characteristic(graph, base)
     n = graph.n
 
     complete = None
@@ -141,7 +140,7 @@ def class_cells(graph: PlumbingGraph, spinc_or_base, mcap: int,
             raise LatcohError("the form is not negative definite, so its "
                               "sublevel sets are not finite: pass --bounds")
         # ``iter_offsets`` enforces the basis cap on the box volume.
-        pts = {x: eng.rel_weight(base, x) for x in box.iter_offsets()}
+        pts = {x: relative_weight(graph, base, x) for x in box.iter_offsets()}
         wcap = min(pts.values()) + mcap + wcap_extra
         pts = {x: w for x, w in pts.items() if w <= wcap}
 
@@ -149,7 +148,7 @@ def class_cells(graph: PlumbingGraph, spinc_or_base, mcap: int,
         raise NonStabilizingError("no lattice points under the weight cap")
     wmin = min(pts.values())
 
-    points = {x: (eng.point(base, x), pts[x]) for x in sorted(pts)}
+    points = {x: (lattice_point(graph, base, x), pts[x]) for x in sorted(pts)}
     # Every admissible cube is read once through the kernel's weight
     # routine, which adds the active faults to the memo's fault-free value.
     memo = _admissible_cubes(pts, n)
@@ -408,7 +407,7 @@ def stabilize(graph: PlumbingGraph, spinc_or_base, mcap: int,
     may be reported as a tower.  ``region`` is the bounding box of the
     enumerated offsets at this U cap; passing it back as ``bounds``
     reproduces the answer."""
-    base = coords_of(getattr(spinc_or_base, "base", spinc_or_base))
+    base = tuple(getattr(spinc_or_base, "base", spinc_or_base))
     index = getattr(spinc_or_base, "index", -1)
     box = None if bounds is None else replace(bounds, base=base)
     bank = class_cells(graph, base, mcap, box=box)
@@ -594,22 +593,16 @@ def _les_attempt(ctx, mcap, capg):
 
     top = max((d for side in dims.values() for d, _ in side), default=0)
 
-    def a_terms(k, s, m):
-        return _a_targets(ctx, k, s, m)
-
-    def b_terms(k, s, m):
-        if ctx.has_v(s):
-            return ()
-        return ((ctx.restrict_coords(k), ctx.restrict_mask(s), m),)
-
     a_cols, b_cols = {}, {}
     broken = False
     for deg in range(0, top + 2):
         off_g, _ = _global_index(homs_g, deg)
         off_m, _ = _global_index(homs_m, deg)
-        a_cols[deg], bad_a = _side_map_columns(deg, homs_p, a_terms,
+        a_cols[deg], bad_a = _side_map_columns(deg, homs_p,
+                                               partial(_a_targets, ctx),
                                                homs_g, lookup_g, off_g)
-        b_cols[deg], bad_b = _side_map_columns(deg, homs_g, b_terms,
+        b_cols[deg], bad_b = _side_map_columns(deg, homs_g,
+                                               partial(_b_targets, ctx),
                                                homs_m, lookup_m, off_m)
         broken = broken or bad_a or bad_b
 

@@ -81,6 +81,19 @@ class PlumbingGraph:
     def weight(self, vid: str) -> int:
         return self.weights[self.index(vid)]
 
+    @functools.cached_property
+    def _matrix(self) -> tuple:
+        """The intersection matrix, computed once per graph and dropped
+        with it; read it through ``intersection_matrix``."""
+        n = self.n
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            m[i][i] = self.weights[i]
+        for i, j, sign in self.edges:
+            m[i][j] += sign
+            m[j][i] += sign
+        return tuple(tuple(row) for row in m)
+
     def degree(self, i: int) -> int:
         return sum(1 for a, b, _ in self.edges for e in (a, b) if e == i)
 
@@ -190,16 +203,8 @@ def _parse_json(text: str) -> PlumbingGraph:
     return make_graph((vspec, edges))
 
 
-@functools.cache
 def intersection_matrix(graph: PlumbingGraph) -> tuple:
-    n = graph.n
-    m = [[0] * n for _ in range(n)]
-    for i in range(n):
-        m[i][i] = graph.weights[i]
-    for i, j, sign in graph.edges:
-        m[i][j] += sign
-        m[j][i] += sign
-    return tuple(tuple(row) for row in m)
+    return graph._matrix
 
 
 def determinant(graph: PlumbingGraph) -> int:

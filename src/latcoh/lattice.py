@@ -14,13 +14,16 @@ GF(2) combinations of dual generators U^{-m} (K, S)^v, encoded as frozensets
 of (K, S, m) triples with S a bitmask.
 
 This module is also the one kernel of the complex that the chain checks
-and the homology engine share: ``offset_cube_weight`` (the weight of a cube
-(x, S) given point weights at offsets x) and ``cofaces`` (the coboundary
-rule).  Each fault hook on them has its single site here.  Values are
-immutable; the only state is a cube-weight memo, owned by the window,
-cell bank or call that fills it.  Read top down, a memo also records the
-cubes found to have no weight; a cell bank fills its memo bottom up with
-its admissible cubes only, so it holds no miss.
+and the homology engine share, as plain functions of the graph:
+``relative_weight``, ``lattice_point`` (base + 2Mx), ``cube_weights`` (a
+memoised cube-weight function of one base), ``offset_cube_weight`` (the
+weight of a cube (x, S) given point weights at offsets x) and ``cofaces``
+(the coboundary rule).  Each fault hook on them has its single site here.
+Values are immutable; the only state is a cube-weight memo, owned by the
+window, cell bank or call that fills it, and no cache is keyed by a graph.
+Read top down, a memo also records the cubes found to have no weight; a
+cell bank fills its memo bottom up with its admissible cubes only, so it
+holds no miss.
 """
 
 import functools
@@ -55,10 +58,6 @@ class MonotonicityError(LatcohError):
 
 
 BASIS_CAP = 5_000_000
-
-
-def coords_of(k) -> tuple:
-    return tuple(k)
 
 
 @dataclass(frozen=True)
@@ -100,7 +99,7 @@ class Chain:
 
     @staticmethod
     def dual(k, s: int, m: int = 0) -> "Chain":
-        return Chain(frozenset([(coords_of(k), s, m)]))
+        return Chain(frozenset([(tuple(k), s, m)]))
 
 
 ZERO_CHAIN = Chain(frozenset())
@@ -125,59 +124,46 @@ def bits(mask: int):
         mask ^= low
 
 
-class WeightEngine:
-    """Per-graph intersection data: relative point weights and lattice
-    steps.  Holds no memo; cube-weight memos belong to the windows that
-    use them."""
+def check_characteristic(graph: PlumbingGraph, k):
+    """Raise unless k_i = m(i) mod 2 at every vertex i."""
+    for i, w in enumerate(graph.weights):
+        if (k[i] - w) % 2:
+            raise LatcohError("vector %r is not characteristic" % (k,))
 
-    def __init__(self, graph: PlumbingGraph):
-        self.graph = graph
-        self.m = intersection_matrix(graph)
-        self.n = graph.n
-        self.diag = tuple(self.m[i][i] for i in range(self.n))
-        self.cols = tuple(tuple(2 * self.m[i][j] for i in range(self.n))
-                          for j in range(self.n))
 
-    def check_characteristic(self, k):
-        for i in range(self.n):
-            if (k[i] - self.diag[i]) % 2:
-                raise LatcohError("vector %r is not characteristic" % (k,))
+def relative_weight(graph: PlumbingGraph, base, x) -> int:
+    """q(base + 2Mx) - q(base) for a characteristic base and an integer
+    offset x: -(base(x) + (x, x)) / 2, an exact integer."""
+    total = 0
+    m = intersection_matrix(graph)
+    for i, xi in enumerate(x):
+        if xi:
+            row = m[i]
+            acc = base[i]
+            for j, xj in enumerate(x):
+                if xj:
+                    acc += row[j] * xj
+            total += xi * acc
+    assert total % 2 == 0, "characteristic parity violated"
+    return -total // 2
 
-    def rel_weight(self, k, x) -> int:
-        """q(K + 2Mx) - q(K) for a characteristic K and integer offset x."""
-        total = 0
-        m = self.m
-        for i, xi in enumerate(x):
-            if xi:
-                row = m[i]
-                acc = k[i]
-                for j, xj in enumerate(x):
-                    if xj:
-                        acc += row[j] * xj
-                total += xi * acc
-        assert total % 2 == 0, "characteristic parity violated"
-        return -total // 2
 
-    def shift(self, k, j: int) -> tuple:
-        """K + 2E_j."""
-        col = self.cols[j]
-        return tuple(k[i] + col[i] for i in range(self.n))
+def lattice_point(graph: PlumbingGraph, base, x) -> tuple:
+    """The characteristic vector base + 2Mx."""
+    k = list(base)
+    m = intersection_matrix(graph)
+    for j, xj in enumerate(x):
+        if xj:
+            for i, mij in enumerate(m[j]):
+                k[i] += 2 * xj * mij
+    return tuple(k)
 
-    def point(self, base, x) -> tuple:
-        """The characteristic vector base + 2Mx."""
-        k = list(base)
-        for j, xj in enumerate(x):
-            if xj:
-                col = self.cols[j]
-                for i in range(self.n):
-                    k[i] += xj * col[i]
-        return tuple(k)
 
-    def cube_weights(self, base):
-        """Cube weights (x, S) -> weight relative to ``base`` of the cube at
-        base + 2Mx, memoised in a dict owned by the returned function."""
-        return functools.partial(offset_cube_weight,
-                                 functools.partial(self.rel_weight, base), {})
+def cube_weights(graph: PlumbingGraph, base):
+    """Cube weights (x, S) -> weight relative to ``base`` of the cube at
+    base + 2Mx, memoised in a dict owned by the returned function."""
+    return functools.partial(offset_cube_weight,
+                             functools.partial(relative_weight, graph, base), {})
 
 
 def offset_cube_weight(point_weight, memo: dict, cube: tuple):
@@ -245,22 +231,12 @@ def cofaces(cube_weight, x: tuple, s: int, n: int):
             yield y, up, gap
 
 
-@functools.cache
-def get_engine(graph: PlumbingGraph) -> WeightEngine:
-    return WeightEngine(graph)
-
-
-def relative_weight(graph: PlumbingGraph, base, x) -> int:
-    """q(base + 2Mx) - q(base), an exact integer; determinant-free."""
-    return get_engine(graph).rel_weight(coords_of(base), tuple(x))
-
-
 def absolute_q(graph: PlumbingGraph, k) -> Fraction:
     """q(K) = -(K, K)/8 with (K, K) through the inverse form; exact rational.
 
     Only defined for nondegenerate forms; use relative weights otherwise.
     """
-    coords = coords_of(k)
+    coords = tuple(k)
     m = intersection_matrix(graph)
     if exact.det_bareiss(m) == 0:
         raise DegenerateFormError("absolute weights need a nondegenerate form")
@@ -270,15 +246,14 @@ def absolute_q(graph: PlumbingGraph, k) -> Fraction:
 
 def cube_weight(graph: PlumbingGraph, k, s) -> int:
     """Relative weight of the cube (K, S): max corner weight against K."""
-    return get_engine(graph).cube_weights(coords_of(k))(((0,) * graph.n,
-                                                         mask_of(graph, s)))
+    return cube_weights(graph, tuple(k))(((0,) * graph.n, mask_of(graph, s)))
 
 
 def cube_corners(graph: PlumbingGraph, cube: CubePair) -> list:
-    eng = get_engine(graph)
     corners = [cube.K]
     for j in bits(cube.S):
-        corners += [eng.shift(c, j) for c in corners]
+        e_j = [int(i == j) for i in range(graph.n)]
+        corners += [lattice_point(graph, c, e_j) for c in corners]
     return corners
 
 
@@ -288,11 +263,12 @@ def cube_boundary(graph: PlumbingGraph, cube: CubePair) -> list:
     Coincident faces (possible only when a matrix column vanishes) cancel
     in pairs; the empty cube has no boundary.
     """
-    eng = get_engine(graph)
     out = {}
     for w in bits(cube.S):
         rest = cube.S & ~(1 << w)
-        for face in (CubePair(cube.K, rest), CubePair(eng.shift(cube.K, w), rest)):
+        e_w = [int(i == w) for i in range(graph.n)]
+        for face in (CubePair(cube.K, rest),
+                     CubePair(lattice_point(graph, cube.K, e_w), rest)):
             out[face] = out.get(face, 0) ^ 1
     return [face for face in sorted(out, key=lambda f: (f.K, f.S)) if out[face]]
 
@@ -313,7 +289,7 @@ class Region:
         if not len(self.base) == len(self.xmin) == len(self.xmax) == n:
             raise ValueError("base, xmin and xmax need one entry per vertex "
                              "(%d)" % n)
-        get_engine(self.graph).check_characteristic(self.base)
+        check_characteristic(self.graph, self.base)
         if self.mcap < 0:
             raise ValueError("mcap must be nonnegative")
         if any(a > b for a, b in zip(self.xmin, self.xmax)):
@@ -323,7 +299,7 @@ class Region:
     def cube_weight(self):
         """Cube weights (x, S) of this class relative to the base, memoised
         for the lifetime of the region."""
-        return get_engine(self.graph).cube_weights(self.base)
+        return cube_weights(self.graph, self.base)
 
     @functools.cached_property
     def _offset_map(self) -> dict:
@@ -359,7 +335,7 @@ class Region:
         return all(a <= xi <= b for xi, a, b in zip(x, self.xmin, self.xmax))
 
     def point(self, x) -> tuple:
-        return get_engine(self.graph).point(self.base, x)
+        return lattice_point(self.graph, self.base, x)
 
     def iter_offsets(self):
         if self.volume() > BASIS_CAP:
@@ -390,17 +366,17 @@ def delta(e: Chain, region) -> Chain:
     weights it is read against, and a coface at offset y has base corner
     K + 2M(y - x).
     """
-    eng = get_engine(region.graph)
+    graph = region.graph
     inside, out = set(), set()
     for k, s, m in e.terms:
         frame = region.frame(k)
         if frame is None:
             raise OutsideRegionError("term %r lies outside the region" % ((k, s, m),))
         x, weight = frame
-        for y, up, gap in cofaces(weight, x, s, eng.n):
+        for y, up, gap in cofaces(weight, x, s, graph.n):
             if gap > m:
                 continue
-            k2 = k if y is x else eng.point(k, map(operator.sub, y, x))
+            k2 = k if y is x else lattice_point(graph, k, map(operator.sub, y, x))
             ok = m - gap <= region.mcap and region.contains(k2)
             (inside if ok else out).symmetric_difference_update([(k2, up, m - gap)])
     return Chain(frozenset(inside), frozenset(out))
@@ -460,10 +436,9 @@ def _descend(graph: PlumbingGraph, base, start):
     while the weight strictly decreases.  Deterministic; it terminates
     because a definite form has finitely many offsets below any weight.
     """
-    eng = get_engine(graph)
     n = graph.n
     x = list(start)
-    w = eng.rel_weight(base, x)
+    w = relative_weight(graph, base, x)
     improved = True
     while improved:
         improved = False
@@ -472,7 +447,7 @@ def _descend(graph: PlumbingGraph, base, start):
                 while True:
                     trial = list(x)
                     trial[j] += sign
-                    wt = eng.rel_weight(base, trial)
+                    wt = relative_weight(graph, base, trial)
                     if wt < w:
                         x, w = trial, wt
                         improved = True
@@ -494,9 +469,8 @@ def truncation_region(graph: PlumbingGraph, spinc_or_base, mcap: int,
     """
     if mcap < 0:
         raise ValueError("mcap must be nonnegative")
-    base = coords_of(getattr(spinc_or_base, "base", spinc_or_base))
-    eng = get_engine(graph)
-    eng.check_characteristic(base)
+    base = tuple(getattr(spinc_or_base, "base", spinc_or_base))
+    check_characteristic(graph, base)
     n = graph.n
     if n == 0:
         return Region(graph, base, (), (), mcap)
@@ -512,8 +486,9 @@ def truncation_region(graph: PlumbingGraph, spinc_or_base, mcap: int,
     start = tuple(int(c.__floor__() + (1 if c - c.__floor__() > Fraction(1, 2)
                                        else 0)) for c in xbar)
     xstar, wstar = _descend(graph, base, start)
-    maxvar = max(abs(eng.rel_weight(base, tuple(xi + (sign if i == j else 0)
-                                                for i, xi in enumerate(xstar)))
+    maxvar = max(abs(relative_weight(graph, base,
+                                     tuple(xi + (sign if i == j else 0)
+                                           for i, xi in enumerate(xstar)))
                      - wstar)
                  for j in range(n) for sign in (-1, 1))
     budget = 2 * (Fraction(wstar) + mcap + n + maxvar - wbar)

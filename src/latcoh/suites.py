@@ -124,27 +124,16 @@ def suite_chain_maps(seed: int, graphs: int = 8, mcap: int = 3,
         slo, shi = region.t_middle
         ys = triangle._interior_y(region)
         rng.shuffle(ys)
-        full = (1 << ctx.graph.n) - 1
-        for y in ys[:3]:
-            for smask in range(full + 1):
-                for s_off in range(slo, shi + 1, 2):
-                    for m in (0, mcap):
-                        kg = triangle._g_vector(ctx, y, s_off)
-                        for which, k in (("A", ctx.to_plus(kg)), ("B", kg)):
-                            try:
-                                ok = triangle.chain_map_commutes(
-                                    ctx, region, k, smask, m, which)
-                            except (ValueError, lattice.OutsideRegionError):
-                                continue
-                            res.checked += 1
-                            if not ok:
-                                res.failures.append(
-                                    {"check": "chain-map-" + which,
+        for which, k, smask, m, ok in triangle.chain_map_trials(
+                ctx, region, ys[:3], range(slo, shi + 1, 2)):
+            res.checked += 1
+            if not ok:
+                res.failures.append({"check": "chain-map-" + which,
                                      "graph": graph_spec(ctx.graph),
                                      "vertex": ctx.v,
                                      "element": [list(k), smask, m]})
-                            if res.checked >= target:
-                                return res
+            if res.checked >= target:
+                return res
     return res
 
 

@@ -33,7 +33,7 @@ from . import faults, gf2
 from .graph import (LatcohError, PlumbingGraph, characteristic_base,
                     delete_vertex, graph_hash, increment_weight)
 from .lattice import (Chain, OutsideRegionError, RegionTooSmallError, bits,
-                      coords_of, delta, get_engine, mask_of)
+                      cube_weights, delta, mask_of)
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ class TriangleContext:
         weight = self.weights.get((plus, k))
         if weight is None:
             graph = self.plus if plus else self.graph
-            weight = self.weights[(plus, k)] = get_engine(graph).cube_weights(k)
+            weight = self.weights[(plus, k)] = cube_weights(graph, k)
         return weight
 
     def to_plus(self, k) -> tuple:
@@ -101,10 +101,10 @@ def r_value(ctx: TriangleContext, k, s) -> int:
     smask = mask_of(ctx.graph, s)
     if not ctx.has_v(smask):
         raise LatcohError("r((K,t),S) needs v in S")
-    k = coords_of(k)
+    k = tuple(k)
     r = ctx.r_memo.get((k, smask))
     if r is None:
-        weight = get_engine(ctx.graph).cube_weights(k)
+        weight = cube_weights(ctx.graph, k)
         rest = smask & ~(1 << ctx.v_index)
         zero = (0,) * ctx.graph.n
         e_v = tuple(int(j == ctx.v_index) for j in range(ctx.graph.n))
@@ -116,7 +116,7 @@ def c_exponent_def(ctx: TriangleContext, i: int, k, s) -> int:
     """The exponent straight from its definition: cube-weight brackets on G
     and on G+, plus the quadratic term."""
     smask = mask_of(ctx.graph, s)
-    k = coords_of(k)
+    k = tuple(k)
     vi = ctx.v_index
     kp = tuple(x + (2 * i + 1 if j == vi else 0) for j, x in enumerate(k))
     zero = (0,) * ctx.graph.n
@@ -190,24 +190,30 @@ def map_A(ctx: TriangleContext, e: Chain, region) -> Chain:
     return Chain(frozenset(inside), frozenset(out))
 
 
-def map_B(ctx: TriangleContext, e: Chain, region) -> Chain:
-    """Chain map B: forget the distinguished coordinate.
-
-    Terms with v in S die; otherwise U^-m ((K,t),S)^v goes to
-    U^-m (K,S)^v over G-v, independent of t.
-    """
+def _b_targets(ctx: TriangleContext, k, smask: int, m: int):
+    """Image terms of B on the dual U^-m ((K,t),S)^v of G: none when v is
+    in S, else U^-m (K,S)^v over G-v, independent of t."""
     vi = ctx.v_index
+    if (k[vi] - ctx.base_g[vi]) % 2:
+        raise LatcohError("term is not characteristic for G")
+    if ctx.has_v(smask):
+        return ()
+    if faults.is_active("b-parity-skip") and ((k[vi] - ctx.base_g[vi]) // 2) % 2:
+        return ()
+    return ((ctx.restrict_coords(k), ctx.restrict_mask(smask), m),)
+
+
+def map_B(ctx: TriangleContext, e: Chain, region) -> Chain:
+    """Chain map B: forget the distinguished coordinate (``_b_targets``).
+
+    With a TriangleRegion, image terms outside its G-v window are reported
+    as escaped; with None every image term is kept.
+    """
     inside, out = set(), set()
     for k, s, m in e.terms:
-        if (k[vi] - ctx.base_g[vi]) % 2:
-            raise LatcohError("term is not characteristic for G")
-        if ctx.has_v(s):
-            continue
-        if faults.is_active("b-parity-skip") and ((k[vi] - ctx.base_g[vi]) // 2) % 2:
-            continue
-        term = (ctx.restrict_coords(k), ctx.restrict_mask(s), m)
-        ok = region is None or region.minus.contains(term[0])
-        (inside if ok else out).symmetric_difference_update([term])
+        for term in _b_targets(ctx, k, s, m):
+            ok = region is None or region.minus.contains(term[0])
+            (inside if ok else out).symmetric_difference_update([term])
     return Chain(frozenset(inside), frozenset(out))
 
 
@@ -271,7 +277,7 @@ class KBox:
             return None
         weight = self.weights.get(k)
         if weight is None:
-            weight = self.weights[k] = get_engine(self.graph).cube_weights(k)
+            weight = self.weights[k] = cube_weights(self.graph, k)
         return (0,) * len(k), weight
 
 
@@ -590,16 +596,15 @@ def chain_map_commutes(ctx: TriangleContext, region: TriangleRegion,
     return dbe.terms == bde.terms
 
 
-def _chain_map_sample(ctx: TriangleContext, region: TriangleRegion,
-                      per_block: int = 2):
-    """Deterministic interior sample of both commutation identities."""
-    slo, shi = region.t_middle
-    full = (1 << ctx.graph.n) - 1
-    ys = _interior_y(region)
-    samples = failures = 0
-    for y in ys[:per_block] + ys[len(ys) // 2:len(ys) // 2 + per_block]:
-        for smask in range(full + 1):
-            for s_off in (slo, (slo + shi) // 2):
+def chain_map_trials(ctx: TriangleContext, region: TriangleRegion, ys,
+                     t_offsets):
+    """Commutation trials of A and B on interior duals: for each non-v
+    offset y in ``ys``, each S, each t-offset in ``t_offsets`` and U power 0
+    and the cap, yields (which, K, S, m, ok) from ``chain_map_commutes``.
+    A trial the window clips is skipped."""
+    for y in ys:
+        for smask in range(1 << ctx.graph.n):
+            for s_off in t_offsets:
                 for m in (0, region.mcap):
                     kg = _g_vector(ctx, y, s_off)
                     for which, k in (("A", ctx.to_plus(kg)), ("B", kg)):
@@ -607,7 +612,17 @@ def _chain_map_sample(ctx: TriangleContext, region: TriangleRegion,
                             ok = chain_map_commutes(ctx, region, k, smask, m, which)
                         except (ValueError, OutsideRegionError):
                             continue
-                        samples += 1
-                        if not ok:
-                            failures += 1
-    return samples, failures
+                        yield which, k, smask, m, ok
+
+
+def _chain_map_sample(ctx: TriangleContext, region: TriangleRegion,
+                      per_block: int = 2):
+    """Deterministic interior sample of both commutation identities:
+    (samples, failures)."""
+    slo, shi = region.t_middle
+    ys = _interior_y(region)
+    mid = len(ys) // 2
+    oks = [ok for *_, ok in chain_map_trials(
+        ctx, region, ys[:per_block] + ys[mid:mid + per_block],
+        (slo, (slo + shi) // 2))]
+    return len(oks), oks.count(False)

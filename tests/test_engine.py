@@ -1,14 +1,16 @@
 import contextlib
+import gc
 import random
+import weakref
 from pathlib import Path
 
 import pytest
 
 from latcoh import (ComplexHomology, NonStabilizingError, Region, class_cells,
                     default_region, faults, gf2, is_negative_definite,
-                    les_check, module_presentation, spinc_representatives,
-                    stabilize, triangle_context, truncation_region,
-                    verify_ses)
+                    les_check, make_graph, module_presentation, parse_graph,
+                    spinc_representatives, stabilize, triangle_context,
+                    truncation_region, verify_ses)
 from latcoh.engine import DegreeModule, GradedGF2Complex, _presentation_data
 
 from conftest import chain, e8, grown, vertex
@@ -179,15 +181,48 @@ def test_les_mutation_fails():
 @pytest.mark.parametrize("fault", ("c-always-first-case", "c-drop-quadratic",
                                    "b-parity-skip"))
 def test_les_carries_the_chain_map_verdict(fault):
-    # Under these map faults the ranks on homology still look exact; only
-    # the chain-map sample inside verify_ses sees them, so les_check must
-    # carry that verdict.
+    # Under the two exponent faults the ranks on homology still look exact;
+    # only the chain-map sample inside verify_ses sees them, so les_check
+    # must carry that verdict.  b-parity-skip is seen by both.
     ctx = triangle_context(chain(-2, -2), "v0")
     with faults.injected(fault):
         ses = verify_ses(ctx, default_region(ctx, 3))
         rep = les_check(ctx, 3, ses)
     assert not ses.chain_maps_ok
     assert not rep.exact
+
+
+@pytest.mark.parametrize("graph, v", [
+    (chain(-2, -2), "v0"),
+    (make_graph(([("a", -2), ("b", -3), ("c", -2)], [("a", "b"), ("b", "c")])),
+     "b"),
+    (vertex(-2), "a")], ids=["chain22-v0", "abc-b", "rp3-a"])
+def test_les_pushes_the_same_b_as_the_chain_level(graph, v):
+    # les_check pushes B to homology through the same per-term rule as
+    # map_B, so a B fault shows in the ranks even when the SES report it
+    # is given came from a clean run.
+    ctx = triangle_context(graph, v)
+    ses = verify_ses(ctx, default_region(ctx, 2))
+    assert ses.passed
+    with faults.injected("b-parity-skip"):
+        rep = les_check(ctx, 2, ses)
+    assert not rep.exact
+
+
+def test_graphs_are_collectable_after_a_triangle_run():
+    # No cache keyed by a graph outlives the graph: once the caller drops
+    # a triangle's graphs, they can be collected.
+    def run():
+        g = parse_graph((DATA / "chain22.graph").read_text())
+        for cls in spinc_representatives(g):
+            stabilize(g, cls, 2)
+        ctx = triangle_context(g, "b")
+        les_check(ctx, 2, verify_ses(ctx, default_region(ctx, 2)))
+        return [weakref.ref(h) for h in (ctx.graph, ctx.plus, ctx.minus)]
+
+    refs = run()
+    gc.collect()
+    assert [r() for r in refs] == [None] * 3
 
 
 def test_les_rejects_the_ses_report_of_another_triangle():
@@ -323,9 +358,9 @@ def _reference_class_cells(graph, spinc_or_base, mcap, box=None,
     own.  It shares ``_sublevel_points`` with ``class_cells``; the point
     enumeration has its own brute-force test in test_exact.py."""
     from latcoh import engine
-    from latcoh.lattice import offset_cube_weight
+    from latcoh.lattice import (lattice_point, offset_cube_weight,
+                                relative_weight)
     base = tuple(getattr(spinc_or_base, "base", spinc_or_base))
-    eng = engine.get_engine(graph)
     complete = None
     if is_negative_definite(graph).form_negative_definite:
         _, wbar = engine.continuous_minimum(graph, base)
@@ -342,10 +377,10 @@ def _reference_class_cells(graph, spinc_or_base, mcap, box=None,
         if len(pts) == len(unfiltered):
             complete = wcap
     else:
-        pts = {x: eng.rel_weight(base, x) for x in box.iter_offsets()}
+        pts = {x: relative_weight(graph, base, x) for x in box.iter_offsets()}
         wcap = min(pts.values()) + mcap + wcap_extra
         pts = {x: w for x, w in pts.items() if w <= wcap}
-    points = {x: (eng.point(base, x), pts[x]) for x in sorted(pts)}
+    points = {x: (lattice_point(graph, base, x), pts[x]) for x in sorted(pts)}
     memo = {}
     cells = {}
     for x in points:

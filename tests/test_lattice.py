@@ -10,7 +10,7 @@ from latcoh import (Chain, CubePair, DescentError, OutsideRegionError,
                     cube_weight, delta, delta_squared_check, faults,
                     intersection_matrix, relative_weight, truncation_region,
                     weight_monotonicity_check)
-from latcoh.lattice import get_engine
+from latcoh.lattice import lattice_point
 from latcoh.suites import random_graph
 
 from conftest import chain, e8, vertex
@@ -34,7 +34,7 @@ def test_relative_weight_parity_always_even(data):
     g = random_graph(rng, max_vertices=4)
     base = tuple(w + 2 * rng.randint(-3, 3) for w in g.weights)
     x = tuple(rng.randint(-3, 3) for _ in range(g.n))
-    # rel_weight asserts internally that base(x) + (x,x) is even.
+    # relative_weight asserts internally that base(x) + (x,x) is even.
     relative_weight(g, base, x)
 
 
@@ -88,7 +88,6 @@ def test_boundary_of_boundary_has_even_multiplicities():
     rng = random.Random(21)
     for _ in range(15):
         g = random_graph(rng, max_vertices=4)
-        eng = get_engine(g)
         n = g.n
         if n < 2:
             continue
@@ -100,12 +99,15 @@ def test_boundary_of_boundary_has_even_multiplicities():
             if not (s >> w) & 1:
                 continue
             rest = s & ~(1 << w)
-            for k1 in ((base, rest), (eng.shift(base, w), rest)):
+            e_w = [int(i == w) for i in range(n)]
+            for k1 in ((base, rest), (lattice_point(g, base, e_w), rest)):
                 for w2 in range(n):
                     if not (k1[1] >> w2) & 1:
                         continue
                     rest2 = k1[1] & ~(1 << w2)
-                    for k2 in ((k1[0], rest2), (eng.shift(k1[0], w2), rest2)):
+                    e_w2 = [int(i == w2) for i in range(n)]
+                    for k2 in ((k1[0], rest2),
+                               (lattice_point(g, k1[0], e_w2), rest2)):
                         counts[k2] = counts.get(k2, 0) + 1
         assert all(c % 2 == 0 for c in counts.values())
 

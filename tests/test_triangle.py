@@ -8,7 +8,7 @@ from latcoh import (Chain, LatcohError, RegionTooSmallError, c_exponent_closed,
                     is_negative_definite, make_graph, map_A, map_B, r_value,
                     triangle_context, verify_ses)
 from latcoh import default_region
-from latcoh.lattice import bits, get_engine
+from latcoh.lattice import bits, relative_weight
 from latcoh.suites import random_graph, random_graph_with_classes
 from latcoh.triangle import (SesReport, _a_targets, _chain_map_sample,
                              _g_vector, _interior_y, _t_margin, c_window,
@@ -134,15 +134,14 @@ def test_qprime_vs_q_corner_relation():
         v = g.vertices[rng.randrange(g.n)]
         ctx = triangle_context(g, v)
         vi = ctx.v_index
-        eng_g = get_engine(ctx.graph)
-        eng_p = get_engine(ctx.plus)
         k = tuple(w + 2 * rng.randint(-2, 2) for w in g.weights)
         for i in range(-3, 4):
             kp = tuple(x + (2 * i + 1 if j == vi else 0) for j, x in enumerate(k))
             for tmask in range(1 << g.n):
                 x = tuple(1 if (tmask >> j) & 1 else 0 for j in range(g.n))
-                lhs = eng_p.rel_weight(kp, x)
-                rhs = eng_g.rel_weight(k, x) - (i + 1) * ((tmask >> vi) & 1)
+                lhs = relative_weight(ctx.plus, kp, x)
+                rhs = (relative_weight(ctx.graph, k, x)
+                       - (i + 1) * ((tmask >> vi) & 1))
                 assert lhs == rhs
 
 
