@@ -7,17 +7,17 @@ differential, the cohomology, the surgery triangle) is built from these
 integers, so this walk-through prints them for the smallest examples.
 """
 
-from latcoh import (Chain, CubePair, Region, absolute_q, cube_boundary,
-                    cube_corners, cube_weight, delta, determinant,
-                    intersection_matrix, is_negative_definite, make_graph,
-                    parse_graph, relative_weight, spinc_representatives,
-                    truncation_region)
+from latcoh import (Chain, Region, absolute_q, class_cells, cube_weights,
+                    delta, determinant, intersection_matrix,
+                    is_negative_definite, make_graph, parse_graph,
+                    relative_weight, spinc_representatives)
+from latcoh.lattice import cofaces, lattice_point
 
 print("=== a single -2 vertex (boundary: RP^3) ===")
 g = parse_graph("plumbing v1\nvertex a -2\n")
 print("intersection matrix:", intersection_matrix(g))
 print("determinant:", determinant(g))
-print("negative definite:", bool(is_negative_definite(g)))
+print("negative definite:", is_negative_definite(g))
 
 print("\nspin-c classes are characteristic vectors modulo twice the lattice:")
 for cls in spinc_representatives(g):
@@ -29,14 +29,23 @@ for base in ((0,), (2,)):
     print("  base %s: %s  (x = -3..3)" % (base, row))
 print("absolute weight of K = (2,):", absolute_q(g, (2,)))
 
-print("\ncubes: a pair (K, S) spans the corners K + 2*sum E_j:")
-cube = CubePair((0,), 1)
-print("  corners of ((0,), {a}):", cube_corners(g, cube))
-print("  weight:", cube_weight(g, (0,), ["a"]), " (max of corner weights 0, 1)")
-print("  boundary faces:", cube_boundary(g, cube))
+print("\ncubes: a pair (x, S) spans the offsets x + 1_T, T inside S, and each")
+print("offset x stands for the characteristic vector K = base + 2Mx:")
+weight = cube_weights(g, (0,))
+corners = [(0,), (1,)]
+print("  corners of ((0,), {a}) in class (0,):", corners, "-> K =",
+      [lattice_point(g, (0,), x) for x in corners])
+print("  weight:", weight(((0,), 1)), " (max of corner weights 0, 1)")
+print("  cofaces of the point ((0,), {}), with their weight gaps:")
+for y, up, gap in cofaces(weight, (0,), 0, g.n):
+    print("    (%s, %d) gap %d" % (y, up, gap))
 
-print("\nthe coboundary on dual generators, truncated to a finite window:")
-region = truncation_region(g, (0,), 3)
+print("\nthe coboundary on dual generators, in the window spanned by the cubes")
+print("of weight at most 3:")
+bank = class_cells(g, (0,), 3)
+lo = tuple(map(min, zip(*bank.points)))
+hi = tuple(map(max, zip(*bank.points)))
+region = Region(g, (0,), lo, hi, 3)
 print("  region:", region.to_json())
 for m in (0, 1):
     img = delta(Chain.dual((0,), 0, m), region)
@@ -48,7 +57,6 @@ print("\n=== a two-vertex chain ===")
 g2 = make_graph(([("a", -2), ("b", -2)], [("a", "b")]))
 print("matrix:", intersection_matrix(g2), " determinant:", determinant(g2))
 print("classes:", [c.base for c in spinc_representatives(g2)])
-sq = CubePair((0, 0), 3)
-print("the square ((0,0), {a,b}) has faces:")
-for face in cube_boundary(g2, sq):
-    print("   ", face)
+print("the point ((0,0), {}) of class (0, 0) has cofaces:")
+for y, up, gap in cofaces(cube_weights(g2, (0, 0)), (0, 0), 0, g2.n):
+    print("    (%s, %d) gap %d" % (y, up, gap))

@@ -8,15 +8,14 @@ exact sequence, and the induced long exact sequence is checked rank by rank
 on homology.
 """
 
-from .graph import (DefiniteCheck, DegenerateFormError, LatcohError,
-                    ParseError, PlumbingGraph, SpincClass, UnknownVertexError,
+from .graph import (DegenerateFormError, LatcohError, ParseError,
+                    PlumbingGraph, SpincClass, UnknownVertexError,
                     bad_vertices, characteristic_base, delete_vertex,
                     determinant, graph_hash, increment_weight,
                     intersection_matrix, is_negative_definite, make_graph,
                     parse_graph, spinc_representatives)
-from .lattice import (BasisCapError, Chain, CubePair, DescentError,
-                      OutsideRegionError, Region, RegionTooSmallError,
-                      absolute_q, cube_boundary, cube_corners, cube_weight,
+from .lattice import (BasisCapError, Chain, DescentError, OutsideRegionError,
+                      Region, RegionTooSmallError, absolute_q, cube_weights,
                       delta, delta_squared_check, relative_weight,
                       truncation_region, weight_monotonicity_check)
 from .triangle import (SesReport, TriangleContext, TriangleRegion,

@@ -115,7 +115,7 @@ def cmd_triangle(args: argparse.Namespace) -> int:
     ctx = triangle.triangle_context(graph, args.vertex)
     for name, side in (("G", ctx.graph), ("G+", ctx.plus),
                        ("G-%s" % args.vertex, ctx.minus)):
-        if not is_negative_definite(side).form_negative_definite:
+        if not is_negative_definite(side):
             raise LatcohError(
                 "triangle needs G, G+ and G-v negative definite; %s (weights "
                 "%s) is not" % (name, list(side.weights)))
@@ -161,6 +161,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if payload["passed"] else EXIT_SUITE_FAILED
 
 
+def _at_least(low):
+    """argparse type: an integer no smaller than ``low``."""
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError("must be at least %d, got %d"
+                                             % (low, value))
+        return value
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latcoh",
@@ -171,8 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, needs_graph=True):
         if needs_graph:
             p.add_argument("graph", help="graph file (text or JSON form)")
-        p.add_argument("--max-depth", type=int, default=3, metavar="M",
-                       help="U-power cap (default 3)")
+            p.add_argument("--max-depth", type=_at_least(0), default=3,
+                           metavar="M", help="U-power cap (default 3)")
         p.add_argument("--format", choices=("json", "table"), default="json")
 
     p = sub.add_parser("compute", help="lattice cohomology per spin-c class")
@@ -191,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the randomized property suites")
     common(p, needs_graph=False)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--graphs", type=int, default=12,
+    p.add_argument("--graphs", type=_at_least(1), default=12,
                    help="corpus size (default 12)")
     return parser
 

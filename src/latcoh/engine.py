@@ -117,7 +117,7 @@ def class_cells(graph: PlumbingGraph, spinc_or_base, mcap: int,
     n = graph.n
 
     complete = None
-    if is_negative_definite(graph).form_negative_definite:
+    if is_negative_definite(graph):
         _, wbar = continuous_minimum(graph, base)
         probe = wbar.__ceil__()
         step = 1
@@ -459,7 +459,7 @@ def _side_homology(graph, mcap, capg):
     ``lookup`` maps raw characteristic vectors to (class index, offset);
     injective because the sides of a triangle check are definite.
     """
-    if not is_negative_definite(graph).form_negative_definite:
+    if not is_negative_definite(graph):
         raise NonStabilizingError(
             "graph %r is not negative definite; the truncation does not "
             "stabilize" % (graph.vertices,))

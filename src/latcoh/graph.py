@@ -78,9 +78,6 @@ class PlumbingGraph:
         except ValueError:
             raise UnknownVertexError("unknown vertex %r" % vid) from None
 
-    def weight(self, vid: str) -> int:
-        return self.weights[self.index(vid)]
-
     @functools.cached_property
     def _matrix(self) -> tuple:
         """The intersection matrix, computed once per graph and dropped
@@ -212,38 +209,11 @@ def determinant(graph: PlumbingGraph) -> int:
     return exact.det_bareiss(intersection_matrix(graph))
 
 
-@dataclass(frozen=True)
-class DefiniteCheck:
-    negative_definite: bool
-    acyclic: bool
-    form_negative_definite: bool
-
-    def __bool__(self):
-        return self.negative_definite
-
-
-def is_negative_definite(graph: PlumbingGraph) -> DefiniteCheck:
-    """Whether the graph is acyclic (as a multigraph) with a negative
-    definite form.  Double edges count as cycles."""
-    parent = list(range(graph.n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    acyclic = True
-    for i, j, _ in graph.edges:
-        ri, rj = find(i), find(j)
-        if ri == rj:
-            acyclic = False
-            break
-        parent[ri] = rj
-
+def is_negative_definite(graph: PlumbingGraph) -> bool:
+    """Whether the intersection form is negative definite: Sylvester's
+    criterion on -M, every leading principal minor positive."""
     neg = [[-x for x in row] for row in intersection_matrix(graph)]
-    form_ok = all(d > 0 for d in exact.leading_minors(neg))
-    return DefiniteCheck(acyclic and form_ok, acyclic, form_ok)
+    return all(d > 0 for d in exact.leading_minors(neg))
 
 
 def bad_vertices(graph: PlumbingGraph) -> frozenset:

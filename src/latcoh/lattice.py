@@ -61,18 +61,6 @@ BASIS_CAP = 5_000_000
 
 
 @dataclass(frozen=True)
-class CubePair:
-    """Base corner plus a bitmask of spanned directions."""
-
-    K: tuple
-    S: int
-
-    @property
-    def dimension(self) -> int:
-        return bin(self.S).count("1")
-
-
-@dataclass(frozen=True)
 class Chain:
     """GF(2) combination of dual generators, one (K, S, m) triple per term.
 
@@ -84,9 +72,6 @@ class Chain:
     terms: frozenset
     escaped: frozenset = field(default_factory=frozenset)
 
-    def __add__(self, other):
-        return Chain(self.terms ^ other.terms, self.escaped | other.escaped)
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -94,15 +79,9 @@ class Chain:
         return Chain(frozenset((k, s, m - 1) for k, s, m in self.terms if m >= 1),
                      self.escaped)
 
-    def degrees(self) -> frozenset:
-        return frozenset(bin(s).count("1") for _, s, _ in self.terms)
-
     @staticmethod
     def dual(k, s: int, m: int = 0) -> "Chain":
         return Chain(frozenset([(tuple(k), s, m)]))
-
-
-ZERO_CHAIN = Chain(frozenset())
 
 
 def mask_of(graph: PlumbingGraph, subset) -> int:
@@ -244,35 +223,6 @@ def absolute_q(graph: PlumbingGraph, k) -> Fraction:
     return -sum(Fraction(c) * yi for c, yi in zip(coords, y)) / 8
 
 
-def cube_weight(graph: PlumbingGraph, k, s) -> int:
-    """Relative weight of the cube (K, S): max corner weight against K."""
-    return cube_weights(graph, tuple(k))(((0,) * graph.n, mask_of(graph, s)))
-
-
-def cube_corners(graph: PlumbingGraph, cube: CubePair) -> list:
-    corners = [cube.K]
-    for j in bits(cube.S):
-        e_j = [int(i == j) for i in range(graph.n)]
-        corners += [lattice_point(graph, c, e_j) for c in corners]
-    return corners
-
-
-def cube_boundary(graph: PlumbingGraph, cube: CubePair) -> list:
-    """GF(2)-reduced faces of a cube: (K, S - w) and (K + 2E_w, S - w).
-
-    Coincident faces (possible only when a matrix column vanishes) cancel
-    in pairs; the empty cube has no boundary.
-    """
-    out = {}
-    for w in bits(cube.S):
-        rest = cube.S & ~(1 << w)
-        e_w = [int(i == w) for i in range(graph.n)]
-        for face in (CubePair(cube.K, rest),
-                     CubePair(lattice_point(graph, cube.K, e_w), rest)):
-            out[face] = out.get(face, 0) ^ 1
-    return [face for face in sorted(out, key=lambda f: (f.K, f.S)) if out[face]]
-
-
 @dataclass(frozen=True)
 class Region:
     """Finite window of one spin-c class: lattice offsets x in a box, with
@@ -296,7 +246,7 @@ class Region:
             raise ValueError("empty offset interval")
 
     @functools.cached_property
-    def cube_weight(self):
+    def cube_weights(self):
         """Cube weights (x, S) of this class relative to the base, memoised
         for the lifetime of the region."""
         return cube_weights(self.graph, self.base)
@@ -321,7 +271,7 @@ class Region:
         truncation box of E8 are only ever asked ``contains_offset``.
         """
         x = self.offset_of(k)
-        return None if x is None else (x, self.cube_weight)
+        return None if x is None else (x, self.cube_weights)
 
     def offset_of(self, k):
         """Lattice offset x in the box with K = base + 2Mx, or None when K
@@ -389,31 +339,36 @@ def weight_monotonicity_check(region: Region) -> bool:
     n = region.graph.n
     try:
         return all(gap >= 0 for x in region.iter_offsets() for s in range(1 << n)
-                   for _, _, gap in cofaces(region.cube_weight, x, s, n))
+                   for _, _, gap in cofaces(region.cube_weights, x, s, n))
     except MonotonicityError:
         return False
 
 
-def delta_squared_check(region: Region, mcaps=None) -> bool:
-    """Apply the coboundary twice to every dual whose two-step coface fan
-    stays inside the region; True when all images vanish."""
-    graph = region.graph
-    full = (1 << graph.n) - 1
-    interior = [k for k, x in region._offset_map.items()
-                if all(a + 2 <= xi for xi, a in zip(x, region.xmin))]
-    levels = range(region.mcap + 1) if mcaps is None else mcaps
-    for k in interior:
-        for s in range(full + 1):
+def delta_squared_failures(region: Region, ks, levels):
+    """Apply the coboundary twice to every dual U^{-m} (K, S)^v with K in
+    ``ks``, S any mask and m in ``levels``.  Yields (K, S, m, check) for each
+    dual that fails: check is "interior-escape" when the first image leaves
+    the region, "delta-squared" when the second does or is nonzero."""
+    for k in ks:
+        for s in range(1 << region.graph.n):
             for m in levels:
                 once = delta(Chain.dual(k, s, m), region)
                 if once.escaped:
+                    yield k, s, m, "interior-escape"
                     continue
                 twice = delta(once, region)
-                if twice.escaped:
-                    continue
-                if twice:
-                    return False
-    return True
+                if twice.escaped or twice:
+                    yield k, s, m, "delta-squared"
+
+
+def delta_squared_check(region: Region, mcaps=None) -> bool:
+    """True when the coboundary applied twice vanishes, without leaving the
+    region, on every dual whose base corner sits at least two steps above
+    the bottom of the box."""
+    interior = [k for k, x in region._offset_map.items()
+                if all(a + 2 <= xi for xi, a in zip(x, region.xmin))]
+    levels = range(region.mcap + 1) if mcaps is None else mcaps
+    return not any(delta_squared_failures(region, interior, levels))
 
 
 def continuous_minimum(graph: PlumbingGraph, base):
@@ -474,7 +429,7 @@ def truncation_region(graph: PlumbingGraph, spinc_or_base, mcap: int,
     n = graph.n
     if n == 0:
         return Region(graph, base, (), (), mcap)
-    if not is_negative_definite(graph).form_negative_definite:
+    if not is_negative_definite(graph):
         raise DescentError("the form is not negative definite, so its "
                            "sublevel sets are unbounded; pass explicit bounds")
     neg = [[-x for x in row] for row in intersection_matrix(graph)]

@@ -85,22 +85,12 @@ def suite_delta_squared(seed: int, graphs: int = 20,
                 res.failures.append({"check": "monotonicity",
                                      "graph": graph_spec(g), "base": list(base)})
                 continue
-            interior = (1,) * n
-            k = region.point(interior)
-            for s in range(1 << n):
-                for m in range(mcap + 1):
-                    res.checked += 1
-                    once = lattice.delta(Chain.dual(k, s, m), region)
-                    if once.escaped:
-                        res.failures.append(
-                            {"check": "interior-escape", "graph": graph_spec(g),
-                             "base": list(base), "element": [list(k), s, m]})
-                        continue
-                    twice = lattice.delta(once, region)
-                    if twice.escaped or twice:
-                        res.failures.append(
-                            {"check": "delta-squared", "graph": graph_spec(g),
-                             "base": list(base), "element": [list(k), s, m]})
+            res.checked += (1 << n) * (mcap + 1)
+            for k, s, m, check in lattice.delta_squared_failures(
+                    region, [region.point((1,) * n)], range(mcap + 1)):
+                res.failures.append({"check": check, "graph": graph_spec(g),
+                                     "base": list(base),
+                                     "element": [list(k), s, m]})
     return res
 
 

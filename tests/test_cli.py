@@ -289,6 +289,28 @@ def test_seed_is_verify_only(graph_file, capsys, argv):
     assert "unrecognized arguments: --seed 1" in err
 
 
+def test_max_depth_is_not_a_verify_option(capsys):
+    code, out, err = run(capsys, "verify", "--max-depth", "3")
+    assert code == 1 and out == ""
+    assert "unrecognized arguments: --max-depth 3" in err
+
+
+@pytest.mark.parametrize("argv", [["compute"], ["triangle", "--vertex", "a"]],
+                         ids=["compute", "triangle"])
+def test_negative_max_depth_is_usage_error(graph_file, capsys, argv):
+    code, out, err = run(capsys, *argv, graph_file(CHAIN22), "--max-depth",
+                         "-1")
+    assert code == 1 and out == ""
+    assert "argument --max-depth: must be at least 0, got -1" in err
+
+
+@pytest.mark.parametrize("graphs", ["0", "-3"])
+def test_verify_needs_at_least_one_graph(capsys, graphs):
+    code, out, err = run(capsys, "verify", "--graphs", graphs)
+    assert code == 1 and out == ""
+    assert "argument --graphs: must be at least 1, got %s" % graphs in err
+
+
 @pytest.mark.parametrize("weight, side", [("1", "G"), ("-1", "G+")])
 def test_triangle_non_definite_side_is_usage_error(graph_file, capsys,
                                                    weight, side):

@@ -297,7 +297,7 @@ def _certificate_cases():
     trees = []
     while len(trees) < 8:
         g = random_graph(rng, max_vertices=4, weights=(-4, -1), extra_edge=0)
-        if (is_negative_definite(g).form_negative_definite
+        if (is_negative_definite(g)
                 and abs(determinant(g)) <= 12):
             trees.append(pytest.param(g, 2, id="tree%d" % len(trees)))
     return cases + trees
@@ -362,7 +362,7 @@ def _reference_class_cells(graph, spinc_or_base, mcap, box=None,
                                 relative_weight)
     base = tuple(getattr(spinc_or_base, "base", spinc_or_base))
     complete = None
-    if is_negative_definite(graph).form_negative_definite:
+    if is_negative_definite(graph):
         _, wbar = engine.continuous_minimum(graph, base)
         probe, step = wbar.__ceil__(), 1
         pts = engine._sublevel_points(graph, base, probe)
@@ -416,7 +416,7 @@ def _cell_cases():
     demos = len(cases)
     while len(cases) < demos + 8:
         g = random_graph(rng, max_vertices=4, weights=(-4, -1), extra_edge=0)
-        if (is_negative_definite(g).form_negative_definite
+        if (is_negative_definite(g)
                 and abs(determinant(g)) <= 12):
             cases.append(pytest.param(g, 2, id="tree%d" % (len(cases) - demos)))
     return cases
@@ -452,7 +452,7 @@ def test_face_up_cells_match_the_mask_scan(g, mcap, fault):
 @pytest.mark.parametrize("fault", FAULT_STATES)
 def test_face_up_cells_match_the_mask_scan_on_a_bounds_box(fault):
     g = chain(-2, -1, -2)  # degenerate: det 0
-    assert not is_negative_definite(g).form_negative_definite
+    assert not is_negative_definite(g)
     base = tuple(g.weights)
     box = Region(g, base, (-2, -2, -2), (2, 2, 2), 3)
     cubes = _reference_class_cells(g, base, 3, box=box).cells

@@ -125,7 +125,7 @@ def _sublevel_cases():
     forms = []
     while len(forms) < 10:
         g = random_graph(rng, max_vertices=5, weights=(-4, -1), extra_edge=0.3)
-        if is_negative_definite(g).form_negative_definite:
+        if is_negative_definite(g):
             forms.append([[-v for v in row] for row in intersection_matrix(g)])
     for n in (2, 3, 4, 5):
         a = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)]

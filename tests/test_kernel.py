@@ -44,10 +44,10 @@ def test_cofaces_report_missing_cofaces_and_gaps():
 
 def test_region_memo_holds_fault_free_values(rp3):
     reg = Region(rp3, (0,), (-2,), (2,), 2)
-    clean = reg.cube_weight(((0,), 1))
+    clean = reg.cube_weights(((0,), 1))
     with faults.injected("cube-weight-parity-offset"):
-        assert reg.cube_weight(((0,), 1)) == clean + 1
-    assert reg.cube_weight(((0,), 1)) == clean
+        assert reg.cube_weights(((0,), 1)) == clean + 1
+    assert reg.cube_weights(((0,), 1)) == clean
 
 
 @pytest.mark.parametrize("fault", ["cube-weight-parity-offset",
@@ -100,7 +100,7 @@ def test_region_membership_matches_brute_force(seed):
                 assert box.offset_of(k) == want
                 assert box.contains(k) is (want is not None)
                 assert box.frame(k) == (None if want is None
-                                        else (x, box.cube_weight))
+                                        else (x, box.cube_weights))
                 # One unit off K's parity at a vertex is not characteristic.
                 assert box.offset_of((k[0] + 1,) + k[1:]) is None
             for other in bases:
