@@ -109,9 +109,6 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 def cmd_triangle(args: argparse.Namespace) -> int:
     graph = _load_graph(args)
-    if args.vertex is None:
-        print("error: triangle requires --vertex <id>", file=sys.stderr)
-        return EXIT_ERROR
     ctx = triangle.triangle_context(graph, args.vertex)
     for name, side in (("G", ctx.graph), ("G+", ctx.plus),
                        ("G-%s" % args.vertex, ctx.minus)):
@@ -195,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("triangle", help="verify the surgery exact triangle")
     common(p)
-    p.add_argument("--vertex", default=None, help="distinguished vertex id")
+    p.add_argument("--vertex", required=True, help="distinguished vertex id")
     p.add_argument("--bounds", default=None,
                    help='explicit offset window JSON {"xmin":[..],"xmax":[..]}')
 

@@ -108,10 +108,10 @@ def _admissible_cubes(pts, n):
 
 
 def class_cells(graph: PlumbingGraph, spinc_or_base, mcap: int,
-                box: Region = None, wcap_extra: int = 0) -> CellBank:
-    """Enumerate the cubes of one class up to relative weight
-    wmin + mcap + wcap_extra: the exact sublevel set for definite forms
-    (restricted to ``box`` when given), the points of ``box`` otherwise."""
+                box: Region = None) -> CellBank:
+    """Enumerate the cubes of one class up to relative weight wmin + mcap:
+    the exact sublevel set for definite forms (restricted to ``box`` when
+    given), the points of ``box`` otherwise."""
     base = tuple(getattr(spinc_or_base, "base", spinc_or_base))
     check_characteristic(graph, base)
     n = graph.n
@@ -127,7 +127,7 @@ def class_cells(graph: PlumbingGraph, spinc_or_base, mcap: int,
             step *= 2
             pts = _sublevel_points(graph, base, probe)
         wmin = min(pts.values())
-        wcap = wmin + mcap + wcap_extra
+        wcap = wmin + mcap
         unfiltered = _sublevel_points(graph, base, wcap)
         if box is not None:
             pts = {x: w for x, w in unfiltered.items() if box.contains_offset(x)}
@@ -141,7 +141,7 @@ def class_cells(graph: PlumbingGraph, spinc_or_base, mcap: int,
                               "sublevel sets are not finite: pass --bounds")
         # ``iter_offsets`` enforces the basis cap on the box volume.
         pts = {x: relative_weight(graph, base, x) for x in box.iter_offsets()}
-        wcap = min(pts.values()) + mcap + wcap_extra
+        wcap = min(pts.values()) + mcap
         pts = {x: w for x, w in pts.items() if w <= wcap}
 
     if not pts:
@@ -202,57 +202,38 @@ class GradedGF2Complex:
     def dim(self, deg, g) -> int:
         return len(self.bases.get((deg, g), ()))
 
-    def delta_triple(self, x, s, m):
-        """Coboundary image of one dual.
+    def delta_matrix(self, deg, g):
+        """Columns over the (deg, g) basis with rows in the (deg+1, g) basis.
 
         A coface missing from the complete bank weighs more than
         ``complete_to`` >= w + m, so its gap exceeds m and it is dropped
         by the U-power rule anyway.  Only a negative gap, which an injected
-        weight fault can cause, gives a triple outside the basis.
+        weight fault can cause, gives a triple outside the basis.  The
+        cofaces of one cube are distinct, so no two hits cancel.
         """
-        out = set()
         bank = self.bank
-        for y, up, gap in cofaces(bank.cells.get, x, s, bank.graph.n):
-            if gap is not None and gap <= m:
-                triple = (y, up, m - gap)
-                if triple in self.index:
-                    out.symmetric_difference_update([triple])
-        return out
-
-    def delta_matrix(self, deg, g):
-        """Columns over the (deg, g) basis with rows in the (deg+1, g) basis."""
-        src = self.bases.get((deg, g), ())
         cols = []
-        for x, s, m in src:
+        for x, s, m in self.bases.get((deg, g), ()):
             vec = 0
-            for x2, s2, m2 in self.delta_triple(x, s, m):
-                d2, g2, pos = self.index[(x2, s2, m2)]
-                if (d2, g2) != (deg + 1, g):
-                    raise LatcohError("coboundary broke the grading")
-                vec ^= 1 << pos
+            for y, up, gap in cofaces(bank.cells.get, x, s, bank.graph.n):
+                if gap is None or gap > m:
+                    continue
+                hit = self.index.get((y, up, m - gap))
+                if hit is not None:
+                    if hit[:2] != (deg + 1, g):
+                        raise LatcohError("coboundary broke the grading")
+                    vec ^= 1 << hit[2]
             cols.append(vec)
         return cols
-
-
-class PieceHomology:
-    def __init__(self, boundary_cols, cycle_vectors):
-        self.quotient = gf2.Quotient(gf2.Basis(boundary_cols))
-        self.reps = []
-        for v in cycle_vectors:
-            if self.quotient.add(v):
-                self.reps.append(v)
-
-    @property
-    def dim(self):
-        return self.quotient.dim
 
 
 class ComplexHomology:
     """Homology of every (degree, grading) piece, for the long-exact-sequence
     check only.
 
-    Representative cycles are kept so chain maps can be pushed to homology
-    exactly.
+    ``pieces`` maps (degree, grading) to (quotient of the cycles by the
+    boundaries, representative cycles), so chain maps can be pushed to
+    homology exactly.
     """
 
     def __init__(self, cx: GradedGF2Complex):
@@ -260,13 +241,14 @@ class ComplexHomology:
         self.pieces = {}
         deltas = {pg: cx.delta_matrix(*pg) for pg in cx.pieces()}
         for deg, g in cx.pieces():
-            cycles = gf2.kernel_basis(deltas[(deg, g)])
-            boundary = [v for v in deltas.get((deg - 1, g), ()) if v]
-            self.pieces[(deg, g)] = PieceHomology(boundary, cycles)
+            quotient = gf2.Quotient(gf2.Basis(deltas.get((deg - 1, g), ())))
+            reps = [v for v in gf2.kernel_basis(deltas[(deg, g)])
+                    if quotient.add(v)]
+            self.pieces[(deg, g)] = (quotient, reps)
 
     @property
     def dims(self):
-        return {pg: h.dim for pg, h in self.pieces.items() if h.dim}
+        return {pg: len(reps) for pg, (_, reps) in self.pieces.items() if reps}
 
     def reduce_chain(self, terms) -> dict:
         """Homology coordinates of a cycle given by offset-indexed dual
@@ -275,7 +257,7 @@ class ComplexHomology:
         for x, s, m in terms:
             deg, g, pos = self.cx.index[(x, s, m)]
             grouped[(deg, g)] = grouped.get((deg, g), 0) ^ (1 << pos)
-        return {pg: self.pieces[pg].quotient.coords(vec)
+        return {pg: self.pieces[pg][0].coords(vec)
                 for pg, vec in grouped.items()}
 
 
@@ -388,7 +370,7 @@ def _one_tower(degrees: dict) -> bool:
 def _presentation_data(graph, base, mcap, grading_cap):
     """Cell bank and graded homology of one class in every grading up to
     ``grading_cap``, for the long-exact-sequence check."""
-    bank = class_cells(graph, base, mcap, wcap_extra=grading_cap // 2 - mcap)
+    bank = class_cells(graph, base, grading_cap // 2)
     return bank, ComplexHomology(GradedGF2Complex(bank, mcap))
 
 
@@ -482,7 +464,7 @@ def _global_index(homs, deg):
             if d == deg:
                 offsets[(ci, g)] = total
                 total += dimv
-    return offsets, total
+    return offsets
 
 
 def _push_chain(terms, homs, lookup, offsets):
@@ -524,7 +506,7 @@ def _side_map_columns(deg, src_homs, image_terms, dst_homs, dst_lookup,
             if d != deg:
                 continue
             basis = hom.cx.bases[(d, g)]
-            for rep in hom.pieces[(d, g)].reps:
+            for rep in hom.pieces[(d, g)][1]:
                 terms = set()
                 for pos in bits(rep):
                     x, s, m = basis[pos]
@@ -574,36 +556,32 @@ def les_check(ctx: TriangleContext, mcap: int, ses: SesReport) -> LesReport:
 
 
 def _les_attempt(ctx, mcap, capg):
-    homs_p, lookup_p = _side_homology(ctx.plus, mcap, capg)
+    homs_p, _ = _side_homology(ctx.plus, mcap, capg)
     homs_g, lookup_g = _side_homology(ctx.graph, mcap, capg)
     homs_m, lookup_m = _side_homology(ctx.minus, mcap, capg)
 
-    # Homology in the top pad zone means the window may be clipping
-    # genuine classes above the cap: enlarge.
-    for homs in (homs_p, homs_g, homs_m):
-        for hom in homs:
-            if any(g > capg - 2 * LES_PAD for (_, g) in hom.dims):
-                raise _NeedEnlarge()
-
-    dims = {"plus": {}, "g": {}, "minus": {}}
+    dims = {}
     for side, homs in (("plus", homs_p), ("g", homs_g), ("minus", homs_m)):
+        total = dims[side] = {}
         for hom in homs:
-            for pg, d in hom.dims.items():
-                dims[side][pg] = dims[side].get(pg, 0) + d
+            for (deg, g), d in hom.dims.items():
+                # Homology in the top pad zone means the window may be
+                # clipping genuine classes above the cap: enlarge.
+                if g > capg - 2 * LES_PAD:
+                    raise _NeedEnlarge()
+                total[(deg, g)] = total.get((deg, g), 0) + d
 
     top = max((d for side in dims.values() for d, _ in side), default=0)
 
     a_cols, b_cols = {}, {}
     broken = False
     for deg in range(0, top + 2):
-        off_g, _ = _global_index(homs_g, deg)
-        off_m, _ = _global_index(homs_m, deg)
-        a_cols[deg], bad_a = _side_map_columns(deg, homs_p,
-                                               partial(_a_targets, ctx),
-                                               homs_g, lookup_g, off_g)
-        b_cols[deg], bad_b = _side_map_columns(deg, homs_g,
-                                               partial(_b_targets, ctx),
-                                               homs_m, lookup_m, off_m)
+        a_cols[deg], bad_a = _side_map_columns(
+            deg, homs_p, partial(_a_targets, ctx), homs_g, lookup_g,
+            _global_index(homs_g, deg))
+        b_cols[deg], bad_b = _side_map_columns(
+            deg, homs_g, partial(_b_targets, ctx), homs_m, lookup_m,
+            _global_index(homs_m, deg))
         broken = broken or bad_a or bad_b
 
     def degdim(side, deg):

@@ -179,24 +179,49 @@ def parse_graph(text: str) -> PlumbingGraph:
     return PlumbingGraph(tuple(vertices), tuple(weights), tuple(edges))
 
 
+def _json_id(value):
+    if not isinstance(value, str) or not _ID_RE.fullmatch(value):
+        raise ParseError("bad vertex id %r in JSON graph" % (value,))
+    return value
+
+
 def _parse_json(text: str) -> PlumbingGraph:
+    """The JSON form, checked like the text format: ids as there, integer
+    weights, signs "+", "-", 1 or -1, and no unknown key (a misspelt
+    "edges" would otherwise drop every edge)."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as err:
         raise ParseError("bad JSON graph: %s" % err) from None
-    try:
-        vspec = [(v["id"], int(v["weight"])) for v in obj["vertices"]]
-    except (KeyError, TypeError, ValueError) as err:
-        raise ParseError("bad JSON vertex record: %s" % err) from None
+    fields = {"vertices": {"id", "weight"}, "edges": {"from", "to", "sign"}}
+    obj.setdefault("edges", [])
+    unknown = obj.keys() - fields.keys()
+    for key, names in fields.items():
+        recs = obj.get(key)
+        if not (isinstance(recs, list)
+                and all(isinstance(rec, dict) for rec in recs)):
+            raise ParseError("JSON graph %r must be a list of objects" % key)
+        unknown.update(k for rec in recs for k in rec.keys() - names)
+    if unknown:
+        raise ParseError("JSON graph has unknown keys %s"
+                         % ", ".join(map(json.dumps, sorted(unknown))))
+    vspec = []
+    for v in obj["vertices"]:
+        vid, w = _json_id(v.get("id")), v.get("weight")
+        # bool is an int subclass; true is not a weight.
+        if type(w) is not int:
+            raise ParseError("weight of vertex %r must be an integer, got %r"
+                             % (vid, w))
+        vspec.append((vid, w))
     edges = []
-    for e in obj.get("edges", []):
-        try:
-            sign = e["sign"]
-        except (KeyError, TypeError) as err:
-            raise ParseError("bad JSON edge record: %s" % err) from None
+    for e in obj["edges"]:
+        sign = e.get("sign")
         if sign in ("+", "-"):
             sign = 1 if sign == "+" else -1
-        edges.append((e.get("from"), e.get("to"), sign))
+        if type(sign) is not int or sign not in (1, -1):
+            raise ParseError("edge sign must be '+', '-', 1 or -1, got %r"
+                             % (sign,))
+        edges.append((_json_id(e.get("from")), _json_id(e.get("to")), sign))
     return make_graph((vspec, edges))
 
 

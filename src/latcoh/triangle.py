@@ -323,11 +323,12 @@ class TriangleRegion:
                 "t_margin": _t_margin(self.mcap)}
 
 
-def default_region(ctx: TriangleContext, mcap: int, y_halfwidth: int = 6,
-                   t_extra: int = 2) -> TriangleRegion:
+def default_region(ctx: TriangleContext, mcap: int,
+                   y_halfwidth: int = 6) -> TriangleRegion:
     """Window sized so that the interior middle zone is nonempty and A's
-    t-spread plus the kernel-generator margins fit."""
-    s_half = _t_margin(mcap) + _a_window(mcap) + mcap + t_extra
+    t-spread plus the kernel-generator margins fit, with two spare
+    offsets at each end of the t-window."""
+    s_half = _t_margin(mcap) + _a_window(mcap) + mcap + 2
     lo, hi = [], []
     for j in range(ctx.graph.n):
         half = s_half if j == ctx.v_index else y_halfwidth
@@ -490,7 +491,10 @@ def _ses_block(ctx: TriangleContext, region: TriangleRegion, y, smask: int):
                 for s_off in mids for m in range(mcap + 1)]
         dim_ker_b = len(gens)
     else:
-        b_cols = [1 << m for _ in mids for m in range(mcap + 1)]
+        # Row m is U power m of the block's one B target (K - v, S).
+        b_cols = [sum(1 << mb for *_, mb in _b_targets(
+                      ctx, _g_vector(ctx, y, s_off), smask, m))
+                  for s_off in mids for m in range(mcap + 1)]
         dim_im_b = gf2.rank(b_cols)
         dim_b_targets = mcap + 1
         dim_ker_b = len(b_cols) - dim_im_b
@@ -578,22 +582,16 @@ def chain_map_commutes(ctx: TriangleContext, region: TriangleRegion,
     OutsideRegionError if the element itself is out of window and
     ValueError if truncation clipped an image (caller should skip).
     """
+    chain_map, src, dst = {"A": (map_A, region.plus, region.g),
+                           "B": (map_B, region.g, region.minus)}[which]
     e = Chain.dual(k, smask, m)
-    if which == "A":
-        ae = map_A(ctx, e, region)
-        dae = delta(ae, region.g)
-        de = delta(e, region.plus)
-        ade = map_A(ctx, de, region)
-        if ae.escaped or dae.escaped or de.escaped or ade.escaped:
-            raise ValueError("clipped")
-        return dae.terms == ade.terms
-    be = map_B(ctx, e, region)
-    dbe = delta(be, region.minus)
-    de = delta(e, region.g)
-    bde = map_B(ctx, de, region)
-    if be.escaped or dbe.escaped or de.escaped or bde.escaped:
+    fe = chain_map(ctx, e, region)
+    dfe = delta(fe, dst)
+    de = delta(e, src)
+    fde = chain_map(ctx, de, region)
+    if fe.escaped or dfe.escaped or de.escaped or fde.escaped:
         raise ValueError("clipped")
-    return dbe.terms == bde.terms
+    return dfe.terms == fde.terms
 
 
 def chain_map_trials(ctx: TriangleContext, region: TriangleRegion, ys,
@@ -615,14 +613,13 @@ def chain_map_trials(ctx: TriangleContext, region: TriangleRegion, ys,
                         yield which, k, smask, m, ok
 
 
-def _chain_map_sample(ctx: TriangleContext, region: TriangleRegion,
-                      per_block: int = 2):
-    """Deterministic interior sample of both commutation identities:
+def _chain_map_sample(ctx: TriangleContext, region: TriangleRegion):
+    """Deterministic interior sample of both commutation identities, on the
+    first two interior y offsets and the two from the middle of the list:
     (samples, failures)."""
     slo, shi = region.t_middle
     ys = _interior_y(region)
     mid = len(ys) // 2
     oks = [ok for *_, ok in chain_map_trials(
-        ctx, region, ys[:per_block] + ys[mid:mid + per_block],
-        (slo, (slo + shi) // 2))]
+        ctx, region, ys[:2] + ys[mid:mid + 2], (slo, (slo + shi) // 2))]
     return len(oks), oks.count(False)

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from latcoh.cli import main
+from test_graph import BAD_JSON_GRAPHS
 
 S3 = "plumbing v1\nvertex a -1\n"
 RP3 = "plumbing v1\nvertex a -2\n"
@@ -81,6 +82,15 @@ def test_triangle_passes(graph_file, capsys):
     doc = json.loads(out)
     assert doc["ses"]["passed"] is True
     assert doc["les"]["exact"] is True
+
+
+@pytest.mark.parametrize("doc, needle", BAD_JSON_GRAPHS)
+def test_malformed_json_graph_is_one_error_line(graph_file, capsys, doc,
+                                                needle):
+    code, out, err = run(capsys, "compute", graph_file(doc, "g.json"))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and needle in err
+    assert err.count("\n") == 1
 
 
 def test_triangle_missing_vertex_is_usage_error(graph_file, capsys):

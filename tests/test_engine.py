@@ -209,6 +209,43 @@ def test_les_pushes_the_same_b_as_the_chain_level(graph, v):
     assert not rep.exact
 
 
+def _chain22_b_cap1():
+    ctx = triangle_context(parse_graph((DATA / "chain22.graph").read_text()),
+                           "b")
+    return ctx, verify_ses(ctx, default_region(ctx, 1))
+
+
+def test_les_enlarges_the_window_when_an_attempt_asks(monkeypatch):
+    # An attempt that asks for more room is retried one pad higher, and the
+    # answer in the larger window is the same.
+    import latcoh.engine as eng
+    ctx, ses = _chain22_b_cap1()
+    first = les_check(ctx, 1, ses)
+    attempt = eng._les_attempt
+    caps = []
+
+    def enlarge_once(ctx, mcap, capg):
+        caps.append(capg)
+        if len(caps) == 1:
+            raise eng._NeedEnlarge()
+        return attempt(ctx, mcap, capg)
+
+    monkeypatch.setattr(eng, "_les_attempt", enlarge_once)
+    rep = les_check(ctx, 1, ses)
+    assert caps == [2 + 2 * eng.LES_PAD, 2 + 4 * eng.LES_PAD]
+    assert (first.grading_pad, rep.grading_pad) == (4, 8)
+    assert rep.rows == first.rows and rep.dims == first.dims
+    assert rep.exact and first.exact
+
+
+def test_les_gives_up_when_no_window_fits():
+    # The weight fault puts homology in the top pad zone of every window.
+    ctx, ses = _chain22_b_cap1()
+    with faults.injected("cube-weight-parity-offset"):
+        with pytest.raises(NonStabilizingError, match="did not fit any window"):
+            les_check(ctx, 1, ses)
+
+
 def test_graphs_are_collectable_after_a_triangle_run():
     # No cache keyed by a graph outlives the graph: once the caller drops
     # a triangle's graphs, they can be collected.
@@ -505,18 +542,19 @@ def _reference_module_presentation(hom, mcap):
 
     def u_on_homology(deg, g):
         # U sends the dual (x, S, m) to (x, S, m - 1), and m = 0 to zero.
-        here, below = hom.pieces[(deg, g)], hom.pieces.get((deg, g - 2))
-        if below is None or below.dim == 0:
-            return [0] * here.dim
+        reps = hom.pieces[(deg, g)][1]
+        below, below_reps = hom.pieces.get((deg, g - 2), (None, ()))
+        if not below_reps:
+            return [0] * len(reps)
         basis = cx.bases[(deg, g)]
         cols = []
-        for rep in here.reps:
+        for rep in reps:
             img = 0
             for pos in bits(rep):
                 x, s, m = basis[pos]
                 if m:
                     img ^= 1 << cx.index[(x, s, m - 1)][2]
-            cols.append(below.quotient.coords(img))
+            cols.append(below.coords(img))
         return cols
 
     out = {}

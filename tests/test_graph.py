@@ -38,6 +38,46 @@ def test_parse_json_format():
     assert parse_graph(doc) == parse_graph(TEXT)
 
 
+def _json_graph(weight=-2, sign="+", ids=("a", "b"), **top):
+    doc = {"vertices": [{"id": ids[0], "weight": weight},
+                        {"id": ids[1], "weight": -3}],
+           "edges": [{"from": ids[0], "to": ids[1], "sign": sign}]}
+    doc.update(top)
+    return json.dumps(doc)
+
+
+# Malformed JSON graphs, each with a word of the ParseError it must raise.
+BAD_JSON_GRAPHS = [
+    pytest.param(_json_graph(edges=3), "'edges' must be a list", id="edges-3"),
+    pytest.param(_json_graph(edges=None), "'edges' must be a list",
+                 id="edges-null"),
+    pytest.param(_json_graph(vertices={"a": -2}), "'vertices' must be a list",
+                 id="vertices-object"),
+    pytest.param(_json_graph(weight=-2.7), "integer", id="weight-float"),
+    pytest.param(_json_graph(weight=True), "integer", id="weight-true"),
+    pytest.param(_json_graph(weight="-2"), "integer", id="weight-string"),
+    pytest.param(_json_graph(sign=1.9), "sign", id="sign-float"),
+    pytest.param(_json_graph(sign="x"), "sign", id="sign-x"),
+    pytest.param(_json_graph(sign=True), "sign", id="sign-true"),
+    pytest.param(_json_graph(ids=("a b", "b")), "bad vertex id", id="id-space"),
+    pytest.param(_json_graph(ids=(5, "b")), "bad vertex id", id="id-int"),
+    pytest.param(_json_graph(edge=[]), 'unknown keys "edge"', id="key-edge"),
+    pytest.param(_json_graph().replace('"weight": -3', '"weight": -3, "w": 1'),
+                 'unknown keys "w"', id="record-key"),
+]
+
+
+@pytest.mark.parametrize("doc, needle", BAD_JSON_GRAPHS)
+def test_parse_json_errors(doc, needle):
+    with pytest.raises(ParseError, match=needle):
+        parse_graph(doc)
+
+
+def test_parse_json_integer_signs():
+    assert parse_graph(_json_graph(sign=1)) == parse_graph(TEXT)
+    assert parse_graph(_json_graph(sign=-1)).edges == ((0, 1, -1),)
+
+
 def test_parse_single_vertex():
     g = parse_graph("plumbing v1\nvertex a -2\n")
     assert intersection_matrix(g) == ((-2,),)

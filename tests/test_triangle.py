@@ -10,9 +10,9 @@ from latcoh import (Chain, LatcohError, RegionTooSmallError, c_exponent_closed,
 from latcoh import default_region
 from latcoh.lattice import bits, relative_weight
 from latcoh.suites import random_graph, random_graph_with_classes
-from latcoh.triangle import (SesReport, _a_targets, _chain_map_sample,
-                             _g_vector, _interior_y, _t_margin, c_window,
-                             chain_map_commutes)
+from latcoh.triangle import (SesReport, TriangleRegion, _a_targets,
+                             _chain_map_sample, _g_vector, _interior_y,
+                             _t_margin, c_window, chain_map_commutes)
 
 from conftest import chain, vertex
 from test_acceptance import SES_CORPUS
@@ -264,6 +264,20 @@ def test_verify_ses_catches_b_parity_fault(ctx1):
     assert not rep.passed
 
 
+def test_b_surjective_fails_on_one_odd_middle_offset(ctx2):
+    # b-parity-skip drops B on odd t-offsets; with a middle zone of one odd
+    # offset no B target of a block is hit.
+    vi = ctx2.v_index
+    lo, hi = [-3, -3], [3, 3]
+    lo[vi], hi[vi] = 1 - _t_margin(1), 1 + _t_margin(1)
+    region = TriangleRegion(ctx2, tuple(lo), tuple(hi), 1)
+    assert region.t_middle == (1, 1)
+    assert verify_ses(ctx2, region).b_surjective
+    with faults.injected("b-parity-skip"):
+        rep = verify_ses(ctx2, region)
+    assert not rep.b_surjective and not rep.passed
+
+
 def test_verify_ses_checks_the_step_law(ctx2, monkeypatch):
     # The block types rest on r rising by 1 per t-offset step; a gap that
     # breaks the law at the window's last t must stop the check.
@@ -359,7 +373,12 @@ def _reference_verify_ses(ctx, region):
                 b_cols = []
                 for s_off in mids:
                     for m in range(mcap + 1):
-                        b_cols.append(1 << m)
+                        image = map_B(ctx, Chain.dual(_g_vector(ctx, y, s_off),
+                                                      smask, m), None)
+                        col = 0
+                        for *_, m2 in image.terms:
+                            col ^= 1 << m2
+                        b_cols.append(col)
                 b_rank = gf2.rank(b_cols)
                 dim_im_b += b_rank
                 dim_b_targets += mcap + 1
