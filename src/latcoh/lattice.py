@@ -20,7 +20,9 @@ memoised cube-weight function of one base), ``offset_cube_weight`` (the
 weight of a cube (x, S) given point weights at offsets x) and ``cofaces``
 (the coboundary rule).  Each fault hook on them has its single site here.
 Values are immutable; the only state is a cube-weight memo, owned by the
-window, cell bank or call that fills it, and no cache is keyed by a graph.
+window, cell bank or call that fills it, and the coface fans of ``delta``,
+owned by one call of ``delta`` or of ``delta_squared_failures`` because they
+hold fault-applied values.  No cache is keyed by a graph.
 Read top down, a memo also records the cubes found to have no weight; a
 cell bank fills its memo bottom up with its admissible cubes only, so it
 holds no miss.
@@ -156,9 +158,11 @@ def offset_cube_weight(point_weight, memo: dict, cube: tuple):
     two-face rule (``engine._admissible_cubes`` does), and then a cube in
     it is read without recursion.
     """
-    val = _corner_max(point_weight, memo, cube)
-    if (val is not None and bin(cube[1]).count("1") % 2
-            and faults.is_active("cube-weight-parity-offset")):
+    val = memo.get(cube, _UNSEEN)
+    if val is _UNSEEN:
+        val = _corner_max(point_weight, memo, cube)
+    if (val is not None and faults.is_active("cube-weight-parity-offset")
+            and bin(cube[1]).count("1") % 2):
         val += 1
     return val
 
@@ -167,17 +171,20 @@ _UNSEEN = object()
 
 
 def _corner_max(point_weight, memo, cube):
-    val = memo.get(cube, _UNSEEN)
-    if val is not _UNSEEN:
-        return val
+    """Fill ``memo`` at a cube it lacks, reading each face before recursing."""
     x, s = cube
     if s:
         j = (s & -s).bit_length() - 1
         rest = s & (s - 1)
-        val = _corner_max(point_weight, memo, (x, rest))
+        face = (x, rest)
+        val = memo.get(face, _UNSEEN)
+        if val is _UNSEEN:
+            val = _corner_max(point_weight, memo, face)
         if val is not None:
-            other = _corner_max(point_weight, memo,
-                                (x[:j] + (x[j] + 1,) + x[j + 1:], rest))
+            face = (x[:j] + (x[j] + 1,) + x[j + 1:], rest)
+            other = memo.get(face, _UNSEEN)
+            if other is _UNSEEN:
+                other = _corner_max(point_weight, memo, face)
             val = None if other is None else (val if val >= other else other)
     else:
         val = point_weight(x)
@@ -192,19 +199,22 @@ def cofaces(cube_weight, x: tuple, s: int, n: int):
     direction w outside S, where gap, the weight of the coface minus that
     of (x, S), is the U-power the coboundary lowers by.  ``cube_weight``
     maps an (offset, mask) key to a weight, like ``CellBank.cells.get``;
-    gap is None where it has none.
+    gap is None where it has none.  The fault flags are read once per call.
     """
     w_here = cube_weight((x, s))
     sign = 1 if faults.is_active("delta-coface-shift-sign") else -1
-    for w in bits(((1 << n) - 1) & ~s):
-        up = s | (1 << w)
+    strict = not faults.any_active()
+    for w in range(n):
+        if s >> w & 1:
+            continue
+        up = s | 1 << w
         for y in (x, x[:w] + (x[w] + sign,) + x[w + 1:]):
             w_up = cube_weight((y, up))
             if w_up is None:
                 yield y, up, None
                 continue
             gap = w_up - w_here
-            if gap < 0 and not faults.any_active():
+            if gap < 0 and strict:
                 raise MonotonicityError("weight monotonicity violated at %r"
                                         % ((y, up),))
             yield y, up, gap
@@ -304,7 +314,7 @@ class Region:
                 "xmax": list(self.xmax), "mcap": self.mcap}
 
 
-def delta(e: Chain, region) -> Chain:
+def delta(e: Chain, region, fans=None) -> Chain:
     """The coboundary on finitely supported duals.
 
     Each dual U^{-m} (K, S)^v maps to the sum over cofaces (K, S+w) and
@@ -315,30 +325,43 @@ def delta(e: Chain, region) -> Chain:
     ``contains`` and ``mcap``: ``frame(K)`` gives K's offset x and the cube
     weights it is read against, and a coface at offset y has base corner
     K + 2M(y - x).
+
+    The fan of (K, S), its cofaces as (base corner, mask, gap, inside), is
+    built once per call, or once per caller that passes one ``fans`` dict
+    to several calls on one window; fans hold fault-applied values, so that
+    dict must not outlive the caller's call.
     """
     graph = region.graph
+    fans = {} if fans is None else fans
     inside, out = set(), set()
     for k, s, m in e.terms:
-        frame = region.frame(k)
-        if frame is None:
-            raise OutsideRegionError("term %r lies outside the region" % ((k, s, m),))
-        x, weight = frame
-        for y, up, gap in cofaces(weight, x, s, graph.n):
+        fan = fans.get((k, s))
+        if fan is None:
+            frame = region.frame(k)
+            if frame is None:
+                raise OutsideRegionError("term %r lies outside the region" % ((k, s, m),))
+            x, weight = frame
+            fan = fans[k, s] = []
+            for y, up, gap in cofaces(weight, x, s, graph.n):
+                k2 = k if y is x else lattice_point(graph, k, map(operator.sub, y, x))
+                fan.append((k2, up, gap, region.contains(k2)))
+        for k2, up, gap, in_window in fan:
             if gap > m:
                 continue
-            k2 = k if y is x else lattice_point(graph, k, map(operator.sub, y, x))
-            ok = m - gap <= region.mcap and region.contains(k2)
+            ok = in_window and m - gap <= region.mcap
             (inside if ok else out).symmetric_difference_update([(k2, up, m - gap)])
     return Chain(frozenset(inside), frozenset(out))
 
 
-def weight_monotonicity_check(region: Region) -> bool:
+def weight_monotonicity_check(region: Region, offsets=None) -> bool:
     """Every cube must weigh at least as much as each of its faces, so all
     U-exponents in the coboundary are nonnegative.  True when that holds
-    for every face with base corner in the region and each of its cofaces."""
+    for every face with base corner at one of ``offsets`` (by default all of
+    the region's) and each of its cofaces, read through the region's memo."""
     n = region.graph.n
+    offsets = region.iter_offsets() if offsets is None else offsets
     try:
-        return all(gap >= 0 for x in region.iter_offsets() for s in range(1 << n)
+        return all(gap >= 0 for x in offsets for s in range(1 << n)
                    for _, _, gap in cofaces(region.cube_weights, x, s, n))
     except MonotonicityError:
         return False
@@ -348,15 +371,17 @@ def delta_squared_failures(region: Region, ks, levels):
     """Apply the coboundary twice to every dual U^{-m} (K, S)^v with K in
     ``ks``, S any mask and m in ``levels``.  Yields (K, S, m, check) for each
     dual that fails: check is "interior-escape" when the first image leaves
-    the region, "delta-squared" when the second does or is nonzero."""
+    the region, "delta-squared" when the second does or is nonzero.  Both
+    applications share one dict of coface fans, dropped with this call."""
+    fans = {}
     for k in ks:
         for s in range(1 << region.graph.n):
             for m in levels:
-                once = delta(Chain.dual(k, s, m), region)
+                once = delta(Chain.dual(k, s, m), region, fans)
                 if once.escaped:
                     yield k, s, m, "interior-escape"
                     continue
-                twice = delta(once, region)
+                twice = delta(once, region, fans)
                 if twice.escaped or twice:
                     yield k, s, m, "delta-squared"
 

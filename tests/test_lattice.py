@@ -1,16 +1,22 @@
+import contextlib
+import operator
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latcoh import (Chain, DescentError, OutsideRegionError, Region,
-                    absolute_q, cube_weights, delta, delta_squared_check,
-                    faults, intersection_matrix, relative_weight,
-                    truncation_region, weight_monotonicity_check)
-from latcoh.lattice import delta_squared_failures, lattice_point
-from latcoh.suites import random_graph
+from latcoh import (Chain, DegenerateFormError, DescentError,
+                    OutsideRegionError, Region, absolute_q,
+                    characteristic_base, cube_weights, delta,
+                    delta_squared_check, faults, intersection_matrix, lattice,
+                    relative_weight, spinc_representatives, truncation_region,
+                    weight_monotonicity_check)
+from latcoh.lattice import (MonotonicityError, bits, delta_squared_failures,
+                            lattice_point)
+from latcoh.suites import graph_spec, random_graph, suite_delta_squared
 
 from conftest import chain, e8, vertex
 
@@ -201,6 +207,190 @@ def test_monotonicity_random_graphs():
         g = random_graph(rng, max_vertices=4)
         base = tuple(g.weights)
         assert weight_monotonicity_check(region_for(g, base, 1, 3))
+
+
+# --- the delta-squared suite against its pre-fan loop ------------------------
+
+def _reference_cofaces(cube_weight, x, s, n):
+    """The coboundary rule as it stood before ``cofaces`` walked its free
+    bits inline and read the fault flags once per call."""
+    w_here = cube_weight((x, s))
+    sign = 1 if faults.is_active("delta-coface-shift-sign") else -1
+    for w in bits(((1 << n) - 1) & ~s):
+        up = s | (1 << w)
+        for y in (x, x[:w] + (x[w] + sign,) + x[w + 1:]):
+            w_up = cube_weight((y, up))
+            if w_up is None:
+                yield y, up, None
+                continue
+            gap = w_up - w_here
+            if gap < 0 and not faults.any_active():
+                raise MonotonicityError("weight monotonicity violated")
+            yield y, up, gap
+
+
+def _reference_delta(e, region):
+    """The coboundary with no fan memo: every term walks its cofaces and
+    recomputes each coface's base corner and window membership."""
+    graph = region.graph
+    inside, out = set(), set()
+    for k, s, m in e.terms:
+        frame = region.frame(k)
+        if frame is None:
+            raise OutsideRegionError("term %r lies outside the region" % ((k, s, m),))
+        x, weight = frame
+        for y, up, gap in _reference_cofaces(weight, x, s, graph.n):
+            if gap > m:
+                continue
+            k2 = k if y is x else lattice_point(graph, k, map(operator.sub, y, x))
+            ok = m - gap <= region.mcap and region.contains(k2)
+            (inside if ok else out).symmetric_difference_update([(k2, up, m - gap)])
+    return Chain(frozenset(inside), frozenset(out))
+
+
+def _reference_delta_squared_failures(region, ks, levels):
+    for k in ks:
+        for s in range(1 << region.graph.n):
+            for m in levels:
+                once = _reference_delta(Chain.dual(k, s, m), region)
+                if once.escaped:
+                    yield k, s, m, "interior-escape"
+                    continue
+                twice = _reference_delta(once, region)
+                if twice.escaped or twice:
+                    yield k, s, m, "delta-squared"
+
+
+def _reference_monotonicity(region):
+    n = region.graph.n
+    try:
+        return all(gap >= 0 for x in region.iter_offsets() for s in range(1 << n)
+                   for _, _, gap in _reference_cofaces(region.cube_weights, x, s, n))
+    except MonotonicityError:
+        return False
+
+
+def _suite_windows(seed, graphs, mcap):
+    """(graph, base, window) of each class ``suite_delta_squared`` visits,
+    in its order."""
+    rng = random.Random(seed)
+    for _ in range(graphs):
+        g = random_graph(rng, 5)
+        try:
+            bases = [c.base for c in spinc_representatives(g)][:16]
+        except DegenerateFormError:
+            bases = [characteristic_base(g)]
+        for base in bases:
+            yield g, base, region_for(g, base, 1, mcap)
+
+
+def _reference_suite_delta_squared(seed, graphs, mcap):
+    """``suite_delta_squared`` with the monotonicity spot as its own
+    ``Region`` (a second cube-weight memo) and the loops above."""
+    checked, failures = 0, []
+    for g, base, region in _suite_windows(seed, graphs, mcap):
+        n = g.n
+        spot = Region(g, base, (0,) * n, (1,) * n, mcap)
+        if not _reference_monotonicity(spot):
+            failures.append({"check": "monotonicity",
+                             "graph": graph_spec(g), "base": list(base)})
+            continue
+        checked += (1 << n) * (mcap + 1)
+        for k, s, m, check in _reference_delta_squared_failures(
+                region, [region.point((1,) * n)], range(mcap + 1)):
+            failures.append({"check": check, "graph": graph_spec(g),
+                             "base": list(base), "element": [list(k), s, m]})
+    return checked, failures
+
+
+def _fault_state(fault):
+    return contextlib.nullcontext() if fault is None else faults.injected(fault)
+
+
+@pytest.mark.parametrize("fault", (None,) + faults.FAULTS)
+def test_delta_squared_suite_equals_the_reference_loop(fault):
+    for seed in (42, 7):
+        with _fault_state(fault):
+            got = suite_delta_squared(seed, 8, mcap=4)
+            want = _reference_suite_delta_squared(seed, 8, 4)
+        assert (got.checked, got.failures) == want
+
+
+@pytest.mark.parametrize("fault", ["cube-weight-parity-offset",
+                                   "delta-coface-shift-sign"])
+def test_delta_squared_failures_equal_the_reference_loop_under_faults(fault):
+    # The suite stops at the monotonicity check under these faults, so the
+    # delta-squared loop is compared on its windows without that gate.
+    found = 0
+    with faults.injected(fault):
+        for seed in (42, 7):
+            for g, _, region in _suite_windows(seed, 8, 4):
+                centre = [region.point((1,) * g.n)]
+                got = list(delta_squared_failures(region, centre, range(5)))
+                assert got == list(
+                    _reference_delta_squared_failures(region, centre, range(5)))
+                found += len(got)
+    assert found
+
+
+def test_delta_squared_builds_each_fan_once(monkeypatch):
+    # One delta_squared_failures call walks the cofaces of each (offset,
+    # mask) at most once, across both applications of delta.
+    walked = Counter()
+    real = lattice.cofaces
+
+    def counted(cube_weight, x, s, n):
+        walked[x, s] += 1
+        return real(cube_weight, x, s, n)
+
+    monkeypatch.setattr(lattice, "cofaces", counted)
+    g = chain(-2, -3, -2)
+    reg = region_for(g, (0, 1, 0), 1, 4)
+    found = list(delta_squared_failures(reg, [reg.point((1, 1, 1))], range(5)))
+    assert not found
+    assert walked and max(walked.values()) == 1
+    assert len(walked) > 1 << g.n  # the second application reached further
+
+
+def test_delta_squared_suite_weighs_each_offset_once(monkeypatch):
+    # The monotonicity spot and the delta-squared window of one class share
+    # one cube-weight memo, so each offset's point weight is computed once.
+    weighed = Counter()
+    graphs = []
+    real = lattice.relative_weight
+
+    def counted(graph, base, x):
+        graphs.append(graph)  # keeps each id distinct while counting
+        weighed[id(graph), tuple(base), tuple(x)] += 1
+        return real(graph, base, x)
+
+    monkeypatch.setattr(lattice, "relative_weight", counted)
+    res = suite_delta_squared(42, 6, mcap=2)
+    assert res.checked and weighed
+    assert max(weighed.values()) == 1
+
+
+def test_delta_fans_do_not_outlive_a_fault():
+    # The per-call fans hold fault-applied values; a Region reused clean,
+    # under each fault and clean again must give what a fresh Region gives.
+    g = chain(-2, -3)
+    half, mcap = 2, 3
+
+    def results(reg):
+        interior = [reg.point(x) for x in reg.iter_offsets() if min(x) >= 0]
+        return (list(delta_squared_failures(reg, interior, range(mcap + 1))),
+                weight_monotonicity_check(reg))
+
+    reused = region_for(g, (0, 1), half, mcap)
+    clean = results(region_for(g, (0, 1), half, mcap))
+    assert results(reused) == clean
+    faulted = []
+    for fault in faults.FAULTS:
+        with faults.injected(fault):
+            faulted.append(results(reused))
+            assert faulted[-1] == results(region_for(g, (0, 1), half, mcap))
+    assert results(reused) == clean
+    assert any(got != clean for got in faulted)
 
 
 # --- regions ----------------------------------------------------------------
