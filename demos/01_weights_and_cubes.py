@@ -11,7 +11,7 @@ from latcoh import (Chain, Region, absolute_q, class_cells, cube_weights,
                     delta, determinant, intersection_matrix,
                     is_negative_definite, make_graph, parse_graph,
                     relative_weight, spinc_representatives)
-from latcoh.lattice import cofaces, lattice_point
+from latcoh.lattice import cofaces, cube_key, lattice_point, split_key, unpack
 
 print("=== a single -2 vertex (boundary: RP^3) ===")
 g = parse_graph("plumbing v1\nvertex a -2\n")
@@ -30,21 +30,25 @@ for base in ((0,), (2,)):
 print("absolute weight of K = (2,):", absolute_q(g, (2,)))
 
 print("\ncubes: a pair (x, S) spans the offsets x + 1_T, T inside S, and each")
-print("offset x stands for the characteristic vector K = base + 2Mx:")
+print("offset x stands for the characteristic vector K = base + 2Mx.  Inside")
+print("the kernel the cube is one int, its cube key: x packed in 16-bit")
+print("fields, shifted left by n, or S:")
 weight = cube_weights(g, (0,))
 corners = [(0,), (1,)]
 print("  corners of ((0,), {a}) in class (0,):", corners, "-> K =",
       [lattice_point(g, (0,), x) for x in corners])
-print("  weight:", weight(((0,), 1)), " (max of corner weights 0, 1)")
+print("  key: %#x" % cube_key((0,), 1))
+print("  weight:", weight(cube_key((0,), 1)), " (max of corner weights 0, 1)")
 print("  cofaces of the point ((0,), {}), with their weight gaps:")
-for y, up, gap in cofaces(weight, (0,), 0, g.n):
-    print("    (%s, %d) gap %d" % (y, up, gap))
+for key, gap in cofaces(weight, cube_key((0,), 0), g.n):
+    print("    (%s, %d) gap %d" % (split_key(key, g.n) + (gap,)))
 
 print("\nthe coboundary on dual generators, in the window spanned by the cubes")
 print("of weight at most 3:")
 bank = class_cells(g, (0,), 3)
-lo = tuple(map(min, zip(*bank.points)))
-hi = tuple(map(max, zip(*bank.points)))
+corners = [unpack(x, g.n) for x in bank.points]
+lo = tuple(map(min, zip(*corners)))
+hi = tuple(map(max, zip(*corners)))
 region = Region(g, (0,), lo, hi, 3)
 print("  region:", region.to_json())
 for m in (0, 1):
@@ -58,5 +62,5 @@ g2 = make_graph(([("a", -2), ("b", -2)], [("a", "b")]))
 print("matrix:", intersection_matrix(g2), " determinant:", determinant(g2))
 print("classes:", [c.base for c in spinc_representatives(g2)])
 print("the point ((0,0), {}) of class (0, 0) has cofaces:")
-for y, up, gap in cofaces(cube_weights(g2, (0, 0)), (0, 0), 0, g2.n):
-    print("    (%s, %d) gap %d" % (y, up, gap))
+for key, gap in cofaces(cube_weights(g2, (0, 0)), cube_key((0, 0), 0), g2.n):
+    print("    (%s, %d) gap %d" % (split_key(key, g2.n) + (gap,)))

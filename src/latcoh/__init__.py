@@ -14,10 +14,11 @@ from .graph import (DegenerateFormError, LatcohError, ParseError,
                     determinant, graph_hash, increment_weight,
                     intersection_matrix, is_negative_definite, make_graph,
                     parse_graph, spinc_representatives)
-from .lattice import (BasisCapError, Chain, DescentError, OutsideRegionError,
-                      Region, RegionTooSmallError, absolute_q, cube_weights,
-                      delta, delta_squared_check, relative_weight,
-                      truncation_region, weight_monotonicity_check)
+from .lattice import (OFFSET_LIMIT, BasisCapError, Chain, DescentError,
+                      OffsetRangeError, OutsideRegionError, Region,
+                      RegionTooSmallError, absolute_q, cube_weights, delta,
+                      delta_squared_check, relative_weight, truncation_region,
+                      weight_monotonicity_check)
 from .triangle import (SesReport, TriangleContext, TriangleRegion,
                        c_exponent_closed, c_exponent_def, chain_map_commutes,
                        default_region, is_in_D, map_A, map_B, r_value,

@@ -16,7 +16,7 @@ from . import engine, suites, triangle
 from .graph import (DegenerateFormError, LatcohError, SpincClass,
                     characteristic_base, graph_hash, is_negative_definite,
                     parse_graph, spinc_representatives)
-from .lattice import Region, RegionTooSmallError
+from .lattice import Region, RegionTooSmallError, check_offset
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -46,7 +46,8 @@ def _bounds_spec(args, optional=()):
     """The --bounds JSON object: integer lists "xmin", "xmax" and those of
     the keys named in ``optional`` (integer lists too) the command reads;
     None when the option is absent.  A key the command does not read is an
-    error, not silently ignored."""
+    error, not silently ignored, and so is an offset beyond the packed
+    offset range."""
     if args.bounds is None:
         return None
     spec = json.loads(args.bounds)
@@ -60,6 +61,8 @@ def _bounds_spec(args, optional=()):
         vals = spec.get(key, [])
         if not isinstance(vals, list) or any(type(v) is not int for v in vals):
             raise LatcohError("--bounds %r must be a list of integers" % key)
+    for key in ("xmin", "xmax"):
+        check_offset(spec[key], "--bounds %s" % json.dumps(key))
     return spec
 
 

@@ -4,7 +4,10 @@ The points of a class are its exact sublevel set for definite forms
 (integer lattice-point enumeration, ``exact.enumerate_sublevel``), or the
 points of an explicit box under the cap otherwise.  Cubes are then built
 from the faces up over either point map: a cube is admissible iff its
-corners are all points, and admissible cubes are downward closed.
+corners are all points, and admissible cubes are downward closed.  Points
+and cubes are keyed by the lattice kernel's packed offsets and cube keys
+(``lattice.pack``), so a step to a neighbouring cube is one addition and
+the numeric order of keys is the (x, S) order every sort relies on.
 
 By Nemethi's definition H^q of a class is the persistence module of its
 sublevel filtration, with U acting as restriction, so
@@ -27,7 +30,8 @@ from .graph import (LatcohError, PlumbingGraph, graph_hash,
                     spinc_representatives)
 from .lattice import (BASIS_CAP, BasisCapError, Region, bits,
                       check_characteristic, cofaces, continuous_minimum,
-                      lattice_point, offset_cube_weight, relative_weight)
+                      key_steps, lattice_point, offset_cube_weight, pack,
+                      relative_weight, unpack)
 from .triangle import SesReport, TriangleContext, _a_targets, _b_targets
 
 
@@ -40,11 +44,12 @@ class CellBank:
     """Enumerated cells of one class window.
 
     Cells are keyed by lattice offset, the honest index even when the form
-    degenerates: ``points`` maps an offset x to (characteristic vector,
-    relative weight) and ``cells`` maps (x, S-mask) to the cube's relative
-    weight.  ``complete_to`` is the relative weight up to which the bank
-    provably contains every cube of the infinite lattice (None when the box
-    clipped the sublevel set or no weight cap was applied).
+    degenerates: ``points`` maps a packed offset x to (characteristic
+    vector, relative weight) and ``cells`` maps the cube key x << n | S to
+    the cube's relative weight.  ``complete_to`` is the relative weight up
+    to which the bank provably contains every cube of the infinite lattice
+    (None when the box clipped the sublevel set or no weight cap was
+    applied).
 
     ``cells`` holds exactly the cubes whose corners are all in ``points``
     and whose weight is within the cap.  They are built layer by layer
@@ -61,7 +66,9 @@ class CellBank:
 
 
 def _sublevel_points(graph, base, wcap_rel, limit=BASIS_CAP):
-    """All lattice offsets with relative weight <= wcap_rel (definite forms)."""
+    """All lattice offsets with relative weight <= wcap_rel (definite
+    forms), packed; an offset beyond the packed range raises
+    ``OffsetRangeError``."""
     neg = [[-x for x in row] for row in intersection_matrix(graph)]
     xbar, wbar = continuous_minimum(graph, base)
     bound = 2 * (Fraction(wcap_rel) - wbar)
@@ -70,15 +77,15 @@ def _sublevel_points(graph, base, wcap_rel, limit=BASIS_CAP):
         return out
     try:
         for x in exact.enumerate_sublevel(neg, xbar, bound, limit=limit):
-            out[x] = relative_weight(graph, base, x)
+            out[pack(x)] = relative_weight(graph, base, x)
     except RuntimeError as err:  # the enumeration's point limit
         raise BasisCapError(str(err)) from err
     return out
 
 
 def _admissible_cubes(pts, n):
-    """Weights of every cube (x, S) whose corners are all in ``pts``, in
-    the fault-free memo form ``offset_cube_weight`` reads.
+    """Weights of every cube (x, S) whose corners are all in ``pts``, by
+    cube key, in the fault-free memo form ``offset_cube_weight`` reads.
 
     Admissible cubes are downward closed: the corners of (x, S + j) are
     those of its faces (x, S) and (x + e_j, S), and it weighs the larger
@@ -88,17 +95,17 @@ def _admissible_cubes(pts, n):
     stored.  Raises ``BasisCapError`` once more than ``BASIS_CAP`` cubes
     are built.
     """
-    memo = {(x, 0): w for x, w in pts.items()}
+    memo = {x << n: w for x, w in pts.items()}
+    steps, full = key_steps(n), (1 << n) - 1
     layer = list(memo)
     while layer:
         grown = []
-        for cube in layer:
-            x, s = cube
-            w = memo[cube]
-            for j in range(s.bit_length(), n):
-                other = memo.get((x[:j] + (x[j] + 1,) + x[j + 1:], s))
+        for key in layer:
+            w = memo[key]
+            for bit, unit in steps[(key & full).bit_length():]:
+                other = memo.get(key + unit)
                 if other is not None:
-                    up = (x, s | 1 << j)
+                    up = key | bit
                     memo[up] = w if w >= other else other
                     grown.append(up)
             if len(memo) > BASIS_CAP:
@@ -140,7 +147,8 @@ def class_cells(graph: PlumbingGraph, spinc_or_base, mcap: int,
             raise LatcohError("the form is not negative definite, so its "
                               "sublevel sets are not finite: pass --bounds")
         # ``iter_offsets`` enforces the basis cap on the box volume.
-        pts = {x: relative_weight(graph, base, x) for x in box.iter_offsets()}
+        pts = {x: relative_weight(graph, base, unpack(x, n))
+               for x in box.iter_offsets()}
         wcap = min(pts.values()) + mcap
         pts = {x: w for x, w in pts.items() if w <= wcap}
 
@@ -148,15 +156,16 @@ def class_cells(graph: PlumbingGraph, spinc_or_base, mcap: int,
         raise NonStabilizingError("no lattice points under the weight cap")
     wmin = min(pts.values())
 
-    points = {x: (lattice_point(graph, base, x), pts[x]) for x in sorted(pts)}
+    points = {x: (lattice_point(graph, base, unpack(x, n)), pts[x])
+              for x in sorted(pts)}
     # Every admissible cube is read once through the kernel's weight
     # routine, which adds the active faults to the memo's fault-free value.
     memo = _admissible_cubes(pts, n)
     cells = {}
-    for cube in memo:
-        w = offset_cube_weight(pts.get, memo, cube)
+    for key in memo:
+        w = offset_cube_weight(pts.get, memo, n, key)
         if w <= wcap:
-            cells[cube] = w
+            cells[key] = w
     return CellBank(graph, base, points, cells, wmin, complete)
 
 
@@ -164,9 +173,10 @@ class GradedGF2Complex:
     """Bases and coboundary matrices of one class, split by (degree,
     grading), for the long-exact-sequence check only.
 
-    Basis triples are ordered lexicographically by (offset, mask, U-power),
-    up to the grading 2(complete_to - wmin) that the bank certifies; the
-    coboundary is an exact sparse GF(2) matrix between pieces.  Above
+    Basis elements are (cube key, U-power) pairs, ordered by cube key,
+    which is (offset, mask) order, then by U-power, up to the grading
+    2(complete_to - wmin) that the bank certifies; the coboundary is an
+    exact sparse GF(2) matrix between pieces.  Above
     grading 2 mcap the pieces are U-truncated, which the sublevel
     filtration behind ``module_presentation`` does not represent.  Only
     complete banks are accepted: in a box-clipped bank a missing coface
@@ -181,17 +191,18 @@ class GradedGF2Complex:
         self.bases = {}
         self.index = {}
         grading_cap = 2 * (bank.complete_to - bank.wmin)
+        full = (1 << bank.graph.n) - 1
         count = 0
-        for x, s in sorted(bank.cells):
-            w = bank.cells[(x, s)] - bank.wmin
-            deg = bin(s).count("1")
+        for key in sorted(bank.cells):
+            w = bank.cells[key] - bank.wmin
+            deg = (key & full).bit_count()
             for m in range(mcap + 1):
                 g = 2 * m + 2 * w
                 if g > grading_cap:
                     continue
                 piece = self.bases.setdefault((deg, g), [])
-                self.index[(x, s, m)] = (deg, g, len(piece))
-                piece.append((x, s, m))
+                self.index[(key, m)] = (deg, g, len(piece))
+                piece.append((key, m))
                 count += 1
                 if count > BASIS_CAP:
                     raise BasisCapError("basis exceeded %d triples" % BASIS_CAP)
@@ -202,23 +213,37 @@ class GradedGF2Complex:
     def dim(self, deg, g) -> int:
         return len(self.bases.get((deg, g), ()))
 
-    def delta_matrix(self, deg, g):
+    def delta_matrix(self, deg, g, fans=None):
         """Columns over the (deg, g) basis with rows in the (deg+1, g) basis.
 
         A coface missing from the complete bank weighs more than
         ``complete_to`` >= w + m, so its gap exceeds m and it is dropped
         by the U-power rule anyway.  Only a negative gap, which an injected
-        weight fault can cause, gives a triple outside the basis.  The
+        weight fault can cause, gives an element outside the basis.  The
         cofaces of one cube are distinct, so no two hits cancel.
+
+        A cube's fan, its cofaces in the bank with their gaps, does not
+        depend on the U-power, so it is walked once per cube and kept in
+        ``fans``: a fresh dict per call unless the caller passes one for
+        several calls (``ComplexHomology`` does, for one build).  Fans hold
+        fault-applied values, so that dict must not outlive the caller's
+        call.
         """
         bank = self.bank
+        n = bank.graph.n
+        fans = {} if fans is None else fans
         cols = []
-        for x, s, m in self.bases.get((deg, g), ()):
+        for key, m in self.bases.get((deg, g), ()):
+            fan = fans.get(key)
+            if fan is None:
+                fan = fans[key] = [(up, gap) for up, gap
+                                   in cofaces(bank.cells.get, key, n)
+                                   if gap is not None]
             vec = 0
-            for y, up, gap in cofaces(bank.cells.get, x, s, bank.graph.n):
-                if gap is None or gap > m:
+            for up, gap in fan:
+                if gap > m:
                     continue
-                hit = self.index.get((y, up, m - gap))
+                hit = self.index.get((up, m - gap))
                 if hit is not None:
                     if hit[:2] != (deg + 1, g):
                         raise LatcohError("coboundary broke the grading")
@@ -233,13 +258,14 @@ class ComplexHomology:
 
     ``pieces`` maps (degree, grading) to (quotient of the cycles by the
     boundaries, representative cycles), so chain maps can be pushed to
-    homology exactly.
+    homology exactly.  The coface fans of the build live as long as it.
     """
 
     def __init__(self, cx: GradedGF2Complex):
         self.cx = cx
         self.pieces = {}
-        deltas = {pg: cx.delta_matrix(*pg) for pg in cx.pieces()}
+        fans = {}
+        deltas = {pg: cx.delta_matrix(*pg, fans) for pg in cx.pieces()}
         for deg, g in cx.pieces():
             quotient = gf2.Quotient(gf2.Basis(deltas.get((deg - 1, g), ())))
             reps = [v for v in gf2.kernel_basis(deltas[(deg, g)])
@@ -251,11 +277,11 @@ class ComplexHomology:
         return {pg: len(reps) for pg, (_, reps) in self.pieces.items() if reps}
 
     def reduce_chain(self, terms) -> dict:
-        """Homology coordinates of a cycle given by offset-indexed dual
-        triples, split by (degree, grading) piece."""
+        """Homology coordinates of a cycle given by (cube key, U-power)
+        duals, split by (degree, grading) piece."""
         grouped = {}
-        for x, s, m in terms:
-            deg, g, pos = self.cx.index[(x, s, m)]
+        for key, m in terms:
+            deg, g, pos = self.cx.index[(key, m)]
             grouped[(deg, g)] = grouped.get((deg, g), 0) ^ (1 << pos)
         return {pg: self.pieces[pg][0].coords(vec)
                 for pg, vec in grouped.items()}
@@ -277,8 +303,8 @@ def module_presentation(bank: CellBank) -> dict:
     restriction map, so its summands are the bars of one reduction of the
     bank's coboundary in filtration order: the cohomology form with
     clearing (de Silva, Morozov and Vejdemo-Johansson 2011; Chen and
-    Kerber 2011).  Within a degree the cells are ordered by (weight,
-    (x, S)), and rows are indexed per degree, which keeps the columns
+    Kerber 2011).  Within a degree the cells are ordered by (weight, cube
+    key), and rows are indexed per degree, which keeps the columns
     short.  Degree d is reduced before d + 1, its columns from last to
     first, each pivoting at its earliest row; a degree-(d+1) cell that was
     a pivot row of degree d is already paired, so its column is skipped.
@@ -289,25 +315,26 @@ def module_presentation(bank: CellBank) -> dict:
     (exactly so when ``stabilize`` certifies the answer).
     """
     cells, n, wmin = bank.cells, bank.graph.n, bank.wmin
+    full = (1 << n) - 1
     layers = {}
-    for cube, w in cells.items():
-        layers.setdefault(bin(cube[1]).count("1"), []).append((w, cube))
+    for key, w in cells.items():
+        layers.setdefault((key & full).bit_count(), []).append((w, key))
     out = {}
     cleared = set()
     order = sorted(layers.get(0, ()))
     for deg in range(len(layers)):
         upper = sorted(layers.get(deg + 1, ()))
-        rows = {cube: i for i, (_, cube) in enumerate(upper)}
+        rows = {key: i for i, (_, key) in enumerate(upper)}
         pivots = {}
         towers, torsions = [], []
         for pos in range(len(order) - 1, -1, -1):
             if pos in cleared:
                 continue
-            w, (x, s) = order[pos]
+            w, key = order[pos]
             col = 0
-            for y, up, gap in cofaces(cells.get, x, s, n):
+            for up, gap in cofaces(cells.get, key, n):
                 if gap is not None:
-                    col ^= 1 << rows[(y, up)]
+                    col ^= 1 << rows[up]
             while col:
                 low = (col & -col).bit_length() - 1
                 other = pivots.get(low)
@@ -393,7 +420,7 @@ def stabilize(graph: PlumbingGraph, spinc_or_base, mcap: int,
     index = getattr(spinc_or_base, "index", -1)
     box = None if bounds is None else replace(bounds, base=base)
     bank = class_cells(graph, base, mcap, box=box)
-    corners = list(zip(*bank.points))
+    corners = list(zip(*(unpack(x, graph.n) for x in bank.points)))
     region = Region(graph, base, tuple(map(min, corners)),
                     tuple(map(max, corners)), mcap)
     degrees = module_presentation(bank)
@@ -438,8 +465,9 @@ class LesReport:
 def _side_homology(graph, mcap, capg):
     """Homology of every spin-c class of one graph, cells to grading capg.
 
-    ``lookup`` maps raw characteristic vectors to (class index, offset);
-    injective because the sides of a triangle check are definite.
+    ``lookup`` maps raw characteristic vectors to (class index, packed
+    offset shifted to a cube key with empty mask); injective because the
+    sides of a triangle check are definite.
     """
     if not is_negative_definite(graph):
         raise NonStabilizingError(
@@ -450,7 +478,7 @@ def _side_homology(graph, mcap, capg):
     for cls in spinc_representatives(graph):
         bank, hom = _presentation_data(graph, cls.base, mcap, grading_cap=capg)
         for x, (k, _) in bank.points.items():
-            lookup[k] = (cls.index, x)
+            lookup[k] = (cls.index, x << graph.n)
         homs.append(hom)
     return homs, lookup
 
@@ -472,20 +500,21 @@ def _push_chain(terms, homs, lookup, offsets):
 
     ``terms`` carry raw characteristic vectors (the chain maps know nothing
     about class decompositions); each is routed to its class and converted
-    to offset indexing.
+    to cube keys.
     """
     grouped = {}
     for k, s, m in terms:
         hit = lookup.get(k)
         if hit is None:
             raise _NeedEnlarge()
-        ci, x = hit
-        grouped.setdefault(ci, set()).symmetric_difference_update([(x, s, m)])
+        ci, corner = hit
+        grouped.setdefault(ci, set()).symmetric_difference_update(
+            [(corner | s, m)])
     vec = 0
     for ci, part in grouped.items():
         hom = homs[ci]
-        for triple in part:
-            if triple not in hom.cx.index:
+        for dual in part:
+            if dual not in hom.cx.index:
                 raise _NeedEnlarge()
         for (_, g), coords in hom.reduce_chain(part).items():
             if coords:
@@ -502,6 +531,7 @@ def _side_map_columns(deg, src_homs, image_terms, dst_homs, dst_lookup,
     broken = False
     for hom in src_homs:
         points = hom.cx.bank.points
+        n = hom.cx.bank.graph.n
         for (d, g) in sorted(hom.dims):
             if d != deg:
                 continue
@@ -509,8 +539,9 @@ def _side_map_columns(deg, src_homs, image_terms, dst_homs, dst_lookup,
             for rep in hom.pieces[(d, g)][1]:
                 terms = set()
                 for pos in bits(rep):
-                    x, s, m = basis[pos]
-                    for t in image_terms(points[x][0], s, m):
+                    key, m = basis[pos]
+                    for t in image_terms(points[key >> n][0],
+                                         key & ((1 << n) - 1), m):
                         terms.symmetric_difference_update([t])
                 try:
                     cols.append(_push_chain(terms, dst_homs, dst_lookup,

@@ -13,24 +13,38 @@ arithmetic with no determinant in sight.  Cochains are finitely supported
 GF(2) combinations of dual generators U^{-m} (K, S)^v, encoded as frozensets
 of (K, S, m) triples with S a bitmask.
 
+Inside the kernel an offset x is one packed int: coordinate j sits in a
+``FIELD``-bit field as x_j + ``BIAS``, coordinate 0 most significant, so
+that a step by e_w is one addition of ``1 << FIELD*(n-1-w)``.  The cube
+(x, S) is the int ``x << n | S`` (its cube key), and the numeric order of
+keys is the lexicographic order of (x, S).  Offsets are packed where they
+enter (``pack``, which raises ``OffsetRangeError`` beyond
+``OFFSET_LIMIT``) and unpacked only where they leave as tuples
+(``unpack``): the ``Region`` box, JSON, and the characteristic vector
+``lattice_point`` returns.  A point kept within the limit leaves one unit
+of field on each side, so no step of the kernel, by -1 or by +1, carries
+into the next coordinate.
+
 This module is also the one kernel of the complex that the chain checks
 and the homology engine share, as plain functions of the graph:
 ``relative_weight``, ``lattice_point`` (base + 2Mx), ``cube_weights`` (a
 memoised cube-weight function of one base), ``offset_cube_weight`` (the
-weight of a cube (x, S) given point weights at offsets x) and ``cofaces``
-(the coboundary rule).  Each fault hook on them has its single site here.
-Values are immutable; the only state is a cube-weight memo, owned by the
-window, cell bank or call that fills it, and the coface fans of ``delta``,
-owned by one call of ``delta`` or of ``delta_squared_failures`` because they
-hold fault-applied values.  No cache is keyed by a graph.
-Read top down, a memo also records the cubes found to have no weight; a
-cell bank fills its memo bottom up with its admissible cubes only, so it
-holds no miss.
+weight of a cube key given point weights at packed offsets) and
+``cofaces`` (the coboundary rule).  Each fault hook on them has its single
+site here.  Values are immutable; the only state is a cube-weight memo,
+owned by the window, cell bank or call that fills it, and the coface fans
+of ``delta``, owned by one call of ``delta`` or of
+``delta_squared_failures`` because they hold fault-applied values.  No
+cache is keyed by a graph; the codec and the key steps of each vertex
+count n are small constant tables, cached for the process.  Read top
+down, a memo also records the cubes found to have no weight; a cell bank
+fills its memo bottom up with its admissible cubes only, so it holds no
+miss.
 """
 
 import functools
 import itertools
-import operator
+import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -59,7 +73,68 @@ class MonotonicityError(LatcohError):
     pass
 
 
+class OffsetRangeError(LatcohError):
+    """An offset coordinate beyond ``OFFSET_LIMIT``, which the packed field
+    cannot hold with room for a step."""
+
+
 BASIS_CAP = 5_000_000
+
+# The packed offset field.  These are fixed: ``_codec`` reads a field as a
+# big-endian int16, so FIELD is 16 and BIAS is 2^15, and the limit leaves
+# one unit on each side for the steps by e_w.
+FIELD = 16
+BIAS = 1 << (FIELD - 1)
+OFFSET_LIMIT = BIAS - 2
+
+
+@functools.cache
+def _codec(n: int):
+    """(int16 struct of n fields, mask flipping every field's top bit).
+    Flipping the top bit turns x_j + BIAS into x_j in two's complement."""
+    return (struct.Struct(">%dh" % n),
+            sum(BIAS << FIELD * j for j in range(n)))
+
+
+def check_offset(x, label="offset") -> None:
+    """Raise ``OffsetRangeError``, naming the first coordinate of the
+    integer tuple ``x`` beyond ``OFFSET_LIMIT`` and the limit, unless the
+    packed field holds all of them."""
+    if x and not -OFFSET_LIMIT <= min(x) <= max(x) <= OFFSET_LIMIT:
+        j = next(j for j, xj in enumerate(x) if abs(xj) > OFFSET_LIMIT)
+        raise OffsetRangeError(
+            "%s coordinate %d is %d, outside the packed offset range "
+            "[-%d, %d]" % (label, j, x[j], OFFSET_LIMIT, OFFSET_LIMIT))
+
+
+def pack(x) -> int:
+    """The packed offset of the integer tuple ``x`` (``check_offset``
+    first)."""
+    check_offset(x)
+    fmt, flip = _codec(len(x))
+    return int.from_bytes(fmt.pack(*x), "big") ^ flip
+
+
+def unpack(x: int, n: int) -> tuple:
+    """The integer tuple of the packed offset ``x`` of n coordinates."""
+    fmt, flip = _codec(n)
+    return fmt.unpack((x ^ flip).to_bytes(2 * n, "big"))
+
+
+def cube_key(x, s: int) -> int:
+    """The cube key of (x, S) for an integer tuple ``x``."""
+    return pack(x) << len(x) | s
+
+
+def split_key(key: int, n: int) -> tuple:
+    """(x, S) of a cube key, with x an integer tuple."""
+    return unpack(key >> n, n), key & ((1 << n) - 1)
+
+
+@functools.cache
+def key_steps(n: int) -> tuple:
+    """(bit of w, step of a cube key by e_w) for each direction w."""
+    return tuple((1 << w, 1 << (FIELD * (n - 1 - w) + n)) for w in range(n))
 
 
 @dataclass(frozen=True)
@@ -113,56 +188,60 @@ def check_characteristic(graph: PlumbingGraph, k):
 
 
 def relative_weight(graph: PlumbingGraph, base, x) -> int:
-    """q(base + 2Mx) - q(base) for a characteristic base and an integer
-    offset x: -(base(x) + (x, x)) / 2, an exact integer."""
+    """q(base + 2Mx) - q(base) for a characteristic base and a sequence x
+    of integer offsets: -(base(x) + (x, x)) / 2, an exact integer.  (x, x)
+    is read off the weights and the edges, not the matrix."""
     total = 0
-    m = intersection_matrix(graph)
-    for i, xi in enumerate(x):
+    for xi, bi, mi in zip(x, base, graph.weights):
         if xi:
-            row = m[i]
-            acc = base[i]
-            for j, xj in enumerate(x):
-                if xj:
-                    acc += row[j] * xj
-            total += xi * acc
+            total += xi * (bi + mi * xi)
+    cross = 0
+    for i, j, sign in graph.edges:
+        cross += sign * x[i] * x[j]
+    total += 2 * cross
     assert total % 2 == 0, "characteristic parity violated"
     return -total // 2
 
 
 def lattice_point(graph: PlumbingGraph, base, x) -> tuple:
-    """The characteristic vector base + 2Mx."""
-    k = list(base)
-    m = intersection_matrix(graph)
-    for j, xj in enumerate(x):
-        if xj:
-            for i, mij in enumerate(m[j]):
-                k[i] += 2 * xj * mij
+    """The characteristic vector base + 2Mx for integer offsets x (any
+    iterable), with Mx read off the weights and the edges."""
+    x = tuple(x)
+    k = [b + 2 * mi * xi for b, mi, xi in zip(base, graph.weights, x)]
+    for i, j, sign in graph.edges:
+        k[i] += 2 * sign * x[j]
+        k[j] += 2 * sign * x[i]
     return tuple(k)
 
 
 def cube_weights(graph: PlumbingGraph, base):
-    """Cube weights (x, S) -> weight relative to ``base`` of the cube at
+    """Cube weights, cube key -> weight relative to ``base`` of the cube at
     base + 2Mx, memoised in a dict owned by the returned function."""
-    return functools.partial(offset_cube_weight,
-                             functools.partial(relative_weight, graph, base), {})
+    n = graph.n
+
+    def point_weight(x):
+        return relative_weight(graph, base, unpack(x, n))
+
+    return functools.partial(offset_cube_weight, point_weight, {}, n)
 
 
-def offset_cube_weight(point_weight, memo: dict, cube: tuple):
-    """Weight of the cube (x, S) in offset coordinates: the largest
-    ``point_weight`` over its corners x + 1_T, T inside S, or None when some
-    corner has no weight.
+def offset_cube_weight(point_weight, memo: dict, n: int, key: int):
+    """Weight of the cube with key ``key`` (in n coordinates): the largest
+    ``point_weight`` over its corners x + 1_T, T inside S, or None when
+    some corner has no weight.
 
-    Cubes are (x, S) keys, as in ``CellBank.cells``.  ``memo`` belongs to
-    the caller and holds fault-free values, so it stays valid whichever
-    faults are active; a caller may fill it beforehand with the same
-    two-face rule (``engine._admissible_cubes`` does), and then a cube in
-    it is read without recursion.
+    ``point_weight`` takes a packed offset, like ``dict.get`` on
+    ``CellBank``'s point weights.  ``memo`` belongs to the caller and holds
+    fault-free values, so it stays valid whichever faults are active; a
+    caller may fill it beforehand with the same two-face rule
+    (``engine._admissible_cubes`` does), and then a cube in it is read
+    without recursion.
     """
-    val = memo.get(cube, _UNSEEN)
+    val = memo.get(key, _UNSEEN)
     if val is _UNSEEN:
-        val = _corner_max(point_weight, memo, cube)
+        val = _corner_max(point_weight, memo, n, key)
     if (val is not None and faults.is_active("cube-weight-parity-offset")
-            and bin(cube[1]).count("1") % 2):
+            and (key & ((1 << n) - 1)).bit_count() % 2):
         val += 1
     return val
 
@@ -170,54 +249,54 @@ def offset_cube_weight(point_weight, memo: dict, cube: tuple):
 _UNSEEN = object()
 
 
-def _corner_max(point_weight, memo, cube):
+def _corner_max(point_weight, memo, n, key):
     """Fill ``memo`` at a cube it lacks, reading each face before recursing."""
-    x, s = cube
+    s = key & ((1 << n) - 1)
     if s:
-        j = (s & -s).bit_length() - 1
-        rest = s & (s - 1)
-        face = (x, rest)
+        low = s & -s
+        face = key ^ low
         val = memo.get(face, _UNSEEN)
         if val is _UNSEEN:
-            val = _corner_max(point_weight, memo, face)
+            val = _corner_max(point_weight, memo, n, face)
         if val is not None:
-            face = (x[:j] + (x[j] + 1,) + x[j + 1:], rest)
+            face += key_steps(n)[low.bit_length() - 1][1]
             other = memo.get(face, _UNSEEN)
             if other is _UNSEEN:
-                other = _corner_max(point_weight, memo, face)
+                other = _corner_max(point_weight, memo, n, face)
             val = None if other is None else (val if val >= other else other)
     else:
-        val = point_weight(x)
-    memo[cube] = val
+        val = point_weight(key >> n)
+    memo[key] = val
     return val
 
 
-def cofaces(cube_weight, x: tuple, s: int, n: int):
-    """The coboundary rule on the cube (x, S) in offset coordinates.
+def cofaces(cube_weight, key: int, n: int):
+    """The coboundary rule on the cube with key ``key``, in n coordinates.
 
-    Yields (y, S + w, gap) for the cofaces y = x and y = x - e_w of every
-    direction w outside S, where gap, the weight of the coface minus that
-    of (x, S), is the U-power the coboundary lowers by.  ``cube_weight``
-    maps an (offset, mask) key to a weight, like ``CellBank.cells.get``;
-    gap is None where it has none.  The fault flags are read once per call.
+    Yields (coface key, gap) for the cofaces (x, S + w) and (x - e_w,
+    S + w) of every direction w outside S, where gap, the weight of the
+    coface minus that of (x, S), is the U-power the coboundary lowers by.
+    ``cube_weight`` maps a cube key to a weight, like
+    ``CellBank.cells.get``; gap is None where it has none.  The fault flags
+    are read once per call.
     """
-    w_here = cube_weight((x, s))
-    sign = 1 if faults.is_active("delta-coface-shift-sign") else -1
+    w_here = cube_weight(key)
+    wrong_way = faults.is_active("delta-coface-shift-sign")
     strict = not faults.any_active()
-    for w in range(n):
-        if s >> w & 1:
+    for bit, unit in key_steps(n):
+        if key & bit:
             continue
-        up = s | 1 << w
-        for y in (x, x[:w] + (x[w] + sign,) + x[w + 1:]):
-            w_up = cube_weight((y, up))
+        up = key | bit
+        for y in (up, up + unit if wrong_way else up - unit):
+            w_up = cube_weight(y)
             if w_up is None:
-                yield y, up, None
+                yield y, None
                 continue
             gap = w_up - w_here
             if gap < 0 and strict:
                 raise MonotonicityError("weight monotonicity violated at %r"
-                                        % ((y, up),))
-            yield y, up, gap
+                                        % (split_key(y, n),))
+            yield y, gap
 
 
 def absolute_q(graph: PlumbingGraph, k) -> Fraction:
@@ -236,7 +315,8 @@ def absolute_q(graph: PlumbingGraph, k) -> Fraction:
 @dataclass(frozen=True)
 class Region:
     """Finite window of one spin-c class: lattice offsets x in a box, with
-    K = base + 2Mx, plus a cap on U-powers."""
+    K = base + 2Mx, plus a cap on U-powers.  The box is given by integer
+    tuples; the offsets the window takes and hands out are packed."""
 
     graph: PlumbingGraph
     base: tuple
@@ -257,22 +337,23 @@ class Region:
 
     @functools.cached_property
     def cube_weights(self):
-        """Cube weights (x, S) of this class relative to the base, memoised
-        for the lifetime of the region."""
+        """Cube weights (by cube key) of this class relative to the base,
+        memoised for the lifetime of the region."""
         return cube_weights(self.graph, self.base)
 
     @functools.cached_property
     def _offset_map(self) -> dict:
-        """Characteristic vector -> first offset reaching it in the box: the
-        one way this window turns K into an offset, for every form."""
+        """Characteristic vector -> first packed offset reaching it in the
+        box: the one way this window turns K into an offset, for every
+        form."""
         out = {}
         for x in self.iter_offsets():
             out.setdefault(self.point(x), x)
         return out
 
     def frame(self, k):
-        """(offset of K, cube weights of the class), or None when K lies
-        outside the window.
+        """(packed offset of K, cube weights of the class), or None when K
+        lies outside the window.
 
         The first call builds the window's offset map, so a box of volume
         above ``BASIS_CAP`` raises ``BasisCapError`` here.  Windows that
@@ -284,24 +365,28 @@ class Region:
         return None if x is None else (x, self.cube_weights)
 
     def offset_of(self, k):
-        """Lattice offset x in the box with K = base + 2Mx, or None when K
-        is not such a vector (outside the box, another class or parity)."""
+        """Packed lattice offset x in the box with K = base + 2Mx, or None
+        when K is not such a vector (outside the box, another class or
+        parity)."""
         return self._offset_map.get(tuple(k))
 
     def contains(self, k) -> bool:
         return self.offset_of(k) is not None
 
-    def contains_offset(self, x) -> bool:
-        return all(a <= xi <= b for xi, a, b in zip(x, self.xmin, self.xmax))
+    def contains_offset(self, x: int) -> bool:
+        return all(a <= xi <= b for xi, a, b in
+                   zip(unpack(x, self.graph.n), self.xmin, self.xmax))
 
-    def point(self, x) -> tuple:
-        return lattice_point(self.graph, self.base, x)
+    def point(self, x: int) -> tuple:
+        """The characteristic vector at the packed offset ``x``."""
+        return lattice_point(self.graph, self.base, unpack(x, self.graph.n))
 
     def iter_offsets(self):
+        """The packed offsets of the box, in (lexicographic) order."""
         if self.volume() > BASIS_CAP:
             raise BasisCapError("region volume %d exceeds the basis cap" % self.volume())
-        return itertools.product(*[range(a, b + 1)
-                                   for a, b in zip(self.xmin, self.xmax)])
+        ranges = [range(a, b + 1) for a, b in zip(self.xmin, self.xmax)]
+        return map(pack, itertools.product(*ranges))
 
     def volume(self) -> int:
         v = 1
@@ -322,9 +407,9 @@ def delta(e: Chain, region, fans=None) -> Chain:
     weight gap; terms with d > m vanish in the target module.  Image terms
     whose base corner leaves the region are reported in ``escaped``.
     ``region`` is a Region or any window with the same ``frame``,
-    ``contains`` and ``mcap``: ``frame(K)`` gives K's offset x and the cube
-    weights it is read against, and a coface at offset y has base corner
-    K + 2M(y - x).
+    ``contains`` and ``mcap``: ``frame(K)`` gives K's packed offset x and
+    the cube weights it is read against, and a coface at offset x - e_w has
+    base corner K - 2 Me_w.
 
     The fan of (K, S), its cofaces as (base corner, mask, gap, inside), is
     built once per call, or once per caller that passes one ``fans`` dict
@@ -332,6 +417,8 @@ def delta(e: Chain, region, fans=None) -> Chain:
     dict must not outlive the caller's call.
     """
     graph = region.graph
+    n, rows = graph.n, intersection_matrix(graph)
+    full = (1 << n) - 1
     fans = {} if fans is None else fans
     inside, out = set(), set()
     for k, s, m in e.terms:
@@ -341,10 +428,18 @@ def delta(e: Chain, region, fans=None) -> Chain:
             if frame is None:
                 raise OutsideRegionError("term %r lies outside the region" % ((k, s, m),))
             x, weight = frame
+            key = x << n | s
             fan = fans[k, s] = []
-            for y, up, gap in cofaces(weight, x, s, graph.n):
-                k2 = k if y is x else lattice_point(graph, k, map(operator.sub, y, x))
-                fan.append((k2, up, gap, region.contains(k2)))
+            for up, gap in cofaces(weight, key, n):
+                shift = (up >> n) - x
+                if shift:
+                    # The coface sits at x -+ e_w: K moves by -+2 row w of M.
+                    two = 2 if shift > 0 else -2
+                    row = rows[((up ^ key) & full).bit_length() - 1]
+                    k2 = tuple(a + two * b for a, b in zip(k, row))
+                else:
+                    k2 = k
+                fan.append((k2, up & full, gap, region.contains(k2)))
         for k2, up, gap, in_window in fan:
             if gap > m:
                 continue
@@ -356,13 +451,14 @@ def delta(e: Chain, region, fans=None) -> Chain:
 def weight_monotonicity_check(region: Region, offsets=None) -> bool:
     """Every cube must weigh at least as much as each of its faces, so all
     U-exponents in the coboundary are nonnegative.  True when that holds
-    for every face with base corner at one of ``offsets`` (by default all of
-    the region's) and each of its cofaces, read through the region's memo."""
+    for every face with base corner at one of the packed ``offsets`` (by
+    default all of the region's) and each of its cofaces, read through the
+    region's memo."""
     n = region.graph.n
     offsets = region.iter_offsets() if offsets is None else offsets
     try:
         return all(gap >= 0 for x in offsets for s in range(1 << n)
-                   for _, _, gap in cofaces(region.cube_weights, x, s, n))
+                   for _, gap in cofaces(region.cube_weights, x << n | s, n))
     except MonotonicityError:
         return False
 
@@ -390,8 +486,10 @@ def delta_squared_check(region: Region, mcaps=None) -> bool:
     """True when the coboundary applied twice vanishes, without leaving the
     region, on every dual whose base corner sits at least two steps above
     the bottom of the box."""
+    n = region.graph.n
     interior = [k for k, x in region._offset_map.items()
-                if all(a + 2 <= xi for xi, a in zip(x, region.xmin))]
+                if all(a + 2 <= xi
+                       for xi, a in zip(unpack(x, n), region.xmin))]
     levels = range(region.mcap + 1) if mcaps is None else mcaps
     return not any(delta_squared_failures(region, interior, levels))
 

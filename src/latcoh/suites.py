@@ -82,14 +82,15 @@ def suite_delta_squared(seed: int, graphs: int = 20,
         for base in bases:
             # The spot {0,1}^n is checked through the window's memo.
             region = Region(g, base, (-1,) * n, (1,) * n, mcap)
-            spot = itertools.product((0, 1), repeat=n)
+            spot = map(lattice.pack, itertools.product((0, 1), repeat=n))
             if not lattice.weight_monotonicity_check(region, spot):
                 res.failures.append({"check": "monotonicity",
                                      "graph": graph_spec(g), "base": list(base)})
                 continue
             res.checked += (1 << n) * (mcap + 1)
             for k, s, m, check in lattice.delta_squared_failures(
-                    region, [region.point((1,) * n)], range(mcap + 1)):
+                    region, [region.point(lattice.pack((1,) * n))],
+                    range(mcap + 1)):
                 res.failures.append({"check": check, "graph": graph_spec(g),
                                      "base": list(base),
                                      "element": [list(k), s, m]})

@@ -33,7 +33,7 @@ from . import faults, gf2
 from .graph import (LatcohError, PlumbingGraph, characteristic_base,
                     delete_vertex, graph_hash, increment_weight)
 from .lattice import (Chain, OutsideRegionError, RegionTooSmallError, bits,
-                      cube_weights, delta, mask_of)
+                      cube_key, cube_weights, delta, mask_of, pack)
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,8 @@ class TriangleContext:
                           compare=False)
 
     def cube_weights(self, plus: bool, k):
-        """Cube weights (x, S) relative to K on G+ (``plus``) or on G,
-        memoised per K for the lifetime of the context."""
+        """Cube weights, by cube key, relative to K on G+ (``plus``) or on
+        G, memoised per K for the lifetime of the context."""
         weight = self.weights.get((plus, k))
         if weight is None:
             graph = self.plus if plus else self.graph
@@ -108,7 +108,8 @@ def r_value(ctx: TriangleContext, k, s) -> int:
         rest = smask & ~(1 << ctx.v_index)
         zero = (0,) * ctx.graph.n
         e_v = tuple(int(j == ctx.v_index) for j in range(ctx.graph.n))
-        r = ctx.r_memo[(k, smask)] = weight((zero, rest)) - weight((e_v, rest))
+        r = ctx.r_memo[(k, smask)] = (weight(cube_key(zero, rest))
+                                      - weight(cube_key(e_v, rest)))
     return r
 
 
@@ -119,9 +120,9 @@ def c_exponent_def(ctx: TriangleContext, i: int, k, s) -> int:
     k = tuple(k)
     vi = ctx.v_index
     kp = tuple(x + (2 * i + 1 if j == vi else 0) for j, x in enumerate(k))
-    zero = (0,) * ctx.graph.n
-    bracket_g = ctx.cube_weights(False, k)((zero, smask))
-    bracket_p = ctx.cube_weights(True, kp)((zero, smask))
+    corner = cube_key((0,) * ctx.graph.n, smask)
+    bracket_g = ctx.cube_weights(False, k)(corner)
+    bracket_p = ctx.cube_weights(True, kp)(corner)
     return bracket_g - bracket_p + i * (i + 1) // 2
 
 
@@ -271,14 +272,19 @@ class KBox:
         return all(a <= (c - b) // 2 <= h
                    for c, b, a, h in zip(k, self.base, self.lo, self.hi))
 
+    @functools.cached_property
+    def origin(self) -> int:
+        """The packed offset 0."""
+        return pack((0,) * self.graph.n)
+
     def frame(self, k):
-        """(offset 0, cube weights relative to K), or None outside."""
+        """(packed offset 0, cube weights relative to K), or None outside."""
         if not self.contains(k):
             return None
         weight = self.weights.get(k)
         if weight is None:
             weight = self.weights[k] = cube_weights(self.graph, k)
-        return (0,) * len(k), weight
+        return self.origin, weight
 
 
 @dataclass(frozen=True)

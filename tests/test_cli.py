@@ -182,31 +182,38 @@ def test_verify_exits_three_on_mutation(capsys):
     assert failing and failing[0]["failures"]
 
 
-# Report hashes of the JSON output, pinned on the demo graphs: refactors of
-# the kernel must leave every byte of stdout as it was.
+# Report hashes and exit codes of the JSON output, pinned on the demo
+# graphs: refactors of the kernel must leave every byte of stdout as it was.
+# E8 is the one n = 8 graph and twonode the one with two bad vertices.
 DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 PINNED = [
     (("compute", "s3.graph"),
-     "2796d29e28b11e120494ddae09b33437f8c05586a8de983ab4eb70bec660473d"),
+     "2796d29e28b11e120494ddae09b33437f8c05586a8de983ab4eb70bec660473d", 0),
     (("compute", "rp3.graph"),
-     "faf75bc8dd053c05935fe15d8aa22665ec1b368d7bb336799dcc072fce4cfb96"),
+     "faf75bc8dd053c05935fe15d8aa22665ec1b368d7bb336799dcc072fce4cfb96", 0),
     (("compute", "chain22.graph"),
-     "ffa4eeb1a426e8b9deda92b3fe500c0c4a054ef97718f441db0f4e700ae5a9eb"),
+     "ffa4eeb1a426e8b9deda92b3fe500c0c4a054ef97718f441db0f4e700ae5a9eb", 0),
     (("compute", "star232.graph"),
-     "b02d1fefa0133f83c8baa459d5c40fc1550b2ec6d294eaca4948425f2e1bf618"),
+     "b02d1fefa0133f83c8baa459d5c40fc1550b2ec6d294eaca4948425f2e1bf618", 0),
+    (("compute", "e8.graph", "--max-depth", "2"),
+     "4f5e78a360349d13fff5b04daf13fbcffcee222cb5cf49ed96645ddc4508d007", 0),
+    (("compute", "twonode.graph", "--max-depth", "4"),
+     "ad4aa139e884af90d86f2c4e55dfebe0dc07d738f30a3495d46f0cb713d07185", 0),
     (("triangle", "chain22.graph", "--vertex", "b"),
-     "a213b82556f8fecfb6b6d69c2b2712cc5f99036f1c45f879f2f2e203aefa2f63"),
+     "a213b82556f8fecfb6b6d69c2b2712cc5f99036f1c45f879f2f2e203aefa2f63", 0),
+    (("triangle", "star232.graph", "--vertex", "b"),
+     "d40ecc6f066ddf852b4d934201e2055fa78ad749dad0c08277533e5e4d4db839", 0),
     (("verify", "--seed", "42"),
-     "fcf92508f70ccd8995864b256fc9bd16196f2f6a4ab2d682d853126537c24689"),
+     "fcf92508f70ccd8995864b256fc9bd16196f2f6a4ab2d682d853126537c24689", 0),
 ]
 
 
-@pytest.mark.parametrize("argv, expected", PINNED,
-                         ids=[" ".join(a) for a, _ in PINNED])
-def test_pinned_report_hashes(capsys, argv, expected):
+@pytest.mark.parametrize("argv, expected, exit_code", PINNED,
+                         ids=[" ".join(a) for a, *_ in PINNED])
+def test_pinned_report_hashes(capsys, argv, expected, exit_code):
     argv = [str(DATA / a) if a.endswith(".graph") else a for a in argv]
     code, out, _ = run(capsys, *argv)
-    assert code == 0
+    assert code == exit_code
     assert json.loads(out)["report_hash"] == expected
 
 
@@ -257,6 +264,44 @@ def test_triangle_rejects_bounds_keys_it_does_not_read(graph_file, capsys, key):
                          "b", "--max-depth", "1", "--bounds", bounds)
     assert code == 1 and out == ""
     assert err.startswith("error:") and key.split(":")[0] in err
+
+
+RANGE = "outside the packed offset range [-32766, 32766]"
+
+
+@pytest.mark.parametrize("text", [S3, "plumbing v1\nvertex a 0\n"],
+                         ids=["definite", "degenerate"])
+def test_bounds_beyond_the_packed_offset_range_exit_one(graph_file, capsys,
+                                                        text):
+    # A small box at large coordinates.
+    code, out, err = run(capsys, "compute", graph_file(text), "--bounds",
+                         '{"xmin": [40000], "xmax": [40002]}')
+    assert code == 1 and out == ""
+    assert err == 'error: --bounds "xmin" coordinate 0 is 40000, %s\n' % RANGE
+
+
+def test_triangle_bounds_beyond_the_packed_offset_range_exit_one(graph_file,
+                                                                 capsys):
+    code, out, err = run(capsys, "triangle", graph_file(CHAIN22), "--vertex",
+                         "b", "--bounds",
+                         '{"xmin": [-3, -3], "xmax": [3, 32767]}')
+    assert code == 1 and out == ""
+    assert err == 'error: --bounds "xmax" coordinate 1 is 32767, %s\n' % RANGE
+
+
+def test_sublevel_set_beyond_the_packed_offset_range_exits_one(capsys):
+    # S3's class weighs x(x + 1)/2, so the sublevel set of U cap 6e8 reaches
+    # x = -34640, and that of 5.36e8 stays within the range.
+    code, out, err = run(capsys, "compute", str(DATA / "s3.graph"),
+                         "--max-depth", "600000000")
+    assert code == 1 and out == ""
+    assert err == "error: offset coordinate 0 is -34640, %s\n" % RANGE
+    code, out, _ = run(capsys, "compute", str(DATA / "s3.graph"),
+                       "--max-depth", "536000000")
+    assert code == 0
+    (rec,) = json.loads(out)["classes"]
+    assert rec["region"]["xmax"] == [32741]
+    assert rec["towers"] == [{"bottom": 0}] and rec["stabilized"]
 
 
 @pytest.mark.parametrize("spinc", ["-1", "3", "7", "x"])

@@ -10,7 +10,8 @@ import pytest
 from latcoh import (BasisCapError, LatcohError, Region, faults,
                     spinc_representatives, stabilize)
 from latcoh.engine import _sublevel_points
-from latcoh.lattice import BASIS_CAP, cofaces, offset_cube_weight
+from latcoh.lattice import (BASIS_CAP, cofaces, cube_key, offset_cube_weight,
+                            pack, split_key)
 from latcoh.suites import random_graph_with_classes
 
 from conftest import chain, e8, grown, vertex
@@ -27,27 +28,35 @@ def test_each_fault_has_exactly_one_site():
 
 
 def test_offset_cube_weight_holes_and_maximum():
-    points = {(0, 0): 0, (1, 0): 3, (0, 1): 1, (1, 1): 2}
+    points = {pack(x): w for x, w in
+              {(0, 0): 0, (1, 0): 3, (0, 1): 1, (1, 1): 2}.items()}
     memo = {}
-    assert offset_cube_weight(points.get, memo, ((0, 0), 0b11)) == 3
-    assert offset_cube_weight(points.get, memo, ((0, 0), 0b10)) == 1
+
+    def weight(x, s):
+        return offset_cube_weight(points.get, memo, 2, cube_key(x, s))
+
+    assert weight((0, 0), 0b11) == 3
+    assert weight((0, 0), 0b10) == 1
     # A corner missing from the point map makes the cube inadmissible.
-    assert offset_cube_weight(points.get, memo, ((1, 0), 0b01)) is None
-    assert offset_cube_weight(points.get, memo, ((0, 1), 0b11)) is None
+    assert weight((1, 0), 0b01) is None
+    assert weight((0, 1), 0b11) is None
 
 
 def test_cofaces_report_missing_cofaces_and_gaps():
-    cells = {((0,), 0): 0, ((0,), 1): 2}
+    cells = {cube_key((0,), 0): 0, cube_key((0,), 1): 2}
     # In one dimension the cube (x, {}) has cofaces (x, {0}), (x - 1, {0}).
-    assert list(cofaces(cells.get, (0,), 0, 1)) == [((0,), 1, 2), ((-1,), 1, None)]
+    got = [(split_key(key, 1), gap)
+           for key, gap in cofaces(cells.get, cube_key((0,), 0), 1)]
+    assert got == [(((0,), 1), 2), (((-1,), 1), None)]
 
 
 def test_region_memo_holds_fault_free_values(rp3):
     reg = Region(rp3, (0,), (-2,), (2,), 2)
-    clean = reg.cube_weights(((0,), 1))
+    edge = cube_key((0,), 1)
+    clean = reg.cube_weights(edge)
     with faults.injected("cube-weight-parity-offset"):
-        assert reg.cube_weights(((0,), 1)) == clean + 1
-    assert reg.cube_weights(((0,), 1)) == clean
+        assert reg.cube_weights(edge) == clean + 1
+    assert reg.cube_weights(edge) == clean
 
 
 @pytest.mark.parametrize("fault", ["cube-weight-parity-offset",
@@ -115,6 +124,6 @@ def test_region_membership_matches_brute_force(seed):
 
 def test_region_over_the_basis_cap_raises_on_frame():
     reg = Region(vertex(-2), (0,), (0,), (BASIS_CAP,), 1)
-    assert reg.contains_offset((7,))
+    assert reg.contains_offset(pack((7,)))
     with pytest.raises(BasisCapError, match="exceeds the basis cap"):
         reg.frame((0,))

@@ -14,8 +14,9 @@ from latcoh import (Chain, DegenerateFormError, DescentError,
                     delta_squared_check, faults, intersection_matrix, lattice,
                     relative_weight, spinc_representatives, truncation_region,
                     weight_monotonicity_check)
-from latcoh.lattice import (MonotonicityError, bits, delta_squared_failures,
-                            lattice_point)
+from latcoh.lattice import (MonotonicityError, bits, cube_key,
+                            delta_squared_failures, lattice_point, pack,
+                            unpack)
 from latcoh.suites import graph_spec, random_graph, suite_delta_squared
 
 from conftest import chain, e8, vertex
@@ -71,9 +72,9 @@ def test_absolute_q_differences_match_relative_weight():
 # --- cubes ------------------------------------------------------------------
 
 def test_cube_weight_examples(rp3):
-    assert cube_weights(rp3, (0,))(((0,), 1)) == 1   # max{0, 1}
-    assert cube_weights(rp3, (0,))(((0,), 0)) == 0   # single corner
-    assert cube_weights(rp3, (2,))(((0,), 1)) == 0   # max{0, 0}
+    assert cube_weights(rp3, (0,))(cube_key((0,), 1)) == 1   # max{0, 1}
+    assert cube_weights(rp3, (0,))(cube_key((0,), 0)) == 0   # single corner
+    assert cube_weights(rp3, (2,))(cube_key((0,), 1)) == 0   # max{0, 0}
 
 
 def test_boundary_of_boundary_has_even_multiplicities():
@@ -142,7 +143,7 @@ def test_delta_degree_bookkeeping_and_u_equivariance():
     rng = random.Random(4)
     for _ in range(30):
         x = tuple(rng.randint(-1, 1) for _ in range(2))
-        k = reg.point(x)
+        k = reg.point(pack(x))
         s = rng.randrange(4)
         m = rng.randint(1, 4)
         e = Chain.dual(k, s, m)
@@ -187,7 +188,8 @@ def test_delta_squared_check_counts_an_escape_as_a_failure():
     reg = region_for(g, (0, 1), 2, 3)
     assert delta_squared_check(reg)
     with faults.injected("delta-coface-shift-sign"):
-        interior = [reg.point(x) for x in reg.iter_offsets() if min(x) >= 0]
+        interior = [reg.point(x) for x in reg.iter_offsets()
+                    if min(unpack(x, g.n)) >= 0]
         found = list(delta_squared_failures(reg, interior, range(4)))
         assert found and {check for *_, check in found} == {"interior-escape"}
         assert not delta_squared_check(reg)
@@ -213,7 +215,8 @@ def test_monotonicity_random_graphs():
 
 def _reference_cofaces(cube_weight, x, s, n):
     """The coboundary rule as it stood before ``cofaces`` walked its free
-    bits inline and read the fault flags once per call."""
+    bits inline and read the fault flags once per call, on tuple offsets:
+    ``cube_weight`` takes an (x, S) pair."""
     w_here = cube_weight((x, s))
     sign = 1 if faults.is_active("delta-coface-shift-sign") else -1
     for w in bits(((1 << n) - 1) & ~s):
@@ -238,7 +241,7 @@ def _reference_delta(e, region):
         frame = region.frame(k)
         if frame is None:
             raise OutsideRegionError("term %r lies outside the region" % ((k, s, m),))
-        x, weight = frame
+        x, weight = _tuple_frame(frame, graph.n)
         for y, up, gap in _reference_cofaces(weight, x, s, graph.n):
             if gap > m:
                 continue
@@ -246,6 +249,13 @@ def _reference_delta(e, region):
             ok = m - gap <= region.mcap and region.contains(k2)
             (inside if ok else out).symmetric_difference_update([(k2, up, m - gap)])
     return Chain(frozenset(inside), frozenset(out))
+
+
+def _tuple_frame(frame, n):
+    """A window's frame (packed offset, cube weights by key) read with tuple
+    offsets and (x, S) cubes."""
+    x, weight = frame
+    return unpack(x, n), lambda cube: weight(cube_key(*cube))
 
 
 def _reference_delta_squared_failures(region, ks, levels):
@@ -263,9 +273,11 @@ def _reference_delta_squared_failures(region, ks, levels):
 
 def _reference_monotonicity(region):
     n = region.graph.n
+    frames = [_tuple_frame((x, region.cube_weights), n)
+              for x in region.iter_offsets()]
     try:
-        return all(gap >= 0 for x in region.iter_offsets() for s in range(1 << n)
-                   for _, _, gap in _reference_cofaces(region.cube_weights, x, s, n))
+        return all(gap >= 0 for x, weight in frames for s in range(1 << n)
+                   for _, _, gap in _reference_cofaces(weight, x, s, n))
     except MonotonicityError:
         return False
 
@@ -297,7 +309,7 @@ def _reference_suite_delta_squared(seed, graphs, mcap):
             continue
         checked += (1 << n) * (mcap + 1)
         for k, s, m, check in _reference_delta_squared_failures(
-                region, [region.point((1,) * n)], range(mcap + 1)):
+                region, [region.point(pack((1,) * n))], range(mcap + 1)):
             failures.append({"check": check, "graph": graph_spec(g),
                              "base": list(base), "element": [list(k), s, m]})
     return checked, failures
@@ -325,7 +337,7 @@ def test_delta_squared_failures_equal_the_reference_loop_under_faults(fault):
     with faults.injected(fault):
         for seed in (42, 7):
             for g, _, region in _suite_windows(seed, 8, 4):
-                centre = [region.point((1,) * g.n)]
+                centre = [region.point(pack((1,) * g.n))]
                 got = list(delta_squared_failures(region, centre, range(5)))
                 assert got == list(
                     _reference_delta_squared_failures(region, centre, range(5)))
@@ -339,14 +351,15 @@ def test_delta_squared_builds_each_fan_once(monkeypatch):
     walked = Counter()
     real = lattice.cofaces
 
-    def counted(cube_weight, x, s, n):
-        walked[x, s] += 1
-        return real(cube_weight, x, s, n)
+    def counted(cube_weight, key, n):
+        walked[key] += 1
+        return real(cube_weight, key, n)
 
     monkeypatch.setattr(lattice, "cofaces", counted)
     g = chain(-2, -3, -2)
     reg = region_for(g, (0, 1, 0), 1, 4)
-    found = list(delta_squared_failures(reg, [reg.point((1, 1, 1))], range(5)))
+    found = list(delta_squared_failures(reg, [reg.point(pack((1, 1, 1)))],
+                                        range(5)))
     assert not found
     assert walked and max(walked.values()) == 1
     assert len(walked) > 1 << g.n  # the second application reached further
@@ -377,7 +390,8 @@ def test_delta_fans_do_not_outlive_a_fault():
     half, mcap = 2, 3
 
     def results(reg):
-        interior = [reg.point(x) for x in reg.iter_offsets() if min(x) >= 0]
+        interior = [reg.point(x) for x in reg.iter_offsets()
+                    if min(unpack(x, g.n)) >= 0]
         return (list(delta_squared_failures(reg, interior, range(mcap + 1))),
                 weight_monotonicity_check(reg))
 
@@ -422,7 +436,7 @@ def test_region_membership_and_offsets(rp3):
     assert reg.contains((0,)) and reg.contains((4,)) and reg.contains((-8,))
     assert not reg.contains((12,))   # offset 3
     assert not reg.contains((1,))    # wrong parity, not in the class
-    assert reg.offset_of((4,)) == (-1,)  # K = 0 + 2*(-2)*x
+    assert unpack(reg.offset_of((4,)), 1) == (-1,)  # K = 0 + 2*(-2)*x
 
 
 def test_region_membership_degenerate_form():

@@ -1,0 +1,253 @@
+"""Packed offsets and cube keys: the codec's properties, its range guard,
+and the packed kernel against the tuple-keyed kernel it replaced."""
+
+import contextlib
+import random
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from latcoh import (OFFSET_LIMIT, OffsetRangeError, Region, class_cells,
+                    faults, is_negative_definite, make_graph, parse_graph,
+                    relative_weight, spinc_representatives, stabilize)
+from latcoh.engine import _admissible_cubes
+from latcoh.lattice import (BIAS, FIELD, MonotonicityError, cofaces,
+                            cube_key, cube_weights, pack, split_key, unpack)
+from latcoh.suites import random_graph
+
+DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
+
+EDGES = (-OFFSET_LIMIT, -OFFSET_LIMIT + 1, -1, 0, 1, OFFSET_LIMIT - 1,
+         OFFSET_LIMIT)
+coordinate = st.one_of(st.integers(-OFFSET_LIMIT, OFFSET_LIMIT),
+                       st.sampled_from(EDGES))
+offsets = st.integers(0, 8).flatmap(
+    lambda n: st.lists(coordinate, min_size=n, max_size=n).map(tuple))
+
+
+def test_field_constants():
+    # The codec reads each field as a big-endian int16.
+    assert (FIELD, BIAS, OFFSET_LIMIT) == (16, 1 << 15, (1 << 15) - 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(offsets)
+def test_unpack_inverts_pack(x):
+    assert unpack(pack(x), len(x)) == x
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    *[st.tuples(st.lists(coordinate, min_size=n, max_size=n).map(tuple),
+                st.integers(0, (1 << n) - 1))] * 2)))
+def test_key_order_is_offset_then_mask_order(cubes):
+    (x, s), (y, t) = cubes
+    a, b = cube_key(x, s), cube_key(y, t)
+    assert (a < b) == ((x, s) < (y, t))
+    assert (a == b) == ((x, s) == (y, t))
+    assert split_key(a, len(x)) == (x, s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(offsets.filter(bool), st.data())
+def test_a_packed_step_is_the_stepped_tuple(x, data):
+    n = len(x)
+    w = data.draw(st.integers(0, n - 1))
+    unit = 1 << FIELD * (n - 1 - w)
+    for sign in (1, -1):
+        stepped = x[:w] + (x[w] + sign,) + x[w + 1:]
+        # One unit of field is left beyond the limit on each side, so the
+        # step never carries into coordinate w - 1, even at the edge.
+        assert unpack(pack(x) + sign * unit, n) == stepped
+        if abs(stepped[w]) <= OFFSET_LIMIT:
+            assert pack(x) + sign * unit == pack(stepped)
+
+
+@pytest.mark.parametrize("x, j", [((OFFSET_LIMIT + 1,), 0),
+                                  ((0, -OFFSET_LIMIT - 1, 5), 1),
+                                  ((3, 0, 1 << 40), 2)])
+def test_pack_refuses_offsets_beyond_the_limit(x, j):
+    msg = (r"offset coordinate %d is %d, outside the packed offset range "
+           r"\[-%d, %d\]" % (j, x[j], OFFSET_LIMIT, OFFSET_LIMIT))
+    with pytest.raises(OffsetRangeError, match=msg):
+        pack(x)
+
+
+def test_a_box_beyond_the_limit_raises_when_enumerated():
+    # A degenerate form takes its points from the box, so the box's own
+    # offsets are packed.
+    g = make_graph(([("a", 0)], []))
+    box = Region(g, (0,), (OFFSET_LIMIT - 1,), (OFFSET_LIMIT + 1,), 1)
+    with pytest.raises(OffsetRangeError, match="coordinate 0 is %d"
+                       % (OFFSET_LIMIT + 1)):
+        class_cells(g, (0,), 1, box=box)
+
+
+def test_a_box_at_the_edge_of_the_field_computes_as_at_the_origin():
+    # Two degenerate vertices weigh every point 0, so a 3 x 3 box gives the
+    # same module wherever it sits; at the far corners of the field every
+    # step of the kernel uses the spare unit beyond the limit.
+    g = make_graph(([("a", 0), ("b", 0)], []))
+    base = (0, 0)
+    lo, hi = OFFSET_LIMIT - 2, OFFSET_LIMIT
+
+    def degrees(xmin, xmax):
+        return stabilize(g, base, 2, bounds=Region(g, base, xmin, xmax, 2)
+                         ).degrees
+
+    at_origin = degrees((0, 0), (2, 2))
+    assert at_origin
+    assert degrees((lo, -hi), (hi, -lo)) == at_origin
+    assert degrees((-hi, lo), (-lo, hi)) == at_origin
+
+
+# --- the tuple-keyed kernel the packed one replaced ------------------------
+
+_UNSEEN = object()
+
+
+def _reference_cube_weight(point_weight, memo, cube):
+    """``offset_cube_weight`` on (x, S) pairs with tuple offsets."""
+    val = memo.get(cube, _UNSEEN)
+    if val is _UNSEEN:
+        val = _reference_corner_max(point_weight, memo, cube)
+    if (val is not None and faults.is_active("cube-weight-parity-offset")
+            and bin(cube[1]).count("1") % 2):
+        val += 1
+    return val
+
+
+def _reference_corner_max(point_weight, memo, cube):
+    x, s = cube
+    if s:
+        j = (s & -s).bit_length() - 1
+        rest = s & (s - 1)
+        face = (x, rest)
+        val = memo.get(face, _UNSEEN)
+        if val is _UNSEEN:
+            val = _reference_corner_max(point_weight, memo, face)
+        if val is not None:
+            face = (x[:j] + (x[j] + 1,) + x[j + 1:], rest)
+            other = memo.get(face, _UNSEEN)
+            if other is _UNSEEN:
+                other = _reference_corner_max(point_weight, memo, face)
+            val = None if other is None else max(val, other)
+    else:
+        val = point_weight(x)
+    memo[cube] = val
+    return val
+
+
+def _reference_cofaces(cube_weight, x, s, n):
+    """``cofaces`` on (x, S) pairs with tuple offsets."""
+    w_here = cube_weight((x, s))
+    sign = 1 if faults.is_active("delta-coface-shift-sign") else -1
+    strict = not faults.any_active()
+    for w in range(n):
+        if s >> w & 1:
+            continue
+        up = s | 1 << w
+        for y in (x, x[:w] + (x[w] + sign,) + x[w + 1:]):
+            w_up = cube_weight((y, up))
+            if w_up is None:
+                yield y, up, None
+                continue
+            gap = w_up - w_here
+            if gap < 0 and strict:
+                raise MonotonicityError("weight monotonicity violated")
+            yield y, up, gap
+
+
+def _reference_admissible_cubes(pts, n):
+    """``_admissible_cubes`` on (x, S) pairs with tuple offsets."""
+    memo = {(x, 0): w for x, w in pts.items()}
+    layer = list(memo)
+    while layer:
+        grown = []
+        for cube in layer:
+            x, s = cube
+            w = memo[cube]
+            for j in range(s.bit_length(), n):
+                other = memo.get((x[:j] + (x[j] + 1,) + x[j + 1:], s))
+                if other is not None:
+                    up = (x, s | 1 << j)
+                    memo[up] = max(w, other)
+                    grown.append(up)
+        layer = grown
+    return memo
+
+
+def _kernel_cases():
+    """Every demo graph and seeded random graphs, definite ones by their
+    sublevel sets and the others by a small box, with a U cap each."""
+    cases = []
+    for name, mcap in (("s3.graph", 3), ("rp3.graph", 3), ("chain22.graph", 3),
+                       ("star232.graph", 2), ("twonode.graph", 1),
+                       ("e8.graph", 1)):
+        cases.append(pytest.param(parse_graph((DATA / name).read_text()),
+                                  mcap, id=name))
+    rng = random.Random(31)
+    for i in range(6):
+        cases.append(pytest.param(random_graph(rng, max_vertices=4,
+                                               weights=(-4, 1)),
+                                  2, id="seeded%d" % i))
+    return cases
+
+
+def _banks(g, mcap):
+    """The cell banks of every class of ``g`` (one box class when the form
+    is not definite)."""
+    if is_negative_definite(g):
+        return [class_cells(g, c, mcap) for c in spinc_representatives(g)]
+    base = tuple(g.weights)
+    box = Region(g, base, (-1,) * g.n, (1,) * g.n, mcap)
+    return [class_cells(g, base, mcap, box=box)]
+
+
+def _fault_state(fault):
+    return contextlib.nullcontext() if fault is None else faults.injected(fault)
+
+
+def _reference_weights(g, base):
+    """The tuple kernel's memoised cube weights of one base."""
+    memo = {}
+
+    def weight(cube):
+        return _reference_cube_weight(
+            lambda x: relative_weight(g, base, x), memo, cube)
+    return weight
+
+
+@pytest.mark.parametrize("fault", (None,) + faults.FAULTS)
+@pytest.mark.parametrize("g, mcap", _kernel_cases())
+def test_packed_kernel_matches_the_tuple_kernel(g, mcap, fault):
+    n = g.n
+    checked = 0
+    with _fault_state(fault):
+        for bank in _banks(g, mcap):
+            pts = {x: w for x, (_, w) in bank.points.items()}
+            tuple_pts = {unpack(x, n): w for x, w in pts.items()}
+            # The face-up memo, cube for cube and in the same order.
+            memo = _admissible_cubes(pts, n)
+            assert ([split_key(key, n) for key in memo]
+                    == list(_reference_admissible_cubes(tuple_pts, n)))
+            # The coboundary rule over the bank, and over the top-down memo
+            # of a window around its points.
+            tuple_cells = {split_key(key, n): w
+                           for key, w in bank.cells.items()}
+            weights = cube_weights(g, bank.base)
+            ref_weights = _reference_weights(g, bank.base)
+            for key in bank.cells:
+                x, s = split_key(key, n)
+                for packed_weight, tuple_weight in (
+                        (bank.cells.get, tuple_cells.get),
+                        (weights, ref_weights)):
+                    got = [(split_key(up, n), gap)
+                           for up, gap in cofaces(packed_weight, key, n)]
+                    want = [((y, up), gap) for y, up, gap in
+                            _reference_cofaces(tuple_weight, x, s, n)]
+                    assert got == want
+                    checked += 1
+    assert checked
