@@ -1,13 +1,14 @@
 """Exact cohomology of the lattice complex of one spin-c class.
 
 The points of a class are its exact sublevel set for definite forms
-(integer lattice-point enumeration, ``exact.enumerate_sublevel``), or the
-points of an explicit box under the cap otherwise.  Cubes are then built
-from the faces up over either point map: a cube is admissible iff its
-corners are all points, and admissible cubes are downward closed.  Points
-and cubes are keyed by the lattice kernel's packed offsets and cube keys
-(``lattice.pack``), so a step to a neighbouring cube is one addition and
-the numeric order of keys is the (x, S) order every sort relies on.
+(integer lattice-point enumeration, ``exact.enumerate_sublevel``), or
+the points of an explicit box under the cap otherwise.  Cubes are then
+built from the faces up over either point map: a cube is admissible iff
+its corners are all points, and admissible cubes are downward closed.
+Points and cubes are keyed by the lattice kernel's packed offsets and
+cube keys (``lattice.pack``) and map to their relative weights, so a
+step to a neighbouring cube is one addition and the numeric order of
+keys is the (x, S) order every sort relies on.
 
 By Nemethi's definition H^q of a class is the persistence module of its
 sublevel filtration, with U acting as restriction, so
@@ -28,10 +29,11 @@ from . import exact, faults, gf2
 from .graph import (LatcohError, PlumbingGraph, graph_hash,
                     intersection_matrix, is_negative_definite,
                     spinc_representatives)
-from .lattice import (BASIS_CAP, BasisCapError, Region, bits,
-                      check_characteristic, cofaces, continuous_minimum,
-                      key_steps, lattice_point, offset_cube_weight, pack,
-                      relative_weight, unpack)
+from .lattice import (BASIS_CAP, BasisCapError, MonotonicityError, Region,
+                      bits, check_characteristic, coface_keys, cofaces,
+                      continuous_minimum, key_steps, lattice_point,
+                      offset_cube_weight, pack, relative_weight, split_key,
+                      unpack)
 from .triangle import SesReport, TriangleContext, _a_targets, _b_targets
 
 
@@ -44,12 +46,13 @@ class CellBank:
     """Enumerated cells of one class window.
 
     Cells are keyed by lattice offset, the honest index even when the form
-    degenerates: ``points`` maps a packed offset x to (characteristic
-    vector, relative weight) and ``cells`` maps the cube key x << n | S to
-    the cube's relative weight.  ``complete_to`` is the relative weight up
-    to which the bank provably contains every cube of the infinite lattice
-    (None when the box clipped the sublevel set or no weight cap was
-    applied).
+    degenerates: ``points`` maps a packed offset x to its relative weight
+    (the long-exact-sequence check alone reads characteristic vectors, and
+    computes them with ``lattice_point``) and ``cells`` maps the cube key
+    x << n | S to the cube's relative weight.  ``complete_to`` is the
+    relative weight up to which the bank provably contains every cube of
+    the infinite lattice (None when the box clipped the sublevel set or no
+    weight cap was applied).
 
     ``cells`` holds exactly the cubes whose corners are all in ``points``
     and whose weight is within the cap.  They are built layer by layer
@@ -65,12 +68,12 @@ class CellBank:
     complete_to: int = None
 
 
-def _sublevel_points(graph, base, wcap_rel, limit=BASIS_CAP):
+def _sublevel_points(graph, base, wcap_rel, minimum, limit=BASIS_CAP):
     """All lattice offsets with relative weight <= wcap_rel (definite
-    forms), packed; an offset beyond the packed range raises
-    ``OffsetRangeError``."""
+    forms), packed, given the class's ``continuous_minimum``; an offset
+    beyond the packed range raises ``OffsetRangeError``."""
     neg = [[-x for x in row] for row in intersection_matrix(graph)]
-    xbar, wbar = continuous_minimum(graph, base)
+    xbar, wbar = minimum
     bound = 2 * (Fraction(wcap_rel) - wbar)
     out = {}
     if bound < 0:
@@ -125,17 +128,17 @@ def class_cells(graph: PlumbingGraph, spinc_or_base, mcap: int,
 
     complete = None
     if is_negative_definite(graph):
-        _, wbar = continuous_minimum(graph, base)
-        probe = wbar.__ceil__()
+        minimum = continuous_minimum(graph, base)
+        probe = minimum[1].__ceil__()
         step = 1
-        pts = _sublevel_points(graph, base, probe)
+        pts = _sublevel_points(graph, base, probe, minimum)
         while not pts:
             probe += step
             step *= 2
-            pts = _sublevel_points(graph, base, probe)
+            pts = _sublevel_points(graph, base, probe, minimum)
         wmin = min(pts.values())
         wcap = wmin + mcap
-        unfiltered = _sublevel_points(graph, base, wcap)
+        unfiltered = _sublevel_points(graph, base, wcap, minimum)
         if box is not None:
             pts = {x: w for x, w in unfiltered.items() if box.contains_offset(x)}
             complete = wcap if len(pts) == len(unfiltered) else None
@@ -156,8 +159,6 @@ def class_cells(graph: PlumbingGraph, spinc_or_base, mcap: int,
         raise NonStabilizingError("no lattice points under the weight cap")
     wmin = min(pts.values())
 
-    points = {x: (lattice_point(graph, base, unpack(x, n)), pts[x])
-              for x in sorted(pts)}
     # Every admissible cube is read once through the kernel's weight
     # routine, which adds the active faults to the memo's fault-free value.
     memo = _admissible_cubes(pts, n)
@@ -166,7 +167,7 @@ def class_cells(graph: PlumbingGraph, spinc_or_base, mcap: int,
         w = offset_cube_weight(pts.get, memo, n, key)
         if w <= wcap:
             cells[key] = w
-    return CellBank(graph, base, points, cells, wmin, complete)
+    return CellBank(graph, base, pts, cells, wmin, complete)
 
 
 class GradedGF2Complex:
@@ -308,6 +309,8 @@ def module_presentation(bank: CellBank) -> dict:
     short.  Degree d is reduced before d + 1, its columns from last to
     first, each pivoting at its earliest row; a degree-(d+1) cell that was
     a pivot row of degree d is already paired, so its column is skipped.
+    A column is the rows of ``coface_keys`` (a coface is in the bank iff it
+    has a row); a coface lighter than its face raises, unless a fault is on.
 
     A pair (sigma, tau) is torsion of bottom 2(w(sigma) - wmin) and length
     w(tau) - w(sigma); a pair of equal weights is no summand.  An unpaired
@@ -316,6 +319,7 @@ def module_presentation(bank: CellBank) -> dict:
     """
     cells, n, wmin = bank.cells, bank.graph.n, bank.wmin
     full = (1 << n) - 1
+    strict = not faults.any_active()
     layers = {}
     for key, w in cells.items():
         layers.setdefault((key & full).bit_count(), []).append((w, key))
@@ -332,16 +336,22 @@ def module_presentation(bank: CellBank) -> dict:
                 continue
             w, key = order[pos]
             col = 0
-            for up, gap in cofaces(cells.get, key, n):
-                if gap is not None:
-                    col ^= 1 << rows[up]
+            for up in coface_keys(key, n):
+                row = rows.get(up)
+                if row is not None:
+                    col ^= 1 << row
+            # The earliest row is the lightest coface in the bank.
+            low = (col & -col).bit_length() - 1
+            if strict and col and upper[low][0] < w:
+                raise MonotonicityError("weight monotonicity violated at %r"
+                                        % (split_key(upper[low][1], n),))
             while col:
-                low = (col & -col).bit_length() - 1
                 other = pivots.get(low)
                 if other is None:
                     pivots[low] = col
                     break
                 col ^= other
+                low = (col & -col).bit_length() - 1
             if not col:
                 towers.append(2 * (w - wmin))
             elif upper[low][0] > w:
@@ -477,7 +487,8 @@ def _side_homology(graph, mcap, capg):
     lookup = {}
     for cls in spinc_representatives(graph):
         bank, hom = _presentation_data(graph, cls.base, mcap, grading_cap=capg)
-        for x, (k, _) in bank.points.items():
+        for x in bank.points:
+            k = lattice_point(graph, cls.base, unpack(x, graph.n))
             lookup[k] = (cls.index, x << graph.n)
         homs.append(hom)
     return homs, lookup
@@ -530,8 +541,8 @@ def _side_map_columns(deg, src_homs, image_terms, dst_homs, dst_lookup,
     cols = []
     broken = False
     for hom in src_homs:
-        points = hom.cx.bank.points
-        n = hom.cx.bank.graph.n
+        bank = hom.cx.bank
+        n = bank.graph.n
         for (d, g) in sorted(hom.dims):
             if d != deg:
                 continue
@@ -540,8 +551,9 @@ def _side_map_columns(deg, src_homs, image_terms, dst_homs, dst_lookup,
                 terms = set()
                 for pos in bits(rep):
                     key, m = basis[pos]
-                    for t in image_terms(points[key >> n][0],
-                                         key & ((1 << n) - 1), m):
+                    k = lattice_point(bank.graph, bank.base,
+                                      unpack(key >> n, n))
+                    for t in image_terms(k, key & ((1 << n) - 1), m):
                         terms.symmetric_difference_update([t])
                 try:
                     cols.append(_push_chain(terms, dst_homs, dst_lookup,

@@ -29,11 +29,12 @@ This module is also the one kernel of the complex that the chain checks
 and the homology engine share, as plain functions of the graph:
 ``relative_weight``, ``lattice_point`` (base + 2Mx), ``cube_weights`` (a
 memoised cube-weight function of one base), ``offset_cube_weight`` (the
-weight of a cube key given point weights at packed offsets) and
-``cofaces`` (the coboundary rule).  Each fault hook on them has its single
-site here.  Values are immutable; the only state is a cube-weight memo,
-owned by the window, cell bank or call that fills it, and the coface fans
-of ``delta``, owned by one call of ``delta`` or of
+weight of a cube key given point weights at packed offsets),
+``coface_keys`` (the coboundary rule) and ``cofaces`` (the same keys
+with their weight gaps).  Each fault hook on them has its single site
+here.  Values are immutable; the only state is a cube-weight memo, owned
+by the window, cell bank or call that fills it, and the coface fans of
+``delta``, owned by one call of ``delta`` or of
 ``delta_squared_failures`` because they hold fault-applied values.  No
 cache is keyed by a graph; the codec and the key steps of each vertex
 count n are small constant tables, cached for the process.  Read top
@@ -270,33 +271,40 @@ def _corner_max(point_weight, memo, n, key):
     return val
 
 
-def cofaces(cube_weight, key: int, n: int):
-    """The coboundary rule on the cube with key ``key``, in n coordinates.
+def coface_keys(key: int, n: int) -> list:
+    """The coboundary rule on the cube with key ``key``, in n coordinates:
+    the keys of its cofaces (x, S + w) and (x - e_w, S + w) for every
+    direction w outside S, in that order.  The one site of the shift-sign
+    fault."""
+    wrong_way = faults.is_active("delta-coface-shift-sign")
+    out = []
+    for bit, unit in key_steps(n):
+        if not key & bit:
+            up = key | bit
+            out.append(up)
+            out.append(up + unit if wrong_way else up - unit)
+    return out
 
-    Yields (coface key, gap) for the cofaces (x, S + w) and (x - e_w,
-    S + w) of every direction w outside S, where gap, the weight of the
-    coface minus that of (x, S), is the U-power the coboundary lowers by.
-    ``cube_weight`` maps a cube key to a weight, like
-    ``CellBank.cells.get``; gap is None where it has none.  The fault flags
-    are read once per call.
+
+def cofaces(cube_weight, key: int, n: int):
+    """Yields (coface key, gap) for each of ``coface_keys(key, n)``, where
+    gap, the weight of the coface minus that of the cube, is the U-power
+    the coboundary lowers by.  ``cube_weight`` maps a cube key to a weight,
+    like ``CellBank.cells.get``; gap is None where it has none.  The fault
+    flags are read once per call.
     """
     w_here = cube_weight(key)
-    wrong_way = faults.is_active("delta-coface-shift-sign")
     strict = not faults.any_active()
-    for bit, unit in key_steps(n):
-        if key & bit:
+    for y in coface_keys(key, n):
+        w_up = cube_weight(y)
+        if w_up is None:
+            yield y, None
             continue
-        up = key | bit
-        for y in (up, up + unit if wrong_way else up - unit):
-            w_up = cube_weight(y)
-            if w_up is None:
-                yield y, None
-                continue
-            gap = w_up - w_here
-            if gap < 0 and strict:
-                raise MonotonicityError("weight monotonicity violated at %r"
-                                        % (split_key(y, n),))
-            yield y, gap
+        gap = w_up - w_here
+        if gap < 0 and strict:
+            raise MonotonicityError("weight monotonicity violated at %r"
+                                    % (split_key(y, n),))
+        yield y, gap
 
 
 def absolute_q(graph: PlumbingGraph, k) -> Fraction:
@@ -454,13 +462,15 @@ def weight_monotonicity_check(region: Region, offsets=None) -> bool:
     for every face with base corner at one of the packed ``offsets`` (by
     default all of the region's) and each of its cofaces, read through the
     region's memo."""
-    n = region.graph.n
+    n, weight = region.graph.n, region.cube_weights
     offsets = region.iter_offsets() if offsets is None else offsets
-    try:
-        return all(gap >= 0 for x in offsets for s in range(1 << n)
-                   for _, gap in cofaces(region.cube_weights, x << n | s, n))
-    except MonotonicityError:
-        return False
+    for x in offsets:
+        for key in range(x << n, (x + 1) << n):
+            w = weight(key)
+            for y in coface_keys(key, n):
+                if weight(y) < w:
+                    return False
+    return True
 
 
 def delta_squared_failures(region: Region, ks, levels):

@@ -12,7 +12,7 @@ from latcoh import (ComplexHomology, NonStabilizingError, Region, class_cells,
                     spinc_representatives, stabilize, triangle_context,
                     truncation_region, verify_ses)
 from latcoh.engine import DegreeModule, GradedGF2Complex, _presentation_data
-from latcoh.lattice import pack, unpack
+from latcoh.lattice import lattice_point, pack, unpack
 
 from conftest import chain, e8, grown, vertex
 
@@ -90,7 +90,9 @@ def test_class_cells_sublevel_is_exact(rp3):
     bank = class_cells(rp3, (0,), 3)
     # Points are precisely the sublevel set of the weight cap.
     assert [unpack(x, 1) for x in sorted(bank.points)] == [(-1,), (0,), (1,)]
-    assert bank.points[pack((1,))] == ((-4,), 1)
+    # A point maps to its weight; its vector is read through lattice_point.
+    assert bank.points[pack((1,))] == 1
+    assert lattice_point(rp3, bank.base, (1,)) == (-4,)
     assert bank.complete_to == 3
     assert bank.wmin == 0
 
@@ -394,23 +396,23 @@ def _reference_class_cells(graph, spinc_or_base, mcap, box=None,
     """The mask scan the face-up build replaced: every one of the 2^n masks
     at every point, read through ``offset_cube_weight`` with a memo of its
     own.  It shares ``_sublevel_points`` with ``class_cells``; the point
-    enumeration has its own brute-force test in test_exact.py."""
+    enumeration has its own brute-force test in test_exact.py.  Its points
+    map to their weights, as the bank's do."""
     from latcoh import engine
-    from latcoh.lattice import (lattice_point, offset_cube_weight,
-                                relative_weight)
+    from latcoh.lattice import offset_cube_weight, relative_weight
     n = graph.n
     base = tuple(getattr(spinc_or_base, "base", spinc_or_base))
     complete = None
     if is_negative_definite(graph):
-        _, wbar = engine.continuous_minimum(graph, base)
-        probe, step = wbar.__ceil__(), 1
-        pts = engine._sublevel_points(graph, base, probe)
+        minimum = engine.continuous_minimum(graph, base)
+        probe, step = minimum[1].__ceil__(), 1
+        pts = engine._sublevel_points(graph, base, probe, minimum)
         while not pts:
             probe += step
             step *= 2
-            pts = engine._sublevel_points(graph, base, probe)
+            pts = engine._sublevel_points(graph, base, probe, minimum)
         wcap = min(pts.values()) + mcap + wcap_extra
-        unfiltered = engine._sublevel_points(graph, base, wcap)
+        unfiltered = engine._sublevel_points(graph, base, wcap, minimum)
         pts = {x: w for x, w in unfiltered.items()
                if box is None or box.contains_offset(x)}
         if len(pts) == len(unfiltered):
@@ -420,8 +422,7 @@ def _reference_class_cells(graph, spinc_or_base, mcap, box=None,
                for x in box.iter_offsets()}
         wcap = min(pts.values()) + mcap + wcap_extra
         pts = {x: w for x, w in pts.items() if w <= wcap}
-    points = {x: (lattice_point(graph, base, unpack(x, n)), pts[x])
-              for x in sorted(pts)}
+    points = dict(sorted(pts.items()))
     memo = {}
     cells = {}
     for x in points:
@@ -523,6 +524,25 @@ def test_cells_read_each_cube_once(monkeypatch):
     assert sorted(calls) == sorted(bank.cells)
 
 
+def test_class_cells_solves_the_continuous_minimum_once(monkeypatch):
+    # The probe loop and the final enumeration share one Fraction solve.
+    from latcoh import engine
+    calls = []
+    real = engine.continuous_minimum
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(engine, "continuous_minimum", counted)
+    for name in DEMOS:
+        g = parse_graph((DATA / name).read_text())
+        for cls in spinc_representatives(g):
+            del calls[:]
+            class_cells(g, cls.base, 1)
+            assert len(calls) == 1
+
+
 def test_cell_bank_cap_is_a_basis_cap_error(monkeypatch):
     from latcoh import BasisCapError, engine
     g = e8()
@@ -591,6 +611,97 @@ def _reference_module_presentation(hom, mcap):
                         torsions.append((bot, (top - bot) // 2 + 1))
         out[deg] = DegreeModule(tuple(sorted(towers)), tuple(sorted(torsions)))
     return out
+
+
+def _reference_presentation(bank):
+    """``module_presentation`` with its columns probed through ``cofaces``,
+    two weight reads and a gap per coface, as it stood before the columns
+    were read off ``coface_keys`` and the row index."""
+    from latcoh.lattice import cofaces
+    cells, n, wmin = bank.cells, bank.graph.n, bank.wmin
+    full = (1 << n) - 1
+    layers = {}
+    for key, w in cells.items():
+        layers.setdefault((key & full).bit_count(), []).append((w, key))
+    out = {}
+    cleared = set()
+    order = sorted(layers.get(0, ()))
+    for deg in range(len(layers)):
+        upper = sorted(layers.get(deg + 1, ()))
+        rows = {key: i for i, (_, key) in enumerate(upper)}
+        pivots = {}
+        towers, torsions = [], []
+        for pos in range(len(order) - 1, -1, -1):
+            if pos in cleared:
+                continue
+            w, key = order[pos]
+            col = 0
+            for up, gap in cofaces(cells.get, key, n):
+                if gap is not None:
+                    col ^= 1 << rows[up]
+            while col:
+                low = (col & -col).bit_length() - 1
+                other = pivots.get(low)
+                if other is None:
+                    pivots[low] = col
+                    break
+                col ^= other
+            if not col:
+                towers.append(2 * (w - wmin))
+            elif upper[low][0] > w:
+                torsions.append((2 * (w - wmin), upper[low][0] - w))
+        if towers or torsions:
+            out[deg] = DegreeModule(tuple(sorted(towers)),
+                                    tuple(sorted(torsions)))
+        cleared = set(pivots)
+        order = upper
+    return out
+
+
+def _coface_loop_cases():
+    """Every demo graph at caps 1 to 3, and six seeded graphs, definite or
+    not, at cap 2."""
+    from latcoh.suites import random_graph
+    cases = [pytest.param(parse_graph((DATA / name).read_text()), mcap,
+                          id="%s-%d" % (name, mcap))
+             for name in DEMOS for mcap in (1, 2, 3)]
+    rng = random.Random(31)
+    for i in range(6):
+        cases.append(pytest.param(random_graph(rng, max_vertices=4,
+                                               weights=(-4, 1)),
+                                  2, id="seeded%d" % i))
+    return cases
+
+
+@pytest.mark.parametrize("fault", (None,) + faults.FAULTS)
+@pytest.mark.parametrize("g, mcap", _coface_loop_cases())
+def test_bars_match_the_coface_loop(g, mcap, fault):
+    if is_negative_definite(g):
+        banks = [(cls.base, None) for cls in spinc_representatives(g)]
+    else:
+        base = tuple(g.weights)
+        banks = [(base, Region(g, base, (-1,) * g.n, (1,) * g.n, mcap))]
+    with _fault_state(fault):
+        for base, box in banks:
+            bank = class_cells(g, base, mcap, box=box)
+            assert module_presentation(bank) == _reference_presentation(bank)
+
+
+def test_module_presentation_raises_on_a_lighter_coface():
+    # A hand-built bank whose coface (0, {0}) weighs less than its face
+    # (0, {}): only a corrupted bank can hold it, and with no fault active
+    # the reduction refuses it.
+    from latcoh.engine import CellBank
+    from latcoh.lattice import MonotonicityError, cube_key
+    g = vertex(-2)
+    bank = CellBank(g, (0,), {pack((0,)): 3},
+                    {cube_key((0,), 0): 3, cube_key((0,), 1): 1}, 1)
+    for presentation in (module_presentation, _reference_presentation):
+        with pytest.raises(MonotonicityError,
+                           match=r"violated at \(\(0,\), 1\)"):
+            presentation(bank)
+    with faults.injected("b-parity-skip"):
+        assert module_presentation(bank) == _reference_presentation(bank)
 
 
 def _presentation_cases():

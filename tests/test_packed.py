@@ -13,8 +13,9 @@ from latcoh import (OFFSET_LIMIT, OffsetRangeError, Region, class_cells,
                     faults, is_negative_definite, make_graph, parse_graph,
                     relative_weight, spinc_representatives, stabilize)
 from latcoh.engine import _admissible_cubes
-from latcoh.lattice import (BIAS, FIELD, MonotonicityError, cofaces,
-                            cube_key, cube_weights, pack, split_key, unpack)
+from latcoh.lattice import (BIAS, FIELD, MonotonicityError, coface_keys,
+                            cofaces, cube_key, cube_weights, pack, split_key,
+                            unpack)
 from latcoh.suites import random_graph
 
 DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
@@ -227,7 +228,7 @@ def test_packed_kernel_matches_the_tuple_kernel(g, mcap, fault):
     checked = 0
     with _fault_state(fault):
         for bank in _banks(g, mcap):
-            pts = {x: w for x, (_, w) in bank.points.items()}
+            pts = dict(bank.points)
             tuple_pts = {unpack(x, n): w for x, w in pts.items()}
             # The face-up memo, cube for cube and in the same order.
             memo = _admissible_cubes(pts, n)
@@ -250,4 +251,24 @@ def test_packed_kernel_matches_the_tuple_kernel(g, mcap, fault):
                             _reference_cofaces(tuple_weight, x, s, n)]
                     assert got == want
                     checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("fault", (None,) + faults.FAULTS)
+@pytest.mark.parametrize("g, mcap", _kernel_cases())
+def test_coface_keys_match_the_tuple_rule(g, mcap, fault):
+    # Every coface the tuple rule names, present or not, in its order.
+    n = g.n
+    checked = 0
+    with _fault_state(fault):
+        for bank in _banks(g, mcap):
+            weights = _reference_weights(g, bank.base)
+            for key in bank.cells:
+                x, s = split_key(key, n)
+                got = [split_key(up, n) for up in coface_keys(key, n)]
+                want = [(y, up) for y, up, _ in
+                        _reference_cofaces(weights, x, s, n)]
+                assert got == want
+                assert len(got) == 2 * (n - s.bit_count())
+                checked += 1
     assert checked
