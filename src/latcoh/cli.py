@@ -225,6 +225,16 @@ def main(argv=None) -> int:
     except (LatcohError, OSError, ValueError, IndexError) as err:
         print("error: %s" % err, file=sys.stderr)
         return EXIT_ERROR
+    except MemoryError:
+        pass
+    # Reported once the handler is left: its traceback held the frames of
+    # the computation that ran out of memory.
+    depth = getattr(args, "max_depth", None)
+    print("error: %s ran out of memory%s" % (
+        args.command, "" if depth is None else
+        " at --max-depth %d; rerun with a smaller --max-depth" % depth),
+        file=sys.stderr)
+    return EXIT_ERROR
 
 
 if __name__ == "__main__":

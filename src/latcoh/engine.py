@@ -57,7 +57,8 @@ class CellBank:
     ``cells`` holds exactly the cubes whose corners are all in ``points``
     and whose weight is within the cap.  They are built layer by layer
     from their faces (``_admissible_cubes``), never by trying every mask
-    at every point, and the memo that builds them holds nothing else.
+    at every point; the memo that builds them holds nothing else and
+    becomes ``cells`` in place.
     """
 
     graph: PlumbingGraph
@@ -161,12 +162,16 @@ def class_cells(graph: PlumbingGraph, spinc_or_base, mcap: int,
 
     # Every admissible cube is read once through the kernel's weight
     # routine, which adds the active faults to the memo's fault-free value.
-    memo = _admissible_cubes(pts, n)
-    cells = {}
-    for key in memo:
-        w = offset_cube_weight(pts.get, memo, n, key)
+    # A cube in the memo is read without touching any other entry, so the
+    # memo becomes the bank in place and the two are never held in full.
+    cells = _admissible_cubes(pts, n)
+    point_weight = pts.get
+    for key in list(cells):
+        w = offset_cube_weight(point_weight, cells, n, key)
         if w <= wcap:
             cells[key] = w
+        else:
+            del cells[key]
     return CellBank(graph, base, pts, cells, wmin, complete)
 
 
@@ -297,6 +302,23 @@ class DegreeModule:
     torsions: tuple
 
 
+def _column(hits, base):
+    """The GF(2) sum of the rows ``hits`` (None, a coface outside the bank,
+    is skipped) as a bitset shifted down to row ``base``: a row hit twice
+    cancels."""
+    col = 0
+    for row in hits:
+        if row is not None:
+            col ^= 1 << (row - base)
+    return col
+
+
+def _low(col, base):
+    """The earliest row of a column shifted down to row ``base``, or None
+    when the column is zero."""
+    return base + (col & -col).bit_length() - 1 if col else None
+
+
 def module_presentation(bank: CellBank) -> dict:
     """Decompose the class's cohomology into cyclic U-summands per degree.
 
@@ -304,13 +326,20 @@ def module_presentation(bank: CellBank) -> dict:
     restriction map, so its summands are the bars of one reduction of the
     bank's coboundary in filtration order: the cohomology form with
     clearing (de Silva, Morozov and Vejdemo-Johansson 2011; Chen and
-    Kerber 2011).  Within a degree the cells are ordered by (weight, cube
-    key), and rows are indexed per degree, which keeps the columns
-    short.  Degree d is reduced before d + 1, its columns from last to
-    first, each pivoting at its earliest row; a degree-(d+1) cell that was
-    a pivot row of degree d is already paired, so its column is skipped.
-    A column is the rows of ``coface_keys`` (a coface is in the bank iff it
-    has a row); a coface lighter than its face raises, unless a fault is on.
+    Kerber 2011).  Within a degree the cells are cube keys sorted by
+    (weight, cube key), and rows are indexed per degree, which keeps the
+    columns short.  Degree d is reduced before d + 1, its columns from last
+    to first, each pivoting at its earliest row; a degree-(d+1) cell that
+    was a pivot row of degree d is already paired, so its column is
+    skipped.  A column is the rows of ``coface_keys`` (a coface is in the
+    bank iff it has a row); a coface lighter than its face raises, unless a
+    fault is on.
+
+    Pivots are implicit, as in Ripser (Bauer 2021): almost every column
+    needs no addition, and such a pivot keeps only its cell's position and
+    is rebuilt from ``coface_keys`` when a later column collides with it.
+    Only a column that took additions is stored, as a bitset shifted down
+    to its low row, so no pivot costs bits below its earliest row.
 
     A pair (sigma, tau) is torsion of bottom 2(w(sigma) - wmin) and length
     w(tau) - w(sigma); a pair of equal weights is no summand.  An unpaired
@@ -321,46 +350,67 @@ def module_presentation(bank: CellBank) -> dict:
     full = (1 << n) - 1
     strict = not faults.any_active()
     layers = {}
-    for key, w in cells.items():
-        layers.setdefault((key & full).bit_count(), []).append((w, key))
+    for key in cells:
+        layers.setdefault((key & full).bit_count(), []).append(key)
+    for keys in layers.values():
+        keys.sort()
+        keys.sort(key=cells.__getitem__)   # stable, so in (weight, key) order
     out = {}
     cleared = set()
-    order = sorted(layers.get(0, ()))
+    order = layers.get(0, [])
+    below = [cells[key] for key in order]
     for deg in range(len(layers)):
-        upper = sorted(layers.get(deg + 1, ()))
-        rows = {key: i for i, (_, key) in enumerate(upper)}
-        pivots = {}
+        upper = layers.get(deg + 1, [])
+        above = [cells[key] for key in upper]
+        rows = dict(zip(upper, range(len(upper))))
+        pivots = {}     # low row -> position of the cell pivoting there
+        reduced = {}    # low row -> pivot column that took additions,
+                        # shifted down to that row
         towers, torsions = [], []
         for pos in range(len(order) - 1, -1, -1):
             if pos in cleared:
                 continue
-            w, key = order[pos]
-            col = 0
-            for up in coface_keys(key, n):
-                row = rows.get(up)
-                if row is not None:
-                    col ^= 1 << row
-            # The earliest row is the lightest coface in the bank.
-            low = (col & -col).bit_length() - 1
-            if strict and col and upper[low][0] < w:
-                raise MonotonicityError("weight monotonicity violated at %r"
-                                        % (split_key(upper[low][1], n),))
-            while col:
-                other = pivots.get(low)
-                if other is None:
-                    pivots[low] = col
-                    break
-                col ^= other
-                low = (col & -col).bit_length() - 1
-            if not col:
+            w = below[pos]
+            hits = [row for row in map(rows.get, coface_keys(order[pos], n))
+                    if row is not None]
+            base = low = min(hits) if hits else None
+            col = None
+            if hits.count(low) > 1:
+                # A row hit twice cancels, so the sum decides the low.
+                col = _column(hits, base)
+                low = _low(col, base)
+            if low is not None:
+                # The earliest row is the lightest coface in the bank.
+                if strict and above[low] < w:
+                    raise MonotonicityError("weight monotonicity violated at %r"
+                                            % (split_key(upper[low], n),))
+                if col is None and low not in pivots:
+                    pivots[low] = pos
+                else:
+                    if col is None:
+                        col = _column(hits, base)
+                    while low is not None:
+                        other = pivots.get(low)
+                        if other is None:
+                            pivots[low] = pos
+                            reduced[low] = col >> (low - base)
+                            break
+                        add = reduced.get(low)
+                        if add is None:
+                            add = _column(map(rows.get,
+                                              coface_keys(order[other], n)),
+                                          low)
+                        col ^= add << (low - base)
+                        low = _low(col, base)
+            if low is None:
                 towers.append(2 * (w - wmin))
-            elif upper[low][0] > w:
-                torsions.append((2 * (w - wmin), upper[low][0] - w))
+            elif above[low] > w:
+                torsions.append((2 * (w - wmin), above[low] - w))
         if towers or torsions:
             out[deg] = DegreeModule(tuple(sorted(towers)),
                                     tuple(sorted(torsions)))
         cleared = set(pivots)
-        order = upper
+        order, below = upper, above
     return out
 
 

@@ -1,8 +1,32 @@
+import signal
 from dataclasses import replace
 
 import pytest
 
 from latcoh import make_graph
+
+# Seconds one test may run before it fails: a loop that stops making
+# progress fails its own test instead of stalling the suite.  The slowest
+# test takes a few seconds.
+TEST_TIME_LIMIT = 120
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError("test ran longer than %d s" % TEST_TIME_LIMIT)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_TIME_LIMIT)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(autouse=True)

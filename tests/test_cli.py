@@ -137,6 +137,21 @@ def test_compute_e8_json(capsys):
     assert rec["torsions"] == [] and rec["stabilized"] is True
 
 
+def test_out_of_memory_is_one_error_line(graph_file, capsys, monkeypatch):
+    from latcoh import engine
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(engine, "class_cells", exhausted)
+    code, out, err = run(capsys, "compute", graph_file(CHAIN22),
+                         "--max-depth", "4")
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        "error: compute ran out of memory at --max-depth 4; rerun with a "
+        "smaller --max-depth"]
+
+
 def test_triangle_chain22_and_determinism(capsys):
     code, out1, _ = run(capsys, "triangle", "demos/data/chain22.graph",
                         "--vertex", "b", "--max-depth", "3")

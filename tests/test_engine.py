@@ -704,6 +704,125 @@ def test_module_presentation_raises_on_a_lighter_coface():
         assert module_presentation(bank) == _reference_presentation(bank)
 
 
+def _reference_bitset_presentation(bank):
+    """``module_presentation`` as it stood before its pivots were implicit:
+    every column, pivot or not, an int bitset anchored at row 0, and each
+    degree's cells a sorted list of (weight, cube key) tuples."""
+    from latcoh.lattice import MonotonicityError, coface_keys, split_key
+    cells, n, wmin = bank.cells, bank.graph.n, bank.wmin
+    full = (1 << n) - 1
+    strict = not faults.any_active()
+    layers = {}
+    for key, w in cells.items():
+        layers.setdefault((key & full).bit_count(), []).append((w, key))
+    out = {}
+    cleared = set()
+    order = sorted(layers.get(0, ()))
+    for deg in range(len(layers)):
+        upper = sorted(layers.get(deg + 1, ()))
+        rows = {key: i for i, (_, key) in enumerate(upper)}
+        pivots = {}
+        towers, torsions = [], []
+        for pos in range(len(order) - 1, -1, -1):
+            if pos in cleared:
+                continue
+            w, key = order[pos]
+            col = 0
+            for up in coface_keys(key, n):
+                row = rows.get(up)
+                if row is not None:
+                    col ^= 1 << row
+            low = (col & -col).bit_length() - 1
+            if strict and col and upper[low][0] < w:
+                raise MonotonicityError("weight monotonicity violated at %r"
+                                        % (split_key(upper[low][1], n),))
+            while col:
+                other = pivots.get(low)
+                if other is None:
+                    pivots[low] = col
+                    break
+                col ^= other
+                low = (col & -col).bit_length() - 1
+            if not col:
+                towers.append(2 * (w - wmin))
+            elif upper[low][0] > w:
+                torsions.append((2 * (w - wmin), upper[low][0] - w))
+        if towers or torsions:
+            out[deg] = DegreeModule(tuple(sorted(towers)),
+                                    tuple(sorted(torsions)))
+        cleared = set(pivots)
+        order = upper
+    return out
+
+
+def _implicit_pivot_cases():
+    """E8 and twonode at caps 2 to 4, chain22, star232 and rp3 at caps 1 to
+    4, and A_8 at cap 1."""
+    cases = [pytest.param(parse_graph((DATA / name).read_text()), mcap,
+                          id="%s-%d" % (name, mcap))
+             for name, caps in (("e8.graph", (2, 3, 4)),
+                                ("twonode.graph", (2, 3, 4)),
+                                ("chain22.graph", (1, 2, 3, 4)),
+                                ("star232.graph", (1, 2, 3, 4)),
+                                ("rp3.graph", (1, 2, 3, 4)))
+             for mcap in caps]
+    return cases + [pytest.param(chain(*[-2] * 8), 1, id="A8-1")]
+
+
+@pytest.mark.parametrize("fault", (None,) + faults.FAULTS)
+@pytest.mark.parametrize("g, mcap", _implicit_pivot_cases())
+def test_implicit_pivots_match_the_bitset_reduction(g, mcap, fault):
+    with _fault_state(fault):
+        for cls in spinc_representatives(g):
+            bank = class_cells(g, cls.base, mcap)
+            assert module_presentation(bank) == \
+                _reference_bitset_presentation(bank)
+
+
+def test_implicit_pivots_are_rebuilt_on_a_collision(monkeypatch):
+    # A pivot that took no addition keeps only its cell's position, so a
+    # later column that collides with it reads that cell's cofaces again:
+    # some cube's coface keys are asked for twice.
+    from collections import Counter
+    from latcoh import engine
+    g = parse_graph((DATA / "twonode.graph").read_text())
+    banks = [class_cells(g, cls.base, 3) for cls in spinc_representatives(g)]
+    calls = Counter()
+    real = engine.coface_keys
+
+    def counted(key, n):
+        calls[key] += 1
+        return real(key, n)
+
+    monkeypatch.setattr(engine, "coface_keys", counted)
+    rebuilt = []
+    for bank in banks:
+        calls.clear()
+        assert module_presentation(bank) == \
+            _reference_bitset_presentation(bank)
+        rebuilt.append(sum(c > 1 for c in calls.values()))
+    assert any(rebuilt)
+
+
+def test_presentation_heap_stays_near_the_bank():
+    # E8 at cap 3: the bitset reduction's traced heap peak above the bank
+    # was about 8.8 times the bank's own traced size.
+    import tracemalloc
+    g = e8()
+    base = spinc_representatives(g)[0].base
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        bank = class_cells(g, base, 3)
+        size = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.reset_peak()
+        module_presentation(bank)
+        peak = tracemalloc.get_traced_memory()[1] - before - size
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * size
+
+
 def _presentation_cases():
     """The demo graphs of the cell tests, and the certificate test's seeded
     trees."""
