@@ -24,8 +24,9 @@ from .triangle import (SesReport, TriangleContext, TriangleRegion,
                        default_region, is_in_D, map_A, map_B, r_value,
                        triangle_context, verify_ses)
 from .engine import (ComplexHomology, DegreeModule, GradedGF2Complex,
-                     GradedModulePresentation, LesReport, NonStabilizingError,
-                     class_cells, les_check, module_presentation, stabilize)
+                     GradedModulePresentation, InvariantError, LesReport,
+                     NonStabilizingError, class_cells, les_check,
+                     module_presentation, stabilize)
 
 __version__ = "0.1.0"
 

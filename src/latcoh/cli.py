@@ -22,6 +22,7 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_UNSTABILIZED = 2
 EXIT_SUITE_FAILED = 3
+EXIT_INVARIANT = 4
 
 
 def _emit(payload, fmt, table_fn):
@@ -222,6 +223,9 @@ def main(argv=None) -> int:
         print("hint: rerun with a larger --max-depth or wider bounds",
               file=sys.stderr)
         return EXIT_UNSTABILIZED
+    except engine.InvariantError as err:
+        print("error: %s" % err, file=sys.stderr)
+        return EXIT_INVARIANT
     except (LatcohError, OSError, ValueError, IndexError) as err:
         print("error: %s" % err, file=sys.stderr)
         return EXIT_ERROR

@@ -30,8 +30,8 @@ from .graph import (LatcohError, PlumbingGraph, graph_hash,
                     intersection_matrix, is_negative_definite,
                     spinc_representatives)
 from .lattice import (BASIS_CAP, BasisCapError, MonotonicityError, Region,
-                      bits, check_characteristic, coface_keys, cofaces,
-                      continuous_minimum, key_steps, lattice_point,
+                      bits, check_characteristic, coface_keys, coface_steps,
+                      cofaces, continuous_minimum, key_steps, lattice_point,
                       offset_cube_weight, pack, relative_weight, split_key,
                       unpack)
 from .triangle import SesReport, TriangleContext, _a_targets, _b_targets
@@ -39,6 +39,11 @@ from .triangle import SesReport, TriangleContext, _a_targets, _b_targets
 
 class NonStabilizingError(LatcohError):
     pass
+
+
+class InvariantError(LatcohError):
+    """A computed answer that breaks a law every cell bank obeys, so the
+    computation itself went wrong and enlarging the window cannot help."""
 
 
 @dataclass
@@ -101,12 +106,13 @@ def _admissible_cubes(pts, n):
     """
     memo = {x << n: w for x, w in pts.items()}
     steps, full = key_steps(n), (1 << n) - 1
+    steps_above = [steps[top:] for top in range(n + 1)]   # by S's top bit
     layer = list(memo)
     while layer:
         grown = []
         for key in layer:
             w = memo[key]
-            for bit, unit in steps[(key & full).bit_length():]:
+            for bit, unit in steps_above[(key & full).bit_length()]:
                 other = memo.get(key + unit)
                 if other is not None:
                     up = key | bit
@@ -331,9 +337,9 @@ def module_presentation(bank: CellBank) -> dict:
     columns short.  Degree d is reduced before d + 1, its columns from last
     to first, each pivoting at its earliest row; a degree-(d+1) cell that
     was a pivot row of degree d is already paired, so its column is
-    skipped.  A column is the rows of ``coface_keys`` (a coface is in the
-    bank iff it has a row); a coface lighter than its face raises, unless a
-    fault is on.
+    skipped.  A column is the rows of the cell's cofaces, read off the
+    ``coface_steps`` of its mask (a coface is in the bank iff it has a
+    row); a coface lighter than its face raises, unless a fault is on.
 
     Pivots are implicit, as in Ripser (Bauer 2021): almost every column
     needs no addition, and such a pivot keeps only its cell's position and
@@ -348,6 +354,7 @@ def module_presentation(bank: CellBank) -> dict:
     """
     cells, n, wmin = bank.cells, bank.graph.n, bank.wmin
     full = (1 << n) - 1
+    steps = coface_steps(n)
     strict = not faults.any_active()
     layers = {}
     for key in cells:
@@ -363,6 +370,7 @@ def module_presentation(bank: CellBank) -> dict:
         upper = layers.get(deg + 1, [])
         above = [cells[key] for key in upper]
         rows = dict(zip(upper, range(len(upper))))
+        get = rows.get
         pivots = {}     # low row -> position of the cell pivoting there
         reduced = {}    # low row -> pivot column that took additions,
                         # shifted down to that row
@@ -371,8 +379,9 @@ def module_presentation(bank: CellBank) -> dict:
             if pos in cleared:
                 continue
             w = below[pos]
-            hits = [row for row in map(rows.get, coface_keys(order[pos], n))
-                    if row is not None]
+            key = order[pos]
+            hits = [row for d in steps[key & full]
+                    if (row := get(key + d)) is not None]
             base = low = min(hits) if hits else None
             col = None
             if hits.count(low) > 1:
@@ -397,7 +406,7 @@ def module_presentation(bank: CellBank) -> dict:
                             break
                         add = reduced.get(low)
                         if add is None:
-                            add = _column(map(rows.get,
+                            add = _column(map(get,
                                               coface_keys(order[other], n)),
                                           low)
                         col ^= add << (low - base)
@@ -475,7 +484,11 @@ def stabilize(graph: PlumbingGraph, spinc_or_base, mcap: int,
     structure theorem allows (``_one_tower``); otherwise a torsion summand
     may be reported as a tower.  ``region`` is the bounding box of the
     enumerated offsets at this U cap; passing it back as ``bounds``
-    reproduces the answer."""
+    reproduces the answer.
+
+    The lightest point is never paired (the elder rule), so every correct
+    reduction has a degree-0 tower at bottom 0; an answer without one
+    raises ``InvariantError`` instead of being reported."""
     base = tuple(getattr(spinc_or_base, "base", spinc_or_base))
     index = getattr(spinc_or_base, "index", -1)
     box = None if bounds is None else replace(bounds, base=base)
@@ -484,6 +497,12 @@ def stabilize(graph: PlumbingGraph, spinc_or_base, mcap: int,
     region = Region(graph, base, tuple(map(min, corners)),
                     tuple(map(max, corners)), mcap)
     degrees = module_presentation(bank)
+    towers = degrees.get(0, DegreeModule((), ())).towers
+    if 0 not in towers:
+        raise InvariantError(
+            "class %d (base %s): degree 0 has tower bottoms %s but no tower "
+            "at bottom 0, which the lightest point always gives"
+            % (index, list(base), list(towers)))
     return GradedModulePresentation(
         graph_hash=graph_hash(graph), class_index=index, base=base,
         degrees=degrees,

@@ -3,8 +3,9 @@
 Each named fault corrupts one step of the core algebra.  The verification
 suites are required to catch every one of them; production code runs with
 the set empty.  Cube-weight memos hold fault-free values and each fault is
-applied at its single site (the shift sign in ``lattice.coface_keys``),
-so no cube-weight memo depends on the active set.  The coface fans
+applied at its single site (the shift sign where ``lattice.coface_steps``
+picks its table, which is cached per fault state), so no cube-weight memo
+depends on the active set.  The coface fans
 ``lattice.delta`` keeps do: they hold fault-applied values, so their
 dict lives for one call of ``delta`` or of
 ``lattice.delta_squared_failures`` and never longer.  The set is

@@ -30,17 +30,20 @@ and the homology engine share, as plain functions of the graph:
 ``relative_weight``, ``lattice_point`` (base + 2Mx), ``cube_weights`` (a
 memoised cube-weight function of one base), ``offset_cube_weight`` (the
 weight of a cube key given point weights at packed offsets),
-``coface_keys`` (the coboundary rule) and ``cofaces`` (the same keys
-with their weight gaps).  Each fault hook on them has its single site
-here.  Values are immutable; the only state is a cube-weight memo, owned
-by the window, cell bank or call that fills it, and the coface fans of
-``delta``, owned by one call of ``delta`` or of
+``coface_steps`` (the coboundary rule as data: per mask, the key steps to
+the cofaces, as precomputed neighbour offsets in cubical persistence
+codes), ``coface_keys`` (those steps added to a key) and ``cofaces``
+(the same keys with their weight gaps).  Each fault hook on them has its
+single site here.  Values are immutable; the only state is a cube-weight
+memo, owned by the window, cell bank or call that fills it, and the
+coface fans of ``delta``, owned by one call of ``delta`` or of
 ``delta_squared_failures`` because they hold fault-applied values.  No
-cache is keyed by a graph; the codec and the key steps of each vertex
-count n are small constant tables, cached for the process.  Read top
-down, a memo also records the cubes found to have no weight; a cell bank
-fills its memo bottom up with its admissible cubes only, so it holds no
-miss.
+cache is keyed by a graph; the codec, the key steps and the coface steps
+of each vertex count n are small constant tables, cached for the process
+(the coface steps per fault state, filled per mask on first use).  Read
+top down, a memo also records the cubes found to have no weight; a cell
+bank fills its memo bottom up with its admissible cubes only, so it holds
+no miss.
 """
 
 import functools
@@ -271,19 +274,41 @@ def _corner_max(point_weight, memo, n, key):
     return val
 
 
+class _PerMask(dict):
+    """mask -> entry, each built by ``make`` the first time it is read, so
+    a table holds only the masks its readers reach (at most 2^n, and far
+    fewer in a cell bank of many vertices)."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, s):
+        entry = self[s] = self.make(s)
+        return entry
+
+
+def coface_steps(n: int) -> _PerMask:
+    """The coboundary rule in n coordinates, as data: for each mask S the
+    tuple of steps d, one per coface, that take a cube key (x, S) to the
+    keys (x, S + w) and (x - e_w, S + w) of its cofaces, for every
+    direction w outside S in turn.  The table is cached per n and fault
+    state; this is the one site of the shift-sign fault."""
+    return _coface_table(n, faults.is_active("delta-coface-shift-sign"))
+
+
+@functools.cache
+def _coface_table(n: int, wrong_way: bool) -> _PerMask:
+    pairs = [(bit, bit + unit if wrong_way else bit - unit)
+             for bit, unit in key_steps(n)]
+    return _PerMask(lambda s: tuple(d for w, pair in enumerate(pairs)
+                                    if not s >> w & 1 for d in pair))
+
+
 def coface_keys(key: int, n: int) -> list:
-    """The coboundary rule on the cube with key ``key``, in n coordinates:
-    the keys of its cofaces (x, S + w) and (x - e_w, S + w) for every
-    direction w outside S, in that order.  The one site of the shift-sign
-    fault."""
-    wrong_way = faults.is_active("delta-coface-shift-sign")
-    out = []
-    for bit, unit in key_steps(n):
-        if not key & bit:
-            up = key | bit
-            out.append(up)
-            out.append(up + unit if wrong_way else up - unit)
-    return out
+    """The keys of the cofaces of the cube with key ``key``, in n
+    coordinates, in the order of ``coface_steps``."""
+    return [key + d for d in coface_steps(n)[key & ((1 << n) - 1)]]
 
 
 def cofaces(cube_weight, key: int, n: int):
@@ -295,7 +320,8 @@ def cofaces(cube_weight, key: int, n: int):
     """
     w_here = cube_weight(key)
     strict = not faults.any_active()
-    for y in coface_keys(key, n):
+    for d in coface_steps(n)[key & ((1 << n) - 1)]:
+        y = key + d
         w_up = cube_weight(y)
         if w_up is None:
             yield y, None
@@ -463,12 +489,14 @@ def weight_monotonicity_check(region: Region, offsets=None) -> bool:
     default all of the region's) and each of its cofaces, read through the
     region's memo."""
     n, weight = region.graph.n, region.cube_weights
+    steps = coface_steps(n)
     offsets = region.iter_offsets() if offsets is None else offsets
     for x in offsets:
-        for key in range(x << n, (x + 1) << n):
+        for s in range(1 << n):
+            key = x << n | s
             w = weight(key)
-            for y in coface_keys(key, n):
-                if weight(y) < w:
+            for d in steps[s]:
+                if weight(key + d) < w:
                     return False
     return True
 

@@ -223,6 +223,25 @@ PINNED = [
 ]
 
 
+@pytest.mark.parametrize("name", ["s3.graph", "rp3.graph", "chain22.graph",
+                                  "star232.graph", "twonode.graph",
+                                  "e8.graph"])
+def test_a_reduction_without_the_bottom_tower_exits_four(capsys, name):
+    # The shift-sign fault breaks the coboundary so that the lightest point
+    # of class 0 is paired: there is no degree-0 tower at bottom 0, which a
+    # correct answer always has, so no answer is printed.
+    from latcoh import faults
+    with faults.injected("delta-coface-shift-sign"):
+        code, out, err = run(capsys, "compute", str(DATA / name),
+                             "--max-depth", "2")
+    assert code == 4
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: class 0 (base ")
+    assert "degree 0 has tower bottoms [" in err
+    assert "no tower at bottom 0" in err
+
+
 @pytest.mark.parametrize("argv, expected, exit_code", PINNED,
                          ids=[" ".join(a) for a, *_ in PINNED])
 def test_pinned_report_hashes(capsys, argv, expected, exit_code):

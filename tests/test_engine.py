@@ -757,20 +757,26 @@ def _reference_bitset_presentation(bank):
 
 def _implicit_pivot_cases():
     """E8 and twonode at caps 2 to 4, chain22, star232 and rp3 at caps 1 to
-    4, and A_8 at cap 1."""
-    cases = [pytest.param(parse_graph((DATA / name).read_text()), mcap,
-                          id="%s-%d" % (name, mcap))
-             for name, caps in (("e8.graph", (2, 3, 4)),
-                                ("twonode.graph", (2, 3, 4)),
-                                ("chain22.graph", (1, 2, 3, 4)),
-                                ("star232.graph", (1, 2, 3, 4)),
-                                ("rp3.graph", (1, 2, 3, 4)))
-             for mcap in caps]
-    return cases + [pytest.param(chain(*[-2] * 8), 1, id="A8-1")]
+    4, and A_8 at cap 1, each with no fault and under every fault; except
+    E8 at cap 4 under the two exponent-formula faults.  Those, like
+    ``b-parity-skip``, reach the reduction only by switching off its
+    strict monotonicity guard, so on E8 at cap 4, the costliest case,
+    ``b-parity-skip`` stands for all three."""
+    graphs = [(name, parse_graph((DATA / name).read_text()), caps)
+              for name, caps in (("e8.graph", (2, 3, 4)),
+                                 ("twonode.graph", (2, 3, 4)),
+                                 ("chain22.graph", (1, 2, 3, 4)),
+                                 ("star232.graph", (1, 2, 3, 4)),
+                                 ("rp3.graph", (1, 2, 3, 4)))]
+    graphs.append(("A8", chain(*[-2] * 8), (1,)))
+    return [pytest.param(g, mcap, fault, id="%s-%d-%s" % (name, mcap, fault))
+            for name, g, caps in graphs for mcap in caps
+            for fault in (None,) + faults.FAULTS
+            if not ((name, mcap) == ("e8.graph", 4) and fault in (
+                "c-drop-quadratic", "c-always-first-case"))]
 
 
-@pytest.mark.parametrize("fault", (None,) + faults.FAULTS)
-@pytest.mark.parametrize("g, mcap", _implicit_pivot_cases())
+@pytest.mark.parametrize("g, mcap, fault", _implicit_pivot_cases())
 def test_implicit_pivots_match_the_bitset_reduction(g, mcap, fault):
     with _fault_state(fault):
         for cls in spinc_representatives(g):
@@ -780,9 +786,10 @@ def test_implicit_pivots_match_the_bitset_reduction(g, mcap, fault):
 
 
 def test_implicit_pivots_are_rebuilt_on_a_collision(monkeypatch):
-    # A pivot that took no addition keeps only its cell's position, so a
-    # later column that collides with it reads that cell's cofaces again:
-    # some cube's coface keys are asked for twice.
+    # A column reads its cofaces off the step table; a pivot that took no
+    # addition keeps only its cell's position, so a later column that
+    # collides with it rebuilds it through ``coface_keys``, the only call
+    # the reduction makes to it.  On twonode at cap 3 that happens.
     from collections import Counter
     from latcoh import engine
     g = parse_graph((DATA / "twonode.graph").read_text())
@@ -795,13 +802,15 @@ def test_implicit_pivots_are_rebuilt_on_a_collision(monkeypatch):
         return real(key, n)
 
     monkeypatch.setattr(engine, "coface_keys", counted)
-    rebuilt = []
+    rebuilt = 0
     for bank in banks:
         calls.clear()
         assert module_presentation(bank) == \
             _reference_bitset_presentation(bank)
-        rebuilt.append(sum(c > 1 for c in calls.values()))
-    assert any(rebuilt)
+        # Only cells of the bank are rebuilt.
+        assert calls.keys() <= bank.cells.keys()
+        rebuilt += len(calls)
+    assert rebuilt
 
 
 def test_presentation_heap_stays_near_the_bank():

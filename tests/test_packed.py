@@ -14,8 +14,8 @@ from latcoh import (OFFSET_LIMIT, OffsetRangeError, Region, class_cells,
                     relative_weight, spinc_representatives, stabilize)
 from latcoh.engine import _admissible_cubes
 from latcoh.lattice import (BIAS, FIELD, MonotonicityError, coface_keys,
-                            cofaces, cube_key, cube_weights, pack, split_key,
-                            unpack)
+                            coface_steps, cofaces, cube_key, cube_weights,
+                            key_steps, pack, split_key, unpack)
 from latcoh.suites import random_graph
 
 DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
@@ -272,3 +272,69 @@ def test_coface_keys_match_the_tuple_rule(g, mcap, fault):
                 assert len(got) == 2 * (n - s.bit_count())
                 checked += 1
     assert checked
+
+
+def _reference_coface_keys(key, n):
+    """The coboundary rule as a loop over the directions, as it stood
+    before ``coface_keys`` read the step table."""
+    wrong_way = faults.is_active("delta-coface-shift-sign")
+    out = []
+    for bit, unit in key_steps(n):
+        if not key & bit:
+            up = key | bit
+            out.append(up)
+            out.append(up + unit if wrong_way else up - unit)
+    return out
+
+
+SHIFT_SIGN = (None, "delta-coface-shift-sign")
+
+
+@pytest.mark.parametrize("fault", SHIFT_SIGN)
+@pytest.mark.parametrize("n", range(1, 9))
+def test_coface_keys_match_the_direction_loop_on_every_mask(n, fault):
+    x = tuple(range(-(n // 2), n - n // 2))
+    with _fault_state(fault):
+        for s in range(1 << n):
+            key = cube_key(x, s)
+            assert coface_keys(key, n) == _reference_coface_keys(key, n)
+            assert len(coface_steps(n)[s]) == 2 * (n - s.bit_count())
+
+
+@settings(max_examples=300, deadline=None)
+@given(offsets.filter(bool), st.data(), st.sampled_from(SHIFT_SIGN))
+def test_coface_keys_match_the_direction_loop_at_the_field_edges(x, data,
+                                                                 fault):
+    n = len(x)
+    key = cube_key(x, data.draw(st.integers(0, (1 << n) - 1)))
+    with _fault_state(fault):
+        assert coface_keys(key, n) == _reference_coface_keys(key, n)
+
+
+def test_the_shift_sign_fault_flips_a_rule_read_before_it():
+    # The step table is cached per fault state, so a table built with no
+    # fault active does not hide the fault once it is turned on.
+    n = 3
+    key = cube_key((0, 0, 0), 0)
+    clean = coface_keys(key, n)
+    with faults.injected("delta-coface-shift-sign"):
+        flipped = coface_keys(key, n)
+    assert [split_key(up, n) for up in clean[1::2]] == \
+        [((-1, 0, 0), 1), ((0, -1, 0), 2), ((0, 0, -1), 4)]
+    assert [split_key(up, n) for up in flipped[1::2]] == \
+        [((1, 0, 0), 1), ((0, 1, 0), 2), ((0, 0, 1), 4)]
+    assert flipped[::2] == clean[::2]
+    assert coface_keys(key, n) == clean
+
+
+def test_a_class_of_many_vertices_fills_only_the_masks_it_reads():
+    # The table has 2^n masks; a class of A_20 at cap 1 reads a few
+    # hundred, and only those are built.
+    n = 20
+    g = make_graph(([("v%d" % i, -2) for i in range(n)],
+                    [("v%d" % i, "v%d" % (i + 1)) for i in range(n - 1)]))
+    bank = class_cells(g, spinc_representatives(g)[0].base, 1)
+    assert stabilize(g, spinc_representatives(g)[0], 1).degrees
+    masks = {key & ((1 << n) - 1) for key in bank.cells}
+    assert set(coface_steps(n)) <= masks
+    assert len(masks) < 2 ** n // 1000
