@@ -31,7 +31,7 @@ from .graph import (LatcohError, PlumbingGraph, graph_hash,
                     spinc_representatives)
 from .lattice import (BASIS_CAP, BasisCapError, MonotonicityError, Region,
                       bits, check_characteristic, coface_keys, coface_steps,
-                      cofaces, continuous_minimum, key_steps, lattice_point,
+                      continuous_minimum, key_steps, lattice_point,
                       offset_cube_weight, pack, relative_weight, split_key,
                       unpack)
 from .triangle import SesReport, TriangleContext, _a_targets, _b_targets
@@ -241,25 +241,32 @@ class GradedGF2Complex:
         fault-applied values, so that dict must not outlive the caller's
         call.
         """
-        bank = self.bank
-        n = bank.graph.n
+        cells, n = self.bank.cells, self.bank.graph.n
+        full = (1 << n) - 1
+        steps, get = coface_steps(n), cells.get
+        strict = not faults.any_active()
         fans = {} if fans is None else fans
         cols = []
         for key, m in self.bases.get((deg, g), ()):
             fan = fans.get(key)
             if fan is None:
-                fan = fans[key] = [(up, gap) for up, gap
-                                   in cofaces(bank.cells.get, key, n)
-                                   if gap is not None]
+                here = cells[key]
+                fan = fans[key] = [(key + d, w - here) for d in steps[key & full]
+                                   if (w := get(key + d)) is not None]
+                dips = [up for up, gap in fan if gap < 0]
+                if dips and strict:
+                    raise MonotonicityError("weight monotonicity violated at "
+                                            "%r" % (split_key(dips[0], n),))
             vec = 0
             for up, gap in fan:
                 if gap > m:
                     continue
                 hit = self.index.get((up, m - gap))
                 if hit is not None:
-                    if hit[:2] != (deg + 1, g):
+                    hit_deg, hit_g, row = hit
+                    if hit_deg != deg + 1 or hit_g != g:
                         raise LatcohError("coboundary broke the grading")
-                    vec ^= 1 << hit[2]
+                    vec ^= 1 << row
             cols.append(vec)
         return cols
 

@@ -10,6 +10,10 @@ depends on the active set.  The coface fans
 dict lives for one call of ``delta`` or of
 ``lattice.delta_squared_failures`` and never longer.  The set is
 process-global: activate faults only from one thread at a time.
+
+A fault flag is read through ``faults.is_active(name)`` at its one site,
+once per call wherever the loop allows.  ``is_active`` is the set's own
+``__contains__``, so a read costs no Python frame.
 """
 
 from contextlib import contextmanager
@@ -24,9 +28,7 @@ FAULTS = (
 
 _active: set = set()
 
-
-def is_active(name: str) -> bool:
-    return name in _active
+is_active = _active.__contains__
 
 
 def any_active() -> bool:

@@ -38,12 +38,12 @@ single site here.  Values are immutable; the only state is a cube-weight
 memo, owned by the window, cell bank or call that fills it, and the
 coface fans of ``delta``, owned by one call of ``delta`` or of
 ``delta_squared_failures`` because they hold fault-applied values.  No
-cache is keyed by a graph; the codec, the key steps and the coface steps
-of each vertex count n are small constant tables, cached for the process
-(the coface steps per fault state, filled per mask on first use).  Read
-top down, a memo also records the cubes found to have no weight; a cell
-bank fills its memo bottom up with its admissible cubes only, so it holds
-no miss.
+cache is keyed by a graph; the codec, the packed origin, the key steps and
+the coface steps of each vertex count n are small constant tables, cached
+for the process (the coface steps per fault state, filled per mask on
+first use).  Read top down, a memo also records the cubes found to have
+no weight; a cell bank fills its memo bottom up with its admissible cubes
+only, so it holds no miss.
 """
 
 import functools
@@ -123,6 +123,12 @@ def unpack(x: int, n: int) -> tuple:
     """The integer tuple of the packed offset ``x`` of n coordinates."""
     fmt, flip = _codec(n)
     return fmt.unpack((x ^ flip).to_bytes(2 * n, "big"))
+
+
+@functools.cache
+def origin(n: int) -> int:
+    """The packed offset 0 of n coordinates."""
+    return pack((0,) * n)
 
 
 def cube_key(x, s: int) -> int:
@@ -450,7 +456,7 @@ def delta(e: Chain, region, fans=None) -> Chain:
     to several calls on one window; fans hold fault-applied values, so that
     dict must not outlive the caller's call.
     """
-    graph = region.graph
+    graph, mcap = region.graph, region.mcap
     n, rows = graph.n, intersection_matrix(graph)
     full = (1 << n) - 1
     fans = {} if fans is None else fans
@@ -477,8 +483,12 @@ def delta(e: Chain, region, fans=None) -> Chain:
         for k2, up, gap, in_window in fan:
             if gap > m:
                 continue
-            ok = in_window and m - gap <= region.mcap
-            (inside if ok else out).symmetric_difference_update([(k2, up, m - gap)])
+            term = (k2, up, m - gap)
+            bag = inside if in_window and m - gap <= mcap else out
+            if term in bag:
+                bag.remove(term)
+            else:
+                bag.add(term)
     return Chain(frozenset(inside), frozenset(out))
 
 

@@ -33,7 +33,7 @@ from . import faults, gf2
 from .graph import (LatcohError, PlumbingGraph, characteristic_base,
                     delete_vertex, graph_hash, increment_weight)
 from .lattice import (Chain, OutsideRegionError, RegionTooSmallError, bits,
-                      cube_key, cube_weights, delta, mask_of, pack)
+                      cube_weights, delta, key_steps, mask_of, origin)
 
 
 @dataclass(frozen=True)
@@ -105,24 +105,23 @@ def r_value(ctx: TriangleContext, k, s) -> int:
     r = ctx.r_memo.get((k, smask))
     if r is None:
         weight = cube_weights(ctx.graph, k)
-        rest = smask & ~(1 << ctx.v_index)
-        zero = (0,) * ctx.graph.n
-        e_v = tuple(int(j == ctx.v_index) for j in range(ctx.graph.n))
-        r = ctx.r_memo[(k, smask)] = (weight(cube_key(zero, rest))
-                                      - weight(cube_key(e_v, rest)))
+        n, vi = ctx.graph.n, ctx.v_index
+        corner = origin(n) << n | smask & ~(1 << vi)
+        r = ctx.r_memo[(k, smask)] = (weight(corner)
+                                      - weight(corner + key_steps(n)[vi][1]))
     return r
 
 
 def c_exponent_def(ctx: TriangleContext, i: int, k, s) -> int:
     """The exponent straight from its definition: cube-weight brackets on G
     and on G+, plus the quadratic term."""
-    smask = mask_of(ctx.graph, s)
+    n = ctx.graph.n
+    corner = origin(n) << n | mask_of(ctx.graph, s)
     k = tuple(k)
-    vi = ctx.v_index
-    kp = tuple(x + (2 * i + 1 if j == vi else 0) for j, x in enumerate(k))
-    corner = cube_key((0,) * ctx.graph.n, smask)
+    kp = list(k)
+    kp[ctx.v_index] += 2 * i + 1
     bracket_g = ctx.cube_weights(False, k)(corner)
-    bracket_p = ctx.cube_weights(True, kp)(corner)
+    bracket_p = ctx.cube_weights(True, tuple(kp))(corner)
     return bracket_g - bracket_p + i * (i + 1) // 2
 
 
@@ -160,15 +159,18 @@ def _a_targets(ctx: TriangleContext, k, smask: int, m: int):
     """Image terms of A on the dual U^-m ((K,t0),S)^v of G+."""
     vi = ctx.v_index
     t0 = k[vi]
+    kg = list(k)
+    faulty = faults.any_active()
     out = []
     for i in c_window(m):
-        kg = tuple(t0 - 2 * i - 1 if j == vi else x for j, x in enumerate(k))
-        c = c_exponent_closed(ctx, i, kg, smask)
-        if not faults.any_active():
+        kg[vi] = t0 - 2 * i - 1
+        target = tuple(kg)
+        c = c_exponent_closed(ctx, i, target, smask)
+        if not faulty:
             assert c >= min(i * (i + 1) // 2, (i + 1) * (i + 2) // 2), \
                 "exponent dipped below its window bound"
-        if 0 <= c <= m or (c < 0 and faults.any_active()):
-            out.append((kg, smask, m - c))
+        if 0 <= c <= m or (c < 0 and faulty):
+            out.append((target, smask, m - c))
     return out
 
 
@@ -272,11 +274,6 @@ class KBox:
         return all(a <= (c - b) // 2 <= h
                    for c, b, a, h in zip(k, self.base, self.lo, self.hi))
 
-    @functools.cached_property
-    def origin(self) -> int:
-        """The packed offset 0."""
-        return pack((0,) * self.graph.n)
-
     def frame(self, k):
         """(packed offset 0, cube weights relative to K), or None outside."""
         if not self.contains(k):
@@ -284,7 +281,7 @@ class KBox:
         weight = self.weights.get(k)
         if weight is None:
             weight = self.weights[k] = cube_weights(self.graph, k)
-        return self.origin, weight
+        return origin(self.graph.n), weight
 
 
 @dataclass(frozen=True)
