@@ -288,6 +288,59 @@ def test_verify_corpus_is_pinned_under_each_fault(capsys, seed, fault,
     assert hashlib.sha256(out.encode()).hexdigest() == expected
 
 
+# sha256 of stdout, the exit code and the first stderr line of the
+# benchmark's triangle runs (cap 3), with no fault and under each fault:
+# rebuilding the long-exact-sequence pieces must leave every byte of each
+# report, and each failure, as it was.
+TRIANGLE_DID_NOT_FIT = ("error: triangle homology did not fit any window; "
+                        "raise the grading pad")
+EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+TRIANGLE_PINS = [
+    ("chain22.graph", None,
+     "ba56e47a25e29b1470ed485102e754ebd087f76c5d493f84d1cde9cf0934a459", 0, ""),
+    ("chain22.graph", "cube-weight-parity-offset", EMPTY, 2,
+     TRIANGLE_DID_NOT_FIT),
+    ("chain22.graph", "delta-coface-shift-sign", EMPTY, 2,
+     TRIANGLE_DID_NOT_FIT),
+    ("chain22.graph", "b-parity-skip",
+     "94bc33c2b165b75485a0945c469bfd92f82fba899b191ee7d3ae48e3c00a0164", 2, ""),
+    ("chain22.graph", "c-drop-quadratic",
+     "24d58a64e0483405ae9f5c72059d8a3151cb2e09308690c1c2687df126a0f98f", 2, ""),
+    ("chain22.graph", "c-always-first-case",
+     "046a53998f5668acd4ede0fe3ec9e54f98c4bfd94573c7804023cb87015798f2", 2, ""),
+    ("star232.graph", None,
+     "fc443b53c434f72bce5a567f823d8aca01de995f29765937e92227429c8e1afe", 0, ""),
+    ("star232.graph", "cube-weight-parity-offset", EMPTY, 2,
+     TRIANGLE_DID_NOT_FIT),
+    ("star232.graph", "delta-coface-shift-sign", EMPTY, 2,
+     TRIANGLE_DID_NOT_FIT),
+    ("star232.graph", "b-parity-skip",
+     "f35f58125b145754de6228c5430959e2e7d12a37d3661a92bcb9d8bb5ea9d478", 2, ""),
+    ("star232.graph", "c-drop-quadratic",
+     "1f9b98702d28d434788b44aa4574aaed3ebe383fc180acbcc8353cb8164f3cf1", 2, ""),
+    ("star232.graph", "c-always-first-case",
+     "56d036cbb8dc4ca8f34d615fcd854d026449fda6d8c734fdf1b1c9ed0ebb4af3", 2, ""),
+]
+
+
+@pytest.mark.parametrize("name, fault, expected, exit_code, first_err",
+                         TRIANGLE_PINS,
+                         ids=["%s %s" % (name, fault or "no fault")
+                              for name, fault, *_ in TRIANGLE_PINS])
+def test_triangle_corpus_is_pinned_under_each_fault(capsys, name, fault,
+                                                    expected, exit_code,
+                                                    first_err):
+    argv = ("triangle", str(DATA / name), "--vertex", "b")
+    if fault is None:
+        code, out, err = run(capsys, *argv)
+    else:
+        with faults.injected(fault):
+            code, out, err = run(capsys, *argv)
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
+    assert err.split("\n")[0] == first_err
+
+
 # Which path sees which fault: the exit code of each path under each fault.
 # A path that never reads the faulted step exits 0 (compute reads neither A,
 # B nor the exponent c); 2 is a window that did not fit, 3 a failed
