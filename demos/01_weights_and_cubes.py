@@ -11,7 +11,7 @@ from latcoh import (Chain, Region, absolute_q, class_cells, cube_weights,
                     delta, determinant, intersection_matrix,
                     is_negative_definite, make_graph, parse_graph,
                     relative_weight, spinc_representatives)
-from latcoh.lattice import cofaces, cube_key, lattice_point, split_key, unpack
+from latcoh.lattice import cofaces, lattice_point, pack, split_key, unpack
 
 print("=== a single -2 vertex (boundary: RP^3) ===")
 g = parse_graph("plumbing v1\nvertex a -2\n")
@@ -37,10 +37,11 @@ weight = cube_weights(g, (0,))
 corners = [(0,), (1,)]
 print("  corners of ((0,), {a}) in class (0,):", corners, "-> K =",
       [lattice_point(g, (0,), x) for x in corners])
-print("  key: %#x" % cube_key((0,), 1))
-print("  weight:", weight(cube_key((0,), 1)), " (max of corner weights 0, 1)")
+edge = pack((0,)) << g.n | 1
+print("  key: %#x" % edge)
+print("  weight:", weight(edge), " (max of corner weights 0, 1)")
 print("  cofaces of the point ((0,), {}), with their weight gaps:")
-for key, gap in cofaces(weight, cube_key((0,), 0), g.n):
+for key, gap in cofaces(weight, pack((0,)) << g.n, g.n):
     print("    (%s, %d) gap %d" % (split_key(key, g.n) + (gap,)))
 
 print("\nthe coboundary on dual generators, in the window spanned by the cubes")
@@ -62,5 +63,6 @@ g2 = make_graph(([("a", -2), ("b", -2)], [("a", "b")]))
 print("matrix:", intersection_matrix(g2), " determinant:", determinant(g2))
 print("classes:", [c.base for c in spinc_representatives(g2)])
 print("the point ((0,0), {}) of class (0, 0) has cofaces:")
-for key, gap in cofaces(cube_weights(g2, (0, 0)), cube_key((0, 0), 0), g2.n):
+for key, gap in cofaces(cube_weights(g2, (0, 0)), pack((0, 0)) << g2.n,
+                        g2.n):
     print("    (%s, %d) gap %d" % (split_key(key, g2.n) + (gap,)))

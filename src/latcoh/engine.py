@@ -17,6 +17,8 @@ the cell bank's coboundary in filtration order.  The long-exact-sequence
 check needs cycle representatives instead: for it the complex splits by
 cube degree and by the grading g = 2m + 2(w - wmin) (the coboundary keeps
 g, U drops it by two) into finite GF(2) pieces, eliminated one by one.
+With U cap mcap the piece of degree q and grading 2L is the relative
+cochain complex C^q(S_L, S_{L-mcap-1}) of two sublevel sets.
 Every elimination runs over bitset columns in a fixed order, so rerunning
 an input gives byte-identical output.
 """
@@ -26,12 +28,12 @@ from fractions import Fraction
 from functools import partial
 
 from . import exact, faults, gf2
-from .graph import (LatcohError, PlumbingGraph, graph_hash,
-                    intersection_matrix, is_negative_definite,
+from .graph import (LatcohError, PlumbingGraph, bad_vertices, graph_hash,
+                    intersection_matrix, is_negative_definite, is_tree,
                     spinc_representatives)
 from .lattice import (BASIS_CAP, BasisCapError, MonotonicityError, Region,
                       bits, check_characteristic, coface_keys, coface_steps,
-                      continuous_minimum, key_steps, lattice_point,
+                      cofaces, continuous_minimum, key_steps, lattice_point,
                       offset_cube_weight, pack, relative_weight, split_key,
                       unpack)
 from .triangle import SesReport, TriangleContext, _a_targets, _b_targets
@@ -181,18 +183,25 @@ def class_cells(graph: PlumbingGraph, spinc_or_base, mcap: int,
     return CellBank(graph, base, pts, cells, wmin, complete)
 
 
+class _NeedEnlarge(Exception):
+    pass
+
+
 class GradedGF2Complex:
     """Bases and coboundary matrices of one class, split by (degree,
     grading), for the long-exact-sequence check only.
 
-    Basis elements are (cube key, U-power) pairs, ordered by cube key,
-    which is (offset, mask) order, then by U-power, up to the grading
-    2(complete_to - wmin) that the bank certifies; the coboundary is an
-    exact sparse GF(2) matrix between pieces.  Above
-    grading 2 mcap the pieces are U-truncated, which the sublevel
-    filtration behind ``module_presentation`` does not represent.  Only
-    complete banks are accepted: in a box-clipped bank a missing coface
-    may be a cube the box cut off.
+    A dual U^{-m} (x, S)^v has grading g = 2m + 2(w - wmin) and the
+    coboundary keeps g, so with U cap mcap the piece (q, 2L) is the
+    relative cochain complex C^q(S_L, S_{L-mcap-1}) of two sublevel sets
+    (levels relative to wmin): ``bases[(q, 2L)]`` maps each degree-q cube
+    key of relative weight w in [L - mcap, L], in bank order, to its
+    position, and the cube's U-power there is L - w.  L runs up to
+    complete_to - wmin, the level the bank certifies; above mcap the pieces
+    are U-truncated, which the sublevel filtration behind
+    ``module_presentation`` does not represent.  Only complete banks are
+    accepted: in a box-clipped bank a missing coface may be a cube the box
+    cut off.
     """
 
     def __init__(self, bank: CellBank, mcap: int):
@@ -201,23 +210,18 @@ class GradedGF2Complex:
                              "its sublevel set")
         self.bank = bank
         self.bases = {}
-        self.index = {}
-        grading_cap = 2 * (bank.complete_to - bank.wmin)
+        top = bank.complete_to - bank.wmin
         full = (1 << bank.graph.n) - 1
         count = 0
-        for key in sorted(bank.cells):
-            w = bank.cells[key] - bank.wmin
+        for key, w in bank.cells.items():
             deg = (key & full).bit_count()
-            for m in range(mcap + 1):
-                g = 2 * m + 2 * w
-                if g > grading_cap:
-                    continue
-                piece = self.bases.setdefault((deg, g), [])
-                self.index[(key, m)] = (deg, g, len(piece))
-                piece.append((key, m))
+            w -= bank.wmin
+            for level in range(w, min(w + mcap, top) + 1):
+                piece = self.bases.setdefault((deg, 2 * level), {})
+                piece[key] = len(piece)
                 count += 1
-                if count > BASIS_CAP:
-                    raise BasisCapError("basis exceeded %d triples" % BASIS_CAP)
+            if count > BASIS_CAP:
+                raise BasisCapError("basis exceeded %d triples" % BASIS_CAP)
 
     def pieces(self):
         return sorted(self.bases)
@@ -226,48 +230,27 @@ class GradedGF2Complex:
         return len(self.bases.get((deg, g), ()))
 
     def delta_matrix(self, deg, g, fans=None):
-        """Columns over the (deg, g) basis with rows in the (deg+1, g) basis.
+        """Columns over the (deg, g) basis with rows in the (deg+1, g) basis:
+        the coboundary of the pair of sublevel sets, so a cube's column has
+        the row of each of its cofaces that the target piece holds.
 
-        A coface missing from the complete bank weighs more than
-        ``complete_to`` >= w + m, so its gap exceeds m and it is dropped
-        by the U-power rule anyway.  Only a negative gap, which an injected
-        weight fault can cause, gives an element outside the basis.  The
-        cofaces of one cube are distinct, so no two hits cancel.
-
-        A cube's fan, its cofaces in the bank with their gaps, does not
-        depend on the U-power, so it is walked once per cube and kept in
-        ``fans``: a fresh dict per call unless the caller passes one for
-        several calls (``ComplexHomology`` does, for one build).  Fans hold
-        fault-applied values, so that dict must not outlive the caller's
-        call.
+        A cube's fan, its cofaces in the bank, is read once from ``cofaces``
+        (so through the kernel's monotonicity check) and kept in ``fans``
+        for every level: a fresh dict per call unless the caller passes one
+        (``ComplexHomology`` does, for one build).  Fans hold fault-applied
+        values, so that dict must not outlive the caller's call.
         """
         cells, n = self.bank.cells, self.bank.graph.n
-        full = (1 << n) - 1
-        steps, get = coface_steps(n), cells.get
-        strict = not faults.any_active()
+        rows = self.bases.get((deg + 1, g), {})
         fans = {} if fans is None else fans
         cols = []
-        for key, m in self.bases.get((deg, g), ()):
+        for key in self.bases.get((deg, g), ()):
             fan = fans.get(key)
             if fan is None:
-                here = cells[key]
-                fan = fans[key] = [(key + d, w - here) for d in steps[key & full]
-                                   if (w := get(key + d)) is not None]
-                dips = [up for up, gap in fan if gap < 0]
-                if dips and strict:
-                    raise MonotonicityError("weight monotonicity violated at "
-                                            "%r" % (split_key(dips[0], n),))
-            vec = 0
-            for up, gap in fan:
-                if gap > m:
-                    continue
-                hit = self.index.get((up, m - gap))
-                if hit is not None:
-                    hit_deg, hit_g, row = hit
-                    if hit_deg != deg + 1 or hit_g != g:
-                        raise LatcohError("coboundary broke the grading")
-                    vec ^= 1 << row
-            cols.append(vec)
+                fan = fans[key] = [up for up, gap in cofaces(cells.get, key, n)
+                                   if gap is not None]
+            # The cofaces of one cube are distinct, so no two rows cancel.
+            cols.append(sum(1 << rows[up] for up in fan if up in rows))
         return cols
 
 
@@ -297,11 +280,19 @@ class ComplexHomology:
 
     def reduce_chain(self, terms) -> dict:
         """Homology coordinates of a cycle given by (cube key, U-power)
-        duals, split by (degree, grading) piece."""
+        duals, split by (degree, grading) piece.  A dual no piece holds
+        raises ``_NeedEnlarge``."""
+        bank, bases = self.cx.bank, self.cx.bases
+        full = (1 << bank.graph.n) - 1
         grouped = {}
         for key, m in terms:
-            deg, g, pos = self.cx.index[(key, m)]
-            grouped[(deg, g)] = grouped.get((deg, g), 0) ^ (1 << pos)
+            # A key outside the bank is in no piece, whatever its weight.
+            pg = ((key & full).bit_count(),
+                  2 * (m + bank.cells.get(key, 0) - bank.wmin))
+            pos = bases.get(pg, {}).get(key)
+            if pos is None:
+                raise _NeedEnlarge()
+            grouped[pg] = grouped.get(pg, 0) ^ (1 << pos)
         return {pg: self.pieces[pg][0].coords(vec)
                 for pg, vec in grouped.items()}
 
@@ -493,9 +484,12 @@ def stabilize(graph: PlumbingGraph, spinc_or_base, mcap: int,
     enumerated offsets at this U cap; passing it back as ``bounds``
     reproduces the answer.
 
-    The lightest point is never paired (the elder rule), so every correct
-    reduction has a degree-0 tower at bottom 0; an answer without one
-    raises ``InvariantError`` instead of being reported."""
+    An answer that breaks a law of every correct one raises
+    ``InvariantError`` instead.  The lightest point is never paired (the
+    elder rule), so degree 0 has a tower at bottom 0.  On a complete bank
+    of a connected tree with nu bad vertices H^q = 0 for q >= max(nu, 1)
+    (Laszlo and Nemethi's reduction theorem), so no such degree has a
+    summand."""
     base = tuple(getattr(spinc_or_base, "base", spinc_or_base))
     index = getattr(spinc_or_base, "index", -1)
     box = None if bounds is None else replace(bounds, base=base)
@@ -510,6 +504,13 @@ def stabilize(graph: PlumbingGraph, spinc_or_base, mcap: int,
             "class %d (base %s): degree 0 has tower bottoms %s but no tower "
             "at bottom 0, which the lightest point always gives"
             % (index, list(base), list(towers)))
+    nu = len(bad_vertices(graph))
+    above = [deg for deg in degrees if deg >= max(nu, 1)]
+    if above and bank.complete_to is not None and is_tree(graph):
+        raise InvariantError(
+            "class %d (base %s): degree %d has summands, but a tree with %d "
+            "bad vertices has none in degree >= %d"
+            % (index, list(base), min(above), nu, max(nu, 1)))
     return GradedModulePresentation(
         graph_hash=graph_hash(graph), class_index=index, base=base,
         degrees=degrees,
@@ -519,10 +520,6 @@ def stabilize(graph: PlumbingGraph, spinc_or_base, mcap: int,
 
 # ---------------------------------------------------------------------------
 # Long exact sequence of the surgery triangle on homology.
-
-
-class _NeedEnlarge(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -591,19 +588,13 @@ def _push_chain(terms, homs, lookup, offsets):
     """
     grouped = {}
     for k, s, m in terms:
-        hit = lookup.get(k)
-        if hit is None:
+        if k not in lookup:
             raise _NeedEnlarge()
-        ci, corner = hit
-        grouped.setdefault(ci, set()).symmetric_difference_update(
-            [(corner | s, m)])
+        ci, corner = lookup[k]
+        grouped.setdefault(ci, []).append((corner | s, m))
     vec = 0
     for ci, part in grouped.items():
-        hom = homs[ci]
-        for dual in part:
-            if dual not in hom.cx.index:
-                raise _NeedEnlarge()
-        for (_, g), coords in hom.reduce_chain(part).items():
+        for (_, g), coords in homs[ci].reduce_chain(part).items():
             if coords:
                 vec ^= coords << offsets[(ci, g)]
     return vec
@@ -622,11 +613,12 @@ def _side_map_columns(deg, src_homs, image_terms, dst_homs, dst_lookup,
         for (d, g) in sorted(hom.dims):
             if d != deg:
                 continue
-            basis = hom.cx.bases[(d, g)]
+            keys = list(hom.cx.bases[(d, g)])
             for rep in hom.pieces[(d, g)][1]:
                 terms = set()
                 for pos in bits(rep):
-                    key, m = basis[pos]
+                    key = keys[pos]
+                    m = g // 2 - (bank.cells[key] - bank.wmin)
                     k = lattice_point(bank.graph, bank.base,
                                       unpack(key >> n, n))
                     for t in image_terms(k, key & ((1 << n) - 1), m):

@@ -249,6 +249,18 @@ def bad_vertices(graph: PlumbingGraph) -> frozenset:
     )
 
 
+def is_tree(graph: PlumbingGraph) -> bool:
+    """Whether the graph is connected and has n - 1 edges, so no cycle and
+    no multiple edge."""
+    seen, todo = set(), [0]
+    while todo:
+        i = todo.pop()
+        if i not in seen:
+            seen.add(i)
+            todo += [a + b - i for a, b, _ in graph.edges if i in (a, b)]
+    return len(seen) == graph.n and len(graph.edges) == graph.n - 1
+
+
 def delete_vertex(graph: PlumbingGraph, vid: str) -> PlumbingGraph:
     """The graph with ``vid`` and all incident edges removed; the remaining
     vertex order is preserved."""

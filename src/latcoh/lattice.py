@@ -131,11 +131,6 @@ def origin(n: int) -> int:
     return pack((0,) * n)
 
 
-def cube_key(x, s: int) -> int:
-    """The cube key of (x, S) for an integer tuple ``x``."""
-    return pack(x) << len(x) | s
-
-
 def split_key(key: int, n: int) -> tuple:
     """(x, S) of a cube key, with x an integer tuple."""
     return unpack(key >> n, n), key & ((1 << n) - 1)

@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 
 from latcoh import make_graph
+from latcoh.lattice import pack
 
 # Seconds one test may run before it fails: a loop that stops making
 # progress fails its own test instead of stalling the suite.  The slowest
@@ -53,6 +54,11 @@ def e8():
     espec = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"),
              ("e", "f"), ("f", "g"), ("e", "h")]
     return make_graph((vspec, espec))
+
+
+def cube_key(x, s):
+    """The cube key x << n | S of (x, S) for an integer tuple ``x``."""
+    return pack(x) << len(x) | s
 
 
 def grown(region, d):

@@ -242,6 +242,19 @@ def test_a_reduction_without_the_bottom_tower_exits_four(capsys, name):
     assert "no tower at bottom 0" in err
 
 
+def test_a_summand_where_a_tree_has_none_exits_four(capsys):
+    # Under the weight fault chain22 (a tree, no bad vertex) gets degree-1
+    # summands; H^q vanishes for q >= 1 there, so no answer is printed
+    # instead of a "raise --max-depth" hint.
+    with faults.injected("cube-weight-parity-offset"):
+        code, out, err = run(capsys, "compute", str(DATA / "chain22.graph"),
+                             "--max-depth", "3")
+    assert (code, out, err.count("\n")) == (4, "", 1)
+    assert err.startswith("error: class ")
+    assert ("has summands, but a tree with 0 bad vertices has none in "
+            "degree >= 1") in err
+
+
 @pytest.mark.parametrize("argv, expected, exit_code", PINNED,
                          ids=[" ".join(a) for a, *_ in PINNED])
 def test_pinned_report_hashes(capsys, argv, expected, exit_code):
@@ -344,7 +357,8 @@ def test_triangle_corpus_is_pinned_under_each_fault(capsys, name, fault,
 # Which path sees which fault: the exit code of each path under each fault.
 # A path that never reads the faulted step exits 0 (compute reads neither A,
 # B nor the exponent c); 2 is a window that did not fit, 3 a failed
-# verification, 4 a reduction without its bottom tower.
+# verification, 4 an answer that breaks a law of every correct one (no
+# bottom tower, or a summand where a tree's cohomology vanishes).
 VISIBILITY_PATHS = {
     "compute rp3": ("compute", "rp3.graph", "--max-depth", "3"),
     "compute chain22": ("compute", "chain22.graph", "--max-depth", "3"),
@@ -354,7 +368,7 @@ VISIBILITY_PATHS = {
 }
 VISIBILITY = {
     "compute rp3": [0, 4, 0, 0, 0],
-    "compute chain22": [2, 4, 0, 0, 0],
+    "compute chain22": [4, 4, 0, 0, 0],
     "triangle chain22": [2, 2, 2, 2, 2],
     "verify seed 7": [3, 3, 3, 3, 3],
 }

@@ -14,7 +14,7 @@ from latcoh import (ComplexHomology, NonStabilizingError, Region, class_cells,
 from latcoh.engine import DegreeModule, GradedGF2Complex, _presentation_data
 from latcoh.lattice import lattice_point, pack, unpack
 
-from conftest import chain, e8, grown, vertex
+from conftest import chain, cube_key, e8, grown, vertex
 
 
 # --- complexes --------------------------------------------------------------
@@ -284,6 +284,42 @@ def test_graded_complex_rejects_an_incomplete_bank():
         GradedGF2Complex(bank, 3)
 
 
+def _definite_trees(seed, count, max_vertices=5):
+    """Seeded connected definite trees with small determinants."""
+    from latcoh import determinant
+    from latcoh.suites import random_graph
+    rng = random.Random(seed)
+    trees = []
+    while len(trees) < count:
+        g = random_graph(rng, max_vertices=max_vertices, weights=(-5, 0),
+                         extra_edge=0)
+        if is_negative_definite(g) and abs(determinant(g)) <= 16:
+            trees.append(g)
+    return trees
+
+
+def test_fault_free_trees_pass_the_vanishing_check():
+    # On a connected definite tree with nu bad vertices H^q = 0 for
+    # q >= max(nu, 1), so without a fault stabilize never raises for it.
+    for g in _definite_trees(23, 40, max_vertices=6):
+        for cls in spinc_representatives(g):
+            for mcap in (1, 2, 3):
+                stabilize(g, cls, mcap)
+
+
+def test_graphs_with_a_cycle_skip_the_vanishing_check():
+    # A cycle adds cohomology the reduction theorem does not bound: this
+    # graph (nu = 1) has a degree-1 summand and must not raise.
+    from latcoh import bad_vertices
+    g = make_graph(([("v0", -1), ("v1", -2), ("v2", -3), ("v3", -4),
+                     ("v4", -1)],
+                    [("v1", "v0", -1), ("v2", "v1", -1), ("v3", "v2", -1),
+                     ("v4", "v2", -1), ("v3", "v1", -1)]))
+    assert len(bad_vertices(g)) == 1
+    pres = stabilize(g, spinc_representatives(g)[1], 1)
+    assert pres.degrees[1] == DegreeModule(towers=(), torsions=((0, 1),))
+
+
 def test_one_bad_vertex_gives_one_tower_per_class():
     import random
     from latcoh import bad_vertices, determinant, is_negative_definite
@@ -321,6 +357,52 @@ def test_brieskorn_sphere_torsion():
 DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 DEMOS = ("s3.graph", "rp3.graph", "chain22.graph", "star232.graph",
          "twonode.graph", "e8.graph")
+
+
+def _relative_complex_cases():
+    """Every demo graph at caps 1 to 3, and seeded definite trees."""
+    cases = [pytest.param(parse_graph((DATA / name).read_text()), mcap,
+                          id="%s-%d" % (name, mcap))
+             for name in DEMOS for mcap in (1, 2, 3)]
+    return cases + [pytest.param(g, 1 + i % 3, id="tree%d" % i)
+                    for i, g in enumerate(_definite_trees(19, 9))]
+
+
+@pytest.mark.parametrize("g, mcap", _relative_complex_cases())
+def test_pieces_are_relative_cochain_complexes_of_sublevel_pairs(g, mcap):
+    # With U cap u, piece (q, 2L) holds exactly the degree-q cells of
+    # relative weight in [L - u, L], in bank order, and its coboundary is
+    # that of the pair (S_L, S_{L-u-1}), built here from coface_keys and
+    # membership alone.  u = mcap - 1 under a bank of cap mcap, so the top
+    # level is a proper pair.
+    from latcoh.lattice import bits, coface_keys
+    u, n, full = mcap - 1, g.n, (1 << g.n) - 1
+    for cls in spinc_representatives(g):
+        bank = class_cells(g, cls.base, mcap)
+        cx = GradedGF2Complex(bank, u)
+        level = {key: w - bank.wmin for key, w in bank.cells.items()}
+        top = bank.complete_to - bank.wmin
+
+        def in_pair(key, big):
+            # In S_big but not in S_{big-u-1}.
+            return key in level and big - u <= level[key] <= big
+
+        pieces = {}
+        for big in range(top + 1):
+            for key in bank.cells:
+                if in_pair(key, big):
+                    pieces.setdefault(((key & full).bit_count(), 2 * big),
+                                      []).append(key)
+        assert {pg: list(basis) for pg, basis in cx.bases.items()} == pieces
+        for basis in cx.bases.values():
+            assert list(basis.values()) == list(range(len(basis)))
+        for (q, grade), basis in cx.bases.items():
+            rows = list(cx.bases.get((q + 1, grade), ()))
+            for key, col in zip(basis, cx.delta_matrix(q, grade)):
+                pair = {up for up in coface_keys(key, n)
+                        if in_pair(up, grade // 2)}
+                assert col >> len(rows) == 0
+                assert {rows[i] for i in bits(col)} == pair
 
 
 def _certificate_cases():
@@ -566,19 +648,22 @@ def _reference_module_presentation(hom, mcap):
     cx = hom.cx
 
     def u_on_homology(deg, g):
-        # U sends the dual (key, m) to (key, m - 1), and m = 0 to zero.
+        # U sends the dual (key, m) to (key, m - 1), and m = 0 to zero: on
+        # the level bases, a cube of piece (deg, g) to the same cube of
+        # piece (deg, g - 2), which holds it exactly when m >= 1.
         reps = hom.pieces[(deg, g)][1]
         below, below_reps = hom.pieces.get((deg, g - 2), (None, ()))
         if not below_reps:
             return [0] * len(reps)
-        basis = cx.bases[(deg, g)]
+        keys = list(cx.bases[(deg, g)])
+        rows = cx.bases[(deg, g - 2)]
         cols = []
         for rep in reps:
             img = 0
             for pos in bits(rep):
-                key, m = basis[pos]
-                if m:
-                    img ^= 1 << cx.index[(key, m - 1)][2]
+                row = rows.get(keys[pos])
+                if row is not None:
+                    img ^= 1 << row
             cols.append(below.coords(img))
         return cols
 
@@ -692,7 +777,7 @@ def test_module_presentation_raises_on_a_lighter_coface():
     # (0, {}): only a corrupted bank can hold it, and with no fault active
     # the reduction refuses it.
     from latcoh.engine import CellBank
-    from latcoh.lattice import MonotonicityError, cube_key
+    from latcoh.lattice import MonotonicityError
     g = vertex(-2)
     bank = CellBank(g, (0,), {pack((0,)): 3},
                     {cube_key((0,), 0): 3, cube_key((0,), 1): 1}, 1)

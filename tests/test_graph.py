@@ -11,6 +11,7 @@ from latcoh import (DegenerateFormError, ParseError, UnknownVertexError,
                     is_negative_definite, make_graph, parse_graph,
                     spinc_representatives)
 from latcoh.exact import solve_fraction
+from latcoh.graph import is_tree
 from latcoh.suites import random_graph
 
 from conftest import chain, e8, vertex
@@ -154,6 +155,18 @@ def test_bad_vertices():
     g = make_graph(([("a", -2), ("b", -2), ("c", -2)],
                     [("a", "b"), ("a", "c")]))
     assert bad_vertices(g) == frozenset()  # -2 + 2 = 0 is not bad
+
+
+def test_is_tree():
+    assert is_tree(vertex(-2)) and is_tree(chain(-2, -2, -3)) and is_tree(e8())
+    loop = make_graph(([("a", -2), ("b", -2), ("c", -2)],
+                       [("a", "b"), ("b", "c"), ("c", "a")]))
+    double = make_graph(([("a", -2), ("b", -2)],
+                         [("a", "b"), ("a", "b", -1)]))
+    # n - 1 edges, but a cycle and an isolated vertex.
+    apart = make_graph(([("a", -2), ("b", -2), ("c", -2), ("d", -2)],
+                        [("a", "b"), ("b", "c"), ("c", "a")]))
+    assert not any(map(is_tree, (loop, double, apart)))
 
 
 def test_delete_vertex():

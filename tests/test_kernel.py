@@ -10,11 +10,11 @@ import pytest
 from latcoh import (BasisCapError, LatcohError, Region, faults,
                     spinc_representatives, stabilize)
 from latcoh.engine import _sublevel_points
-from latcoh.lattice import (BASIS_CAP, cofaces, continuous_minimum, cube_key,
+from latcoh.lattice import (BASIS_CAP, cofaces, continuous_minimum,
                             offset_cube_weight, pack, split_key)
 from latcoh.suites import random_graph_with_classes
 
-from conftest import chain, e8, grown, vertex
+from conftest import chain, cube_key, e8, grown, vertex
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "latcoh"
 

@@ -14,12 +14,11 @@ from latcoh import (Chain, DegenerateFormError, DescentError,
                     delta_squared_check, faults, intersection_matrix, lattice,
                     relative_weight, spinc_representatives, truncation_region,
                     weight_monotonicity_check)
-from latcoh.lattice import (MonotonicityError, bits, cube_key,
-                            delta_squared_failures, lattice_point, pack,
-                            unpack)
+from latcoh.lattice import (MonotonicityError, bits, delta_squared_failures,
+                            lattice_point, pack, unpack)
 from latcoh.suites import graph_spec, random_graph, suite_delta_squared
 
-from conftest import chain, e8, vertex
+from conftest import chain, cube_key, e8, vertex
 
 
 # --- relative and absolute weights -----------------------------------------

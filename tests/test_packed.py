@@ -14,9 +14,11 @@ from latcoh import (OFFSET_LIMIT, OffsetRangeError, Region, class_cells,
                     relative_weight, spinc_representatives, stabilize)
 from latcoh.engine import _admissible_cubes
 from latcoh.lattice import (BIAS, FIELD, MonotonicityError, coface_keys,
-                            coface_steps, cofaces, cube_key, cube_weights,
+                            coface_steps, cofaces, cube_weights,
                             key_steps, pack, split_key, unpack)
 from latcoh.suites import random_graph
+
+from conftest import cube_key
 
 DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 
