@@ -142,7 +142,7 @@ def cmd_triangle(args: argparse.Namespace) -> int:
             print("  " + " ".join("%s=%s" % kv for kv in sorted(row.items())))
 
     _emit(payload, args.format, table)
-    return EXIT_OK if (ses.passed and les.exact) else EXIT_UNSTABILIZED
+    return EXIT_OK if (ses.passed and les.exact) else EXIT_SUITE_FAILED
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -16,9 +16,12 @@ sublevel filtration, with U acting as restriction, so
 the cell bank's coboundary in filtration order.  The long-exact-sequence
 check needs cycle representatives instead: for it the complex splits by
 cube degree and by the grading g = 2m + 2(w - wmin) (the coboundary keeps
-g, U drops it by two) into finite GF(2) pieces, eliminated one by one.
-With U cap mcap the piece of degree q and grading 2L is the relative
-cochain complex C^q(S_L, S_{L-mcap-1}) of two sublevel sets.
+g, U drops it by two) into finite GF(2) pieces.  With U cap mcap the
+piece of degree q and grading 2L is the relative cochain complex
+C^q(S_L, S_{L-mcap-1}) of two sublevel sets.  Its coboundary columns are
+read off the ``coface_steps`` table, with the monotonicity guard inline,
+and each coboundary is eliminated once: the one reduction gives the
+cycles of its own piece and the boundaries of the piece above.
 Every elimination runs over bitset columns in a fixed order, so rerunning
 an input gives byte-identical output.
 """
@@ -33,7 +36,7 @@ from .graph import (LatcohError, PlumbingGraph, bad_vertices, graph_hash,
                     spinc_representatives)
 from .lattice import (BASIS_CAP, BasisCapError, MonotonicityError, Region,
                       bits, check_characteristic, coface_keys, coface_steps,
-                      cofaces, continuous_minimum, key_steps, lattice_point,
+                      continuous_minimum, key_steps, lattice_point,
                       offset_cube_weight, pack, relative_weight, split_key,
                       unpack)
 from .triangle import SesReport, TriangleContext, _a_targets, _b_targets
@@ -201,7 +204,13 @@ class GradedGF2Complex:
     are U-truncated, which the sublevel filtration behind
     ``module_presentation`` does not represent.  Only complete banks are
     accepted: in a box-clipped bank a missing coface may be a cube the box
-    cut off.
+    cut off.  Every cell is taken to weigh within [wmin, complete_to], as
+    ``class_cells`` builds them.
+
+    The bases are filled in one pass over the bank: each degree keeps one
+    list of its per-level maps, and a cube of relative weight w goes into
+    the maps of levels w to min(w + mcap, top), a slice of that list taken
+    once per (degree, w).
     """
 
     def __init__(self, bank: CellBank, mcap: int):
@@ -209,19 +218,23 @@ class GradedGF2Complex:
             raise ValueError("the cell bank is not complete: a box clipped "
                              "its sublevel set")
         self.bank = bank
-        self.bases = {}
-        top = bank.complete_to - bank.wmin
-        full = (1 << bank.graph.n) - 1
+        n, wmin = bank.graph.n, bank.wmin
+        top = bank.complete_to - wmin
+        full = (1 << n) - 1
+        levels = [[{} for _ in range(top + 1)] for _ in range(n + 1)]
+        fills = [[per[w:min(w + mcap, top) + 1] for w in range(top + 1)]
+                 for per in levels]
         count = 0
         for key, w in bank.cells.items():
-            deg = (key & full).bit_count()
-            w -= bank.wmin
-            for level in range(w, min(w + mcap, top) + 1):
-                piece = self.bases.setdefault((deg, 2 * level), {})
+            fill = fills[(key & full).bit_count()][w - wmin]
+            for piece in fill:
                 piece[key] = len(piece)
-                count += 1
+            count += len(fill)
             if count > BASIS_CAP:
                 raise BasisCapError("basis exceeded %d triples" % BASIS_CAP)
+        self.bases = {(deg, 2 * level): piece
+                      for deg, per in enumerate(levels)
+                      for level, piece in enumerate(per) if piece}
 
     def pieces(self):
         return sorted(self.bases)
@@ -234,23 +247,40 @@ class GradedGF2Complex:
         the coboundary of the pair of sublevel sets, so a cube's column has
         the row of each of its cofaces that the target piece holds.
 
-        A cube's fan, its cofaces in the bank, is read once from ``cofaces``
-        (so through the kernel's monotonicity check) and kept in ``fans``
-        for every level: a fresh dict per call unless the caller passes one
-        (``ComplexHomology`` does, for one build).  Fans hold fault-applied
-        values, so that dict must not outlive the caller's call.
+        A cube's fan, its cofaces in the bank, is read once off the
+        ``coface_steps`` of its mask, one membership test per coface, and
+        kept in ``fans`` for every level: a fresh dict per call unless the
+        caller passes one (``ComplexHomology`` does, for one build).  With
+        no fault active a coface lighter than its cube raises
+        ``MonotonicityError`` at the first such coface in step order, as
+        ``cofaces`` does.  Fans hold fault-applied values, so that dict must
+        not outlive the caller's call.
         """
         cells, n = self.bank.cells, self.bank.graph.n
-        rows = self.bases.get((deg + 1, g), {})
+        full = (1 << n) - 1
+        steps = coface_steps(n)
+        strict = not faults.any_active()
+        row = self.bases.get((deg + 1, g), {}).get
         fans = {} if fans is None else fans
         cols = []
         for key in self.bases.get((deg, g), ()):
             fan = fans.get(key)
             if fan is None:
-                fan = fans[key] = [up for up, gap in cofaces(cells.get, key, n)
-                                   if gap is not None]
+                fan = fans[key] = [up for d in steps[key & full]
+                                   if (up := key + d) in cells]
+                if strict and fan:
+                    w = cells[key]
+                    if min(map(cells.__getitem__, fan)) < w:
+                        up = next(up for up in fan if cells[up] < w)
+                        raise MonotonicityError(
+                            "weight monotonicity violated at %r"
+                            % (split_key(up, n),))
             # The cofaces of one cube are distinct, so no two rows cancel.
-            cols.append(sum(1 << rows[up] for up in fan if up in rows))
+            col = 0
+            for r in map(row, fan):
+                if r is not None:
+                    col |= 1 << r
+            cols.append(col)
         return cols
 
 
@@ -261,17 +291,24 @@ class ComplexHomology:
     ``pieces`` maps (degree, grading) to (quotient of the cycles by the
     boundaries, representative cycles), so chain maps can be pushed to
     homology exactly.  The coface fans of the build live as long as it.
+
+    Each coboundary is eliminated once: pieces run in (degree, grading)
+    order, and the one reduction of δ_q by ``gf2.kernel_basis`` gives both
+    the cycles of piece (q, g) and the staircase of the boundaries of
+    piece (q + 1, g).
     """
 
     def __init__(self, cx: GradedGF2Complex):
         self.cx = cx
         self.pieces = {}
         fans = {}
-        deltas = {pg: cx.delta_matrix(*pg, fans) for pg in cx.pieces()}
+        images = {}
         for deg, g in cx.pieces():
-            quotient = gf2.Quotient(gf2.Basis(deltas.get((deg - 1, g), ())))
-            reps = [v for v in gf2.kernel_basis(deltas[(deg, g)])
-                    if quotient.add(v)]
+            cycles, images[(deg, g)] = gf2.kernel_basis(
+                cx.delta_matrix(deg, g, fans))
+            quotient = gf2.Quotient(images.pop((deg - 1, g), None)
+                                    or gf2.Basis())
+            reps = [v for v in cycles if quotient.add(v)]
             self.pieces[(deg, g)] = (quotient, reps)
 
     @property

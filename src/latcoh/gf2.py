@@ -87,25 +87,31 @@ class Quotient:
         return c
 
 
-def kernel_basis(cols) -> list:
-    """Kernel of the map sending basis vector j to cols[j], as combination
-    vectors over the column index space."""
-    pivots = {}
+def kernel_basis(cols) -> tuple:
+    """Kernel and image of the map sending basis vector j to cols[j].
+
+    Returns (kernel, image): the kernel as combination vectors over the
+    column index space, and the image as the staircase the same column
+    reduction leaves, which is ``Basis(cols)`` pivot for pivot (both reduce
+    each column, in order, against the pivots before it)."""
+    image = Basis()
+    pivots = image.pivots
+    combos = {}
     out = []
     for j, v in enumerate(cols):
         combo = 1 << j
         while v:
             p = v.bit_length() - 1
-            entry = pivots.get(p)
-            if entry is None:
+            w = pivots.get(p)
+            if w is None:
+                pivots[p] = v
+                combos[p] = combo
                 break
-            v ^= entry[0]
-            combo ^= entry[1]
-        if v == 0:
-            out.append(combo)
+            v ^= w
+            combo ^= combos[p]
         else:
-            pivots[v.bit_length() - 1] = (v, combo)
-    return out
+            out.append(combo)
+    return out, image
 
 
 def rank(cols) -> int:

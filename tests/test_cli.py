@@ -316,11 +316,11 @@ TRIANGLE_PINS = [
     ("chain22.graph", "delta-coface-shift-sign", EMPTY, 2,
      TRIANGLE_DID_NOT_FIT),
     ("chain22.graph", "b-parity-skip",
-     "94bc33c2b165b75485a0945c469bfd92f82fba899b191ee7d3ae48e3c00a0164", 2, ""),
+     "94bc33c2b165b75485a0945c469bfd92f82fba899b191ee7d3ae48e3c00a0164", 3, ""),
     ("chain22.graph", "c-drop-quadratic",
-     "24d58a64e0483405ae9f5c72059d8a3151cb2e09308690c1c2687df126a0f98f", 2, ""),
+     "24d58a64e0483405ae9f5c72059d8a3151cb2e09308690c1c2687df126a0f98f", 3, ""),
     ("chain22.graph", "c-always-first-case",
-     "046a53998f5668acd4ede0fe3ec9e54f98c4bfd94573c7804023cb87015798f2", 2, ""),
+     "046a53998f5668acd4ede0fe3ec9e54f98c4bfd94573c7804023cb87015798f2", 3, ""),
     ("star232.graph", None,
      "fc443b53c434f72bce5a567f823d8aca01de995f29765937e92227429c8e1afe", 0, ""),
     ("star232.graph", "cube-weight-parity-offset", EMPTY, 2,
@@ -328,11 +328,11 @@ TRIANGLE_PINS = [
     ("star232.graph", "delta-coface-shift-sign", EMPTY, 2,
      TRIANGLE_DID_NOT_FIT),
     ("star232.graph", "b-parity-skip",
-     "f35f58125b145754de6228c5430959e2e7d12a37d3661a92bcb9d8bb5ea9d478", 2, ""),
+     "f35f58125b145754de6228c5430959e2e7d12a37d3661a92bcb9d8bb5ea9d478", 3, ""),
     ("star232.graph", "c-drop-quadratic",
-     "1f9b98702d28d434788b44aa4574aaed3ebe383fc180acbcc8353cb8164f3cf1", 2, ""),
+     "1f9b98702d28d434788b44aa4574aaed3ebe383fc180acbcc8353cb8164f3cf1", 3, ""),
     ("star232.graph", "c-always-first-case",
-     "56d036cbb8dc4ca8f34d615fcd854d026449fda6d8c734fdf1b1c9ed0ebb4af3", 2, ""),
+     "56d036cbb8dc4ca8f34d615fcd854d026449fda6d8c734fdf1b1c9ed0ebb4af3", 3, ""),
 ]
 
 
@@ -369,7 +369,7 @@ VISIBILITY_PATHS = {
 VISIBILITY = {
     "compute rp3": [0, 4, 0, 0, 0],
     "compute chain22": [4, 4, 0, 0, 0],
-    "triangle chain22": [2, 2, 2, 2, 2],
+    "triangle chain22": [2, 2, 3, 3, 3],
     "verify seed 7": [3, 3, 3, 3, 3],
 }
 # Cells where a path reads the faulted step and still exits 0.

@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from latcoh.gf2 import Basis, Quotient, rank
+from latcoh.gf2 import Basis, Quotient, kernel_basis, rank
 from latcoh.lattice import bits
 
 
@@ -45,3 +47,28 @@ def test_quotient_matches_brute_force(seed):
     if rank(sub + added + [outside]) > rank(sub + added):
         with pytest.raises(ValueError):
             q.coords(outside)
+
+
+@st.composite
+def column_lists(draw):
+    """Columns over a few bits, with zero columns and repeats of a small
+    pool mixed in, so that dependent columns are common."""
+    width = draw(st.integers(1, 10))
+    vec = st.integers(0, (1 << width) - 1)
+    pool = draw(st.lists(vec, min_size=1, max_size=5))
+    return draw(st.lists(st.one_of(vec, st.sampled_from(pool), st.just(0)),
+                         max_size=16))
+
+
+@settings(max_examples=200, deadline=None)
+@given(column_lists())
+def test_kernel_basis_leaves_the_staircase_of_the_image(cols):
+    kernel, image = kernel_basis(cols)
+    assert image.pivots == Basis(cols).pivots
+    assert len(kernel) == len(cols) - image.rank
+    assert rank(kernel) == len(kernel)
+    for combo in kernel:
+        v = 0
+        for j in bits(combo):
+            v ^= cols[j]
+        assert v == 0
