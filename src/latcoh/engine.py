@@ -19,9 +19,12 @@ cube degree and by the grading g = 2m + 2(w - wmin) (the coboundary keeps
 g, U drops it by two) into finite GF(2) pieces.  With U cap mcap the
 piece of degree q and grading 2L is the relative cochain complex
 C^q(S_L, S_{L-mcap-1}) of two sublevel sets.  Its coboundary columns are
-read off the ``coface_steps`` table, with the monotonicity guard inline,
-and each coboundary is eliminated once: the one reduction gives the
-cycles of its own piece and the boundaries of the piece above.
+read off the ``coface_steps`` table, and each coboundary is eliminated
+once: the one reduction gives the cycles of its own piece and the
+boundaries of the piece above.  A cube weighs the largest of its
+corners, so no coface is lighter than its face and no code here checks
+it; nothing here reads the fault flags either, which act only at their
+sites in ``lattice`` and ``triangle``.
 Every elimination runs over bitset columns in a fixed order, so rerunning
 an input gives byte-identical output.
 """
@@ -30,15 +33,14 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 
-from . import exact, faults, gf2
+from . import exact, gf2
 from .graph import (LatcohError, PlumbingGraph, bad_vertices, graph_hash,
                     intersection_matrix, is_negative_definite, is_tree,
                     spinc_representatives)
-from .lattice import (BASIS_CAP, BasisCapError, MonotonicityError, Region,
-                      bits, check_characteristic, coface_keys, coface_steps,
+from .lattice import (BASIS_CAP, BasisCapError, Region, bits,
+                      check_characteristic, coface_keys, coface_steps,
                       continuous_minimum, key_steps, lattice_point,
-                      offset_cube_weight, pack, relative_weight, split_key,
-                      unpack)
+                      offset_cube_weight, pack, relative_weight, unpack)
 from .triangle import SesReport, TriangleContext, _a_targets, _b_targets
 
 
@@ -250,16 +252,13 @@ class GradedGF2Complex:
         A cube's fan, its cofaces in the bank, is read once off the
         ``coface_steps`` of its mask, one membership test per coface, and
         kept in ``fans`` for every level: a fresh dict per call unless the
-        caller passes one (``ComplexHomology`` does, for one build).  With
-        no fault active a coface lighter than its cube raises
-        ``MonotonicityError`` at the first such coface in step order, as
-        ``cofaces`` does.  Fans hold fault-applied values, so that dict must
-        not outlive the caller's call.
+        caller passes one (``ComplexHomology`` does, for one build).  Fans
+        hold fault-applied values, so that dict must not outlive the
+        caller's call.
         """
         cells, n = self.bank.cells, self.bank.graph.n
         full = (1 << n) - 1
         steps = coface_steps(n)
-        strict = not faults.any_active()
         row = self.bases.get((deg + 1, g), {}).get
         fans = {} if fans is None else fans
         cols = []
@@ -268,13 +267,6 @@ class GradedGF2Complex:
             if fan is None:
                 fan = fans[key] = [up for d in steps[key & full]
                                    if (up := key + d) in cells]
-                if strict and fan:
-                    w = cells[key]
-                    if min(map(cells.__getitem__, fan)) < w:
-                        up = next(up for up in fan if cells[up] < w)
-                        raise MonotonicityError(
-                            "weight monotonicity violated at %r"
-                            % (split_key(up, n),))
             # The cofaces of one cube are distinct, so no two rows cancel.
             col = 0
             for r in map(row, fan):
@@ -374,7 +366,8 @@ def module_presentation(bank: CellBank) -> dict:
     was a pivot row of degree d is already paired, so its column is
     skipped.  A column is the rows of the cell's cofaces, read off the
     ``coface_steps`` of its mask (a coface is in the bank iff it has a
-    row); a coface lighter than its face raises, unless a fault is on.
+    row).  A cube weighs at least as much as each of its faces, so the
+    earliest row of a column is never lighter than its cell.
 
     Pivots are implicit, as in Ripser (Bauer 2021): almost every column
     needs no addition, and such a pivot keeps only its cell's position and
@@ -390,7 +383,6 @@ def module_presentation(bank: CellBank) -> dict:
     cells, n, wmin = bank.cells, bank.graph.n, bank.wmin
     full = (1 << n) - 1
     steps = coface_steps(n)
-    strict = not faults.any_active()
     layers = {}
     for key in cells:
         layers.setdefault((key & full).bit_count(), []).append(key)
@@ -424,10 +416,6 @@ def module_presentation(bank: CellBank) -> dict:
                 col = _column(hits, base)
                 low = _low(col, base)
             if low is not None:
-                # The earliest row is the lightest coface in the bank.
-                if strict and above[low] < w:
-                    raise MonotonicityError("weight monotonicity violated at %r"
-                                            % (split_key(upper[low], n),))
                 if col is None and low not in pivots:
                     pivots[low] = pos
                 else:
@@ -526,7 +514,8 @@ def stabilize(graph: PlumbingGraph, spinc_or_base, mcap: int,
     elder rule), so degree 0 has a tower at bottom 0.  On a complete bank
     of a connected tree with nu bad vertices H^q = 0 for q >= max(nu, 1)
     (Laszlo and Nemethi's reduction theorem), so no such degree has a
-    summand."""
+    summand; and with nu = 0 the whole answer is the one tower at bottom
+    0."""
     base = tuple(getattr(spinc_or_base, "base", spinc_or_base))
     index = getattr(spinc_or_base, "index", -1)
     box = None if bounds is None else replace(bounds, base=base)
@@ -548,6 +537,13 @@ def stabilize(graph: PlumbingGraph, spinc_or_base, mcap: int,
             "class %d (base %s): degree %d has summands, but a tree with %d "
             "bad vertices has none in degree >= %d"
             % (index, list(base), min(above), nu, max(nu, 1)))
+    if (not nu and degrees != {0: DegreeModule((0,), ())}
+            and bank.complete_to is not None and is_tree(graph)):
+        raise InvariantError(
+            "class %d (base %s): degree 0 has towers %s and torsions %s, but "
+            "a tree with no bad vertices has one tower at bottom 0 and "
+            "nothing else" % (index, list(base), list(degrees[0].towers),
+                              list(degrees[0].torsions)))
     return GradedModulePresentation(
         graph_hash=graph_hash(graph), class_index=index, base=base,
         degrees=degrees,
@@ -640,7 +636,7 @@ def _push_chain(terms, homs, lookup, offsets):
 def _side_map_columns(deg, src_homs, image_terms, dst_homs, dst_lookup,
                       dst_offsets):
     """Matrix columns of a chain map on homology.  Returns (cols, broken);
-    an image that fails to be a cycle (possible only under fault injection)
+    an image that fails to be a cycle (only a corrupted map gives one)
     contributes a zero column and sets the flag."""
     cols = []
     broken = False
@@ -664,8 +660,6 @@ def _side_map_columns(deg, src_homs, image_terms, dst_homs, dst_lookup,
                     cols.append(_push_chain(terms, dst_homs, dst_lookup,
                                             dst_offsets))
                 except ValueError:
-                    if not faults.any_active():
-                        raise
                     cols.append(0)
                     broken = True
     return cols, broken

@@ -12,8 +12,12 @@ dict lives for one call of ``delta`` or of
 process-global: activate faults only from one thread at a time.
 
 A fault flag is read through ``faults.is_active(name)`` at its one site,
-once per call wherever the loop allows.  ``is_active`` is the set's own
-``__contains__``, so a read costs no Python frame.
+once per call wherever the loop allows: ``lattice.offset_cube_weight``,
+``lattice.coface_steps``, ``triangle._b_targets`` and
+``triangle.c_exponent_closed`` (two).  No other code in the package reads
+the fault state, so a fault changes the program only through the value
+its site returns.  ``is_active`` is the set's own ``__contains__``, so a
+read costs no Python frame.
 """
 
 from contextlib import contextmanager
@@ -29,10 +33,6 @@ FAULTS = (
 _active: set = set()
 
 is_active = _active.__contains__
-
-
-def any_active() -> bool:
-    return bool(_active)
 
 
 def activate(name: str) -> None:

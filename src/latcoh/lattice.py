@@ -73,10 +73,6 @@ class BasisCapError(LatcohError):
     pass
 
 
-class MonotonicityError(LatcohError):
-    pass
-
-
 class OffsetRangeError(LatcohError):
     """An offset coordinate beyond ``OFFSET_LIMIT``, which the packed field
     cannot hold with room for a step."""
@@ -316,22 +312,14 @@ def cofaces(cube_weight, key: int, n: int):
     """Yields (coface key, gap) for each of ``coface_keys(key, n)``, where
     gap, the weight of the coface minus that of the cube, is the U-power
     the coboundary lowers by.  ``cube_weight`` maps a cube key to a weight,
-    like ``CellBank.cells.get``; gap is None where it has none.  The fault
-    flags are read once per call.
+    like ``CellBank.cells.get``; gap is None where it has none.  A cube
+    weighs the largest of its corners, so a gap is never negative unless
+    a fault corrupts the weights; ``weight_monotonicity_check`` tests it.
     """
     w_here = cube_weight(key)
-    strict = not faults.any_active()
-    for d in coface_steps(n)[key & ((1 << n) - 1)]:
-        y = key + d
+    for y in coface_keys(key, n):
         w_up = cube_weight(y)
-        if w_up is None:
-            yield y, None
-            continue
-        gap = w_up - w_here
-        if gap < 0 and strict:
-            raise MonotonicityError("weight monotonicity violated at %r"
-                                    % (split_key(y, n),))
-        yield y, gap
+        yield y, None if w_up is None else w_up - w_here
 
 
 def absolute_q(graph: PlumbingGraph, k) -> Fraction:

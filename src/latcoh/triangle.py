@@ -148,8 +148,20 @@ def c_exponent_closed(ctx: TriangleContext, i: int, k, s) -> int:
 
 @functools.cache
 def c_window(m: int) -> tuple:
-    """Integers i that can have c(i) <= m: c(i) is bounded below by
-    min(i(i+1)/2, (i+1)(i+2)/2) regardless of r."""
+    """Integers i that can have c(i) <= m: those with
+    b(i) = min(i(i+1)/2, (i+1)(i+2)/2) <= m.
+
+    Lemma: c(i) >= b(i) >= 0 for every K, S and i, with no fault active.
+    With v outside S, c = i(i+1)/2.  With v in S, take the four cases of
+    ``c_exponent_closed`` in r = r((K,t),S):
+    1. r >= max(0, -(i+1)): c = i(i+1)/2;
+    2. r <= min(0, -(i+1)): c = (i+1)(i+2)/2;
+    3. 0 <= r <= -(i+1): c = (i+1)(i+2)/2 + r, with r >= 0;
+    4. otherwise min(0, -(i+1)) < r < max(0, -(i+1)) outside case 3,
+       which forces i + 1 > 0 and -(i+1) < r < 0, so c = i(i+1)/2 - r
+       exceeds i(i+1)/2.
+    Each value is at least b(i), and b(i) >= 0, half a product of two
+    consecutive integers.  So ``_a_targets`` needs no lower test on c."""
     reach = isqrt(2 * m) + 2
     return tuple(i for i in range(-reach - 2, reach + 2)
                  if min(i * (i + 1) // 2, (i + 1) * (i + 2) // 2) <= m)
@@ -160,16 +172,12 @@ def _a_targets(ctx: TriangleContext, k, smask: int, m: int):
     vi = ctx.v_index
     t0 = k[vi]
     kg = list(k)
-    faulty = faults.any_active()
     out = []
     for i in c_window(m):
         kg[vi] = t0 - 2 * i - 1
         target = tuple(kg)
         c = c_exponent_closed(ctx, i, target, smask)
-        if not faulty:
-            assert c >= min(i * (i + 1) // 2, (i + 1) * (i + 2) // 2), \
-                "exponent dipped below its window bound"
-        if 0 <= c <= m or (c < 0 and faulty):
+        if c <= m:
             out.append((target, smask, m - c))
     return out
 
@@ -470,10 +478,9 @@ def _ses_block(ctx: TriangleContext, region: TriangleRegion, y, smask: int):
                 t_off = (kg[vi] - ctx.base_g[vi]) // 2
                 idx = row_index.get((t_off, m2))
                 if idx is None:
-                    # Only reachable under fault injection; the window
-                    # arithmetic of TriangleRegion guarantees coverage.
-                    if not faults.any_active():
-                        raise LatcohError("A image left its window")
+                    # The window arithmetic of TriangleRegion covers every
+                    # image of a correct A, so only a corrupted one lands
+                    # here.
                     ba_zero = False
                     continue
                 vec ^= 1 << idx

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 from pathlib import Path
@@ -358,7 +359,8 @@ def test_triangle_corpus_is_pinned_under_each_fault(capsys, name, fault,
 # A path that never reads the faulted step exits 0 (compute reads neither A,
 # B nor the exponent c); 2 is a window that did not fit, 3 a failed
 # verification, 4 an answer that breaks a law of every correct one (no
-# bottom tower, or a summand where a tree's cohomology vanishes).
+# bottom tower, a summand where a tree's cohomology vanishes, or, on a tree
+# with no bad vertex, anything but the one tower at 0).
 VISIBILITY_PATHS = {
     "compute rp3": ("compute", "rp3.graph", "--max-depth", "3"),
     "compute chain22": ("compute", "chain22.graph", "--max-depth", "3"),
@@ -367,27 +369,17 @@ VISIBILITY_PATHS = {
     "verify seed 7": ("verify", "--seed", "7", "--graphs", "4"),
 }
 VISIBILITY = {
-    "compute rp3": [0, 4, 0, 0, 0],
+    "compute rp3": [4, 4, 0, 0, 0],
     "compute chain22": [4, 4, 0, 0, 0],
     "triangle chain22": [2, 2, 3, 3, 3],
     "verify seed 7": [3, 3, 3, 3, 3],
-}
-# Cells where a path reads the faulted step and still exits 0.
-VISIBILITY_HOLES = {
-    ("compute rp3", "cube-weight-parity-offset"):
-        "under cube-weight-parity-offset, compute rp3 --max-depth 3 exits 0 "
-        "with stabilized: true and spurious torsions; the bottom-0 check "
-        "does not catch it",
 }
 
 
 def _visibility_cells():
     for path, codes in VISIBILITY.items():
         for fault, code in zip(faults.FAULTS, codes):
-            hole = VISIBILITY_HOLES.get((path, fault))
-            marks = [pytest.mark.xfail(strict=True, reason=hole)] if hole else []
-            yield pytest.param(path, fault, code, id="%s-%s" % (path, fault),
-                               marks=marks)
+            yield pytest.param(path, fault, code, id="%s-%s" % (path, fault))
 
 
 @pytest.mark.parametrize("path, fault, exit_code", _visibility_cells())
@@ -396,10 +388,34 @@ def test_fault_visibility_matrix(capsys, path, fault, exit_code):
             for a in VISIBILITY_PATHS[path]]
     with faults.injected(fault):
         code, _, _ = run(capsys, *argv)
-    if (path, fault) in VISIBILITY_HOLES:
-        assert code != 0, "the path reads this fault's step but exits 0"
-    else:
-        assert code == exit_code
+    assert code == exit_code
+
+
+def test_each_fault_acts_at_one_fault_site():
+    # Each fault's name appears once in the package, as the argument of
+    # faults.is_active, and no other code reads the fault state.
+    src = Path(__file__).resolve().parent.parent / "src" / "latcoh"
+    names, reads = [], []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "faults.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                assert node.module != "faults", path.name
+                assert all(alias.asname is None for alias in node.names
+                           if alias.name == "faults"), path.name
+            elif isinstance(node, ast.Constant) and node.value in faults.FAULTS:
+                names.append(node.value)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id == "faults"):
+                assert node.attr == "is_active", (path.name, node.attr)
+            elif (isinstance(node, ast.Call)
+                  and ast.unparse(node.func) == "faults.is_active"):
+                (arg,) = node.args
+                assert isinstance(arg, ast.Constant), path.name
+                reads.append(arg.value)
+    assert sorted(names) == sorted(reads) == sorted(faults.FAULTS)
 
 
 BAD_BOUNDS = {
