@@ -29,6 +29,7 @@ Every elimination runs over bitset columns in a fixed order, so rerunning
 an input gives byte-identical output.
 """
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
@@ -189,7 +190,7 @@ def class_cells(graph: PlumbingGraph, spinc_or_base, mcap: int,
 
 
 class _NeedEnlarge(Exception):
-    pass
+    """The grading window is too small; the message says what left it."""
 
 
 class GradedGF2Complex:
@@ -578,76 +579,57 @@ class LesReport:
         }
 
 
-def _side_homology(graph, mcap, capg):
-    """Homology of every spin-c class of one graph, cells to grading capg.
+class _Side:
+    """One side of a triangle check: the homology of every spin-c class of
+    ``graph``, cells to grading capg, indexed in the pass that builds it.
 
     ``lookup`` maps raw characteristic vectors to (class index, packed
-    offset shifted to a cube key with empty mask); injective because the
-    sides of a triangle check are definite.
+    offset shifted to a cube key with empty mask), injective because the
+    sides are definite.  ``offsets`` maps each (class, degree, grading)
+    piece with homology to its offset inside H^degree of the side, in
+    (class, grading) order; ``dims`` and ``degree_dims`` sum the
+    dimensions over the classes by (degree, grading) and by degree.
     """
-    if not is_negative_definite(graph):
-        raise NonStabilizingError(
-            "graph %r is not negative definite; the truncation does not "
-            "stabilize" % (graph.vertices,))
-    homs = []
-    lookup = {}
-    for cls in spinc_representatives(graph):
-        bank, hom = _presentation_data(graph, cls.base, mcap, grading_cap=capg)
-        for x in bank.points:
-            k = lattice_point(graph, cls.base, unpack(x, graph.n))
-            lookup[k] = (cls.index, x << graph.n)
-        homs.append(hom)
-    return homs, lookup
+
+    def __init__(self, name, graph, mcap, capg):
+        if not is_negative_definite(graph):
+            raise NonStabilizingError(
+                "graph %r is not negative definite; the truncation does not "
+                "stabilize" % (graph.vertices,))
+        self.name, self.homs, self.lookup, self.offsets = name, [], {}, {}
+        self.dims, self.degree_dims = {}, Counter()
+        for cls in spinc_representatives(graph):
+            bank, hom = _presentation_data(graph, cls.base, mcap, capg)
+            for x in bank.points:
+                k = lattice_point(graph, cls.base, unpack(x, graph.n))
+                self.lookup[k] = (cls.index, x << graph.n)
+            for (deg, g), d in hom.dims.items():   # in piece order
+                self.offsets[(cls.index, deg, g)] = self.degree_dims[deg]
+                self.degree_dims[deg] += d
+                self.dims[(deg, g)] = self.dims.get((deg, g), 0) + d
+            self.homs.append(hom)
 
 
-def _global_index(homs, deg):
-    """Offsets of every (class, grading) piece inside H^deg of one side."""
-    offsets = {}
-    total = 0
-    for ci, hom in enumerate(homs):
-        for (d, g), dimv in sorted(hom.dims.items()):
-            if d == deg:
-                offsets[(ci, g)] = total
-                total += dimv
-    return offsets
+def _map_columns(name, src, image_terms, dst):
+    """Matrix columns, by degree, of the chain map ``name`` on homology
+    from side ``src`` to side ``dst``.  Returns (cols, broken).
 
-
-def _push_chain(terms, homs, lookup, offsets):
-    """Homology coordinates of a cycle in the direct sum over classes.
-
-    ``terms`` carry raw characteristic vectors (the chain maps know nothing
-    about class decompositions); each is routed to its class and converted
-    to cube keys.
+    Each representative of ``src`` is pushed once, in (class, degree,
+    grading) order, so each degree's columns follow the offsets of ``src``.
+    The image terms carry raw characteristic vectors (the chain maps know
+    nothing about class decompositions); each is routed to its class in
+    ``dst``, and the classes are reduced in the order the terms first reach
+    them.  An image that fails to be a cycle (only a corrupted map gives
+    one) contributes a zero column and sets the flag; a term that no piece
+    of ``dst`` holds raises ``_NeedEnlarge``.
     """
-    grouped = {}
-    for k, s, m in terms:
-        if k not in lookup:
-            raise _NeedEnlarge()
-        ci, corner = lookup[k]
-        grouped.setdefault(ci, []).append((corner | s, m))
-    vec = 0
-    for ci, part in grouped.items():
-        for (_, g), coords in homs[ci].reduce_chain(part).items():
-            if coords:
-                vec ^= coords << offsets[(ci, g)]
-    return vec
-
-
-def _side_map_columns(deg, src_homs, image_terms, dst_homs, dst_lookup,
-                      dst_offsets):
-    """Matrix columns of a chain map on homology.  Returns (cols, broken);
-    an image that fails to be a cycle (only a corrupted map gives one)
-    contributes a zero column and sets the flag."""
-    cols = []
-    broken = False
-    for hom in src_homs:
+    cols, broken = {}, False
+    for hom in src.homs:
         bank = hom.cx.bank
         n = bank.graph.n
-        for (d, g) in sorted(hom.dims):
-            if d != deg:
-                continue
-            keys = list(hom.cx.bases[(d, g)])
-            for rep in hom.pieces[(d, g)][1]:
+        for deg, g in hom.dims:
+            keys = list(hom.cx.bases[(deg, g)])
+            for rep in hom.pieces[(deg, g)][1]:
                 terms = set()
                 for pos in bits(rep):
                     key = keys[pos]
@@ -656,12 +638,25 @@ def _side_map_columns(deg, src_homs, image_terms, dst_homs, dst_lookup,
                                       unpack(key >> n, n))
                     for t in image_terms(k, key & ((1 << n) - 1), m):
                         terms.symmetric_difference_update([t])
+                grouped, col = {}, 0
                 try:
-                    cols.append(_push_chain(terms, dst_homs, dst_lookup,
-                                            dst_offsets))
+                    for k, s, m in terms:
+                        if k not in dst.lookup:
+                            raise _NeedEnlarge()
+                        ci, corner = dst.lookup[k]
+                        grouped.setdefault(ci, []).append((corner | s, m))
+                    for ci, part in grouped.items():
+                        reduced = dst.homs[ci].reduce_chain(part)
+                        for pg, coords in reduced.items():
+                            if coords:
+                                col ^= coords << dst.offsets[(ci, *pg)]
                 except ValueError:
-                    cols.append(0)
-                    broken = True
+                    col, broken = 0, True
+                except _NeedEnlarge:
+                    raise _NeedEnlarge("%s maps %s homology in degree %d at "
+                                       "grading %d outside every piece of %s"
+                                       % (name, src.name, deg, g, dst.name))
+                cols.setdefault(deg, []).append(col)
     return cols, broken
 
 
@@ -682,7 +677,7 @@ def les_check(ctx: TriangleContext, mcap: int, ses: SesReport) -> LesReport:
     because the ranks alone cannot see a corrupted map.  Raises
     NonStabilizingError when a side cannot stabilize; grows the grading
     window, up to LES_ROUNDS times, when homology or map images touch its
-    top.
+    top, and then raises NonStabilizingError naming what did not fit.
     """
     if (ses.graph_hash, ses.vertex) != (graph_hash(ctx.graph), ctx.v):
         raise ValueError("the SES report belongs to another triangle")
@@ -690,69 +685,51 @@ def les_check(ctx: TriangleContext, mcap: int, ses: SesReport) -> LesReport:
         capg = 2 * mcap + 2 * LES_PAD * (attempt + 1)
         try:
             rep = _les_attempt(ctx, mcap, capg)
-        except _NeedEnlarge:
+        except _NeedEnlarge as err:
+            reason = err
             continue
         return replace(rep, exact=rep.exact and ses.chain_maps_ok)
-    raise NonStabilizingError("triangle homology did not fit any window; "
-                              "raise the grading pad")
+    raise NonStabilizingError("triangle homology did not fit any window up "
+                              "to grading %d: %s" % (capg, reason))
 
 
 def _les_attempt(ctx, mcap, capg):
-    homs_p, _ = _side_homology(ctx.plus, mcap, capg)
-    homs_g, lookup_g = _side_homology(ctx.graph, mcap, capg)
-    homs_m, lookup_m = _side_homology(ctx.minus, mcap, capg)
+    sides = plus, mid, minus = (_Side("G+", ctx.plus, mcap, capg),
+                                _Side("G", ctx.graph, mcap, capg),
+                                _Side("G-v", ctx.minus, mcap, capg))
+    # Homology in the top pad zone means the window may be clipping
+    # genuine classes above the cap: enlarge.
+    for side in sides:
+        for deg, g in side.dims:
+            if g > capg - 2 * LES_PAD:
+                raise _NeedEnlarge("%s has homology in degree %d at grading "
+                                   "%d, in the pad zone above %d"
+                                   % (side.name, deg, g, capg - 2 * LES_PAD))
 
-    dims = {}
-    for side, homs in (("plus", homs_p), ("g", homs_g), ("minus", homs_m)):
-        total = dims[side] = {}
-        for hom in homs:
-            for (deg, g), d in hom.dims.items():
-                # Homology in the top pad zone means the window may be
-                # clipping genuine classes above the cap: enlarge.
-                if g > capg - 2 * LES_PAD:
-                    raise _NeedEnlarge()
-                total[(deg, g)] = total.get((deg, g), 0) + d
-
-    top = max((d for side in dims.values() for d, _ in side), default=0)
-
-    a_cols, b_cols = {}, {}
-    broken = False
-    for deg in range(0, top + 2):
-        a_cols[deg], bad_a = _side_map_columns(
-            deg, homs_p, partial(_a_targets, ctx), homs_g, lookup_g,
-            _global_index(homs_g, deg))
-        b_cols[deg], bad_b = _side_map_columns(
-            deg, homs_g, partial(_b_targets, ctx), homs_m, lookup_m,
-            _global_index(homs_m, deg))
-        broken = broken or bad_a or bad_b
-
-    def degdim(side, deg):
-        return sum(d for (dd, _), d in dims[side].items() if dd == deg)
-
+    a_cols, bad_a = _map_columns("A", plus, partial(_a_targets, ctx), mid)
+    b_cols, bad_b = _map_columns("B", mid, partial(_b_targets, ctx), minus)
+    rank_a = Counter({deg: gf2.rank(cols) for deg, cols in a_cols.items()})
+    top = max((deg for side in sides for deg in side.degree_dims), default=0)
     rows = []
-    exact = True
+    exact = not (bad_a or bad_b)
     for deg in range(-1, top + 2):
-        dim_g = degdim("g", deg)
-        dim_m = degdim("minus", deg)
-        rank_a = gf2.rank(a_cols.get(deg, []))
-        rank_b = gf2.rank(b_cols.get(deg, []))
-        mid = (rank_a == dim_g - rank_b) and not any(
-            gf2.matmul(b_cols.get(deg, []), a_cols.get(deg, [])))
-        rank_conn = dim_m - rank_b
-        rank_a_next = gf2.rank(a_cols.get(deg + 1, []))
-        ends = (rank_conn == degdim("plus", deg + 1) - rank_a_next)
-        if not (mid and ends):
-            exact = False
+        a, b = a_cols.get(deg, []), b_cols.get(deg, [])
+        rank_b = gf2.rank(b)
+        middle = (rank_a[deg] == mid.degree_dims[deg] - rank_b
+                  and not any(gf2.matmul(b, a)))
+        rank_conn = minus.degree_dims[deg] - rank_b
+        ends = rank_conn == plus.degree_dims[deg + 1] - rank_a[deg + 1]
+        exact = exact and middle and ends
         if deg >= 0:
-            rows.append({"degree": deg, "dim_plus": degdim("plus", deg),
-                         "dim_g": dim_g, "dim_minus": dim_m,
-                         "rank_A": rank_a, "rank_B": rank_b,
+            rows.append({"degree": deg, "dim_plus": plus.degree_dims[deg],
+                         "dim_g": mid.degree_dims[deg],
+                         "dim_minus": minus.degree_dims[deg],
+                         "rank_A": rank_a[deg], "rank_B": rank_b,
                          "rank_connecting": rank_conn,
-                         "exact_middle": mid, "exact_ends": ends})
-        elif not ends:
-            exact = False
+                         "exact_middle": middle, "exact_ends": ends})
 
     return LesReport(graph_hash=graph_hash(ctx.graph), vertex=ctx.v,
                      mcap=mcap, grading_pad=(capg - 2 * mcap) // 2,
-                     dims=dims, rows=tuple(rows),
-                     exact=exact and not broken)
+                     dims={"plus": plus.dims, "g": mid.dims,
+                           "minus": minus.dims},
+                     rows=tuple(rows), exact=exact)

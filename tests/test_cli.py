@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import hashlib
 import json
 from pathlib import Path
@@ -306,8 +307,9 @@ def test_verify_corpus_is_pinned_under_each_fault(capsys, seed, fault,
 # benchmark's triangle runs (cap 3), with no fault and under each fault:
 # rebuilding the long-exact-sequence pieces must leave every byte of each
 # report, and each failure, as it was.
-TRIANGLE_DID_NOT_FIT = ("error: triangle homology did not fit any window; "
-                        "raise the grading pad")
+TRIANGLE_DID_NOT_FIT = ("error: triangle homology did not fit any window up "
+                        "to grading 38: G+ has homology in degree 0 at "
+                        "grading 32, in the pad zone above 30")
 EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 TRIANGLE_PINS = [
     ("chain22.graph", None,
@@ -353,6 +355,49 @@ def test_triangle_corpus_is_pinned_under_each_fault(capsys, name, fault,
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == expected
     assert err.split("\n")[0] == first_err
+
+
+# The same for star1337 at vertex a (cap 1), whose homology triangle needs
+# the second grading window (pad 8): three faults push homology or an image
+# of A out of every window, and the give-up error names what did not fit.
+STAR1337_DID_NOT_FIT = ("error: triangle homology did not fit any window up "
+                        "to grading 34: ")
+STAR1337_PINS = [
+    (None,
+     "040db2a5368591dc740f8a224d08655f21fad0e943c56d717aad332823dd1747", 0, ""),
+    ("cube-weight-parity-offset", EMPTY, 2,
+     STAR1337_DID_NOT_FIT + "G+ has homology in degree 0 at grading 28, "
+     "in the pad zone above 26"),
+    ("delta-coface-shift-sign", EMPTY, 2,
+     STAR1337_DID_NOT_FIT + "G+ has homology in degree 0 at grading 28, "
+     "in the pad zone above 26"),
+    ("b-parity-skip",
+     "fb94cc7dae576acad5a4b0a2603aefc1b4b4bac88744afa53adc819d639b5f62", 3, ""),
+    ("c-drop-quadratic", EMPTY, 2,
+     STAR1337_DID_NOT_FIT + "A maps G+ homology in degree 1 at grading 4 "
+     "outside every piece of G"),
+    ("c-always-first-case",
+     "65df73fe31431bfc68ebc9d811e52abf3f120d306769c0753a588835226687c3", 3, ""),
+]
+
+
+@pytest.mark.parametrize("fault, expected, exit_code, first_err",
+                         STAR1337_PINS,
+                         ids=[fault or "no fault"
+                              for fault, *_ in STAR1337_PINS])
+def test_star1337_triangle_is_pinned_under_each_fault(capsys, fault, expected,
+                                                      exit_code, first_err):
+    argv = ("triangle", str(DATA / "star1337.graph"), "--vertex", "a",
+            "--max-depth", "1")
+    with faults.injected(fault) if fault else contextlib.nullcontext():
+        code, out, err = run(capsys, *argv)
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
+    assert err.split("\n")[0] == first_err
+    if fault is None:
+        les = json.loads(out)["les"]
+        assert (les["grading_pad"], les["exact"]) == (8, True)
+        assert les["table"][1]["dim_plus"] == les["table"][1]["dim_g"] == 1
 
 
 # Which path sees which fault: the exit code of each path under each fault.

@@ -249,6 +249,24 @@ def test_les_gives_up_when_no_window_fits():
             les_check(ctx, 1, ses)
 
 
+def test_a_triple_with_a_nonzero_connecting_rank():
+    # The star with centre -2 and legs -4, -4, -10, at its centre: the
+    # truncated pieces of G+ hold one degree-1 class and A* kills it, so
+    # exactness at G+ needs a connecting map of rank 1 out of degree 0,
+    # inferred here as dim H^0(G-v) - rank B*.
+    g = make_graph(([("c", -2), ("a", -4), ("b", -4), ("d", -10)],
+                    [("c", "a"), ("c", "b"), ("c", "d")]))
+    ctx = triangle_context(g, "c")
+    rep = les_check(ctx, 1, verify_ses(ctx, default_region(ctx, 1)))
+    assert (rep.exact, rep.grading_pad) == (True, 8)
+    keys = ("dim_plus", "dim_g", "dim_minus", "rank_A", "rank_B",
+            "rank_connecting", "exact_middle", "exact_ends")
+    assert [tuple(row[k] for k in keys) for row in rep.rows] == [
+        (129, 448, 320, 129, 319, 1, True, True),
+        (1, 0, 0, 0, 0, 0, True, True),
+        (0, 0, 0, 0, 0, 0, True, True)]
+
+
 def test_graphs_are_collectable_after_a_triangle_run():
     # No cache keyed by a graph outlives the graph: once the caller drops
     # a triangle's graphs, they can be collected.
