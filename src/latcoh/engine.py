@@ -1,7 +1,7 @@
 """Exact cohomology of the lattice complex of one spin-c class.
 
 The points of a class are its exact sublevel set for definite forms
-(integer lattice-point enumeration, ``exact.enumerate_sublevel``), or
+(``lattice.sublevel_points``, an integer lattice-point enumeration), or
 the points of an explicit box under the cap otherwise.  Cubes are then
 built from the faces up over either point map: a cube is admissible iff
 its corners are all points, and admissible cubes are downward closed.
@@ -31,17 +31,15 @@ an input gives byte-identical output.
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import partial
 
-from . import exact, gf2
+from . import gf2
 from .graph import (LatcohError, PlumbingGraph, bad_vertices, graph_hash,
-                    intersection_matrix, is_negative_definite, is_tree,
-                    spinc_representatives)
+                    is_negative_definite, is_tree, spinc_representatives)
 from .lattice import (BASIS_CAP, BasisCapError, Region, bits,
                       check_characteristic, coface_keys, coface_steps,
-                      continuous_minimum, key_steps, lattice_point,
-                      offset_cube_weight, pack, relative_weight, unpack)
+                      key_steps, lattice_point, offset_cube_weight,
+                      relative_weight, sublevel_points, unpack)
 from .triangle import SesReport, TriangleContext, _a_targets, _b_targets
 
 
@@ -80,24 +78,6 @@ class CellBank:
     cells: dict
     wmin: int
     complete_to: int = None
-
-
-def _sublevel_points(graph, base, wcap_rel, minimum, limit=BASIS_CAP):
-    """All lattice offsets with relative weight <= wcap_rel (definite
-    forms), packed, given the class's ``continuous_minimum``; an offset
-    beyond the packed range raises ``OffsetRangeError``."""
-    neg = [[-x for x in row] for row in intersection_matrix(graph)]
-    xbar, wbar = minimum
-    bound = 2 * (Fraction(wcap_rel) - wbar)
-    out = {}
-    if bound < 0:
-        return out
-    try:
-        for x in exact.enumerate_sublevel(neg, xbar, bound, limit=limit):
-            out[pack(x)] = relative_weight(graph, base, x)
-    except RuntimeError as err:  # the enumeration's point limit
-        raise BasisCapError(str(err)) from err
-    return out
 
 
 def _admissible_cubes(pts, n):
@@ -143,17 +123,8 @@ def class_cells(graph: PlumbingGraph, spinc_or_base, mcap: int,
 
     complete = None
     if is_negative_definite(graph):
-        minimum = continuous_minimum(graph, base)
-        probe = minimum[1].__ceil__()
-        step = 1
-        pts = _sublevel_points(graph, base, probe, minimum)
-        while not pts:
-            probe += step
-            step *= 2
-            pts = _sublevel_points(graph, base, probe, minimum)
-        wmin = min(pts.values())
-        wcap = wmin + mcap
-        unfiltered = _sublevel_points(graph, base, wcap, minimum)
+        unfiltered = sublevel_points(graph, base, mcap)
+        wcap = min(unfiltered.values()) + mcap
         if box is not None:
             pts = {x: w for x, w in unfiltered.items() if box.contains_offset(x)}
             complete = wcap if len(pts) == len(unfiltered) else None
@@ -521,9 +492,7 @@ def stabilize(graph: PlumbingGraph, spinc_or_base, mcap: int,
     index = getattr(spinc_or_base, "index", -1)
     box = None if bounds is None else replace(bounds, base=base)
     bank = class_cells(graph, base, mcap, box=box)
-    corners = list(zip(*(unpack(x, graph.n) for x in bank.points)))
-    region = Region(graph, base, tuple(map(min, corners)),
-                    tuple(map(max, corners)), mcap)
+    region = Region.bounding(graph, base, bank.points, mcap)
     degrees = module_presentation(bank)
     towers = degrees.get(0, DegreeModule((), ())).towers
     if 0 not in towers:

@@ -157,22 +157,6 @@ def ldlt(mat):
     return lower, diag
 
 
-def int_interval(center: Fraction, radius_sq: Fraction):
-    """Integers t with (t - center)^2 <= radius_sq, as an inclusive range."""
-    if radius_sq < 0:
-        return 1, 0
-    # isqrt gives a safe first guess; fix up with exact checks.
-    num, den = radius_sq.numerator, radius_sq.denominator
-    guess = Fraction(isqrt(num * den), den)  # floor(sqrt(radius_sq)) <= guess + 1
-    lo = (center - guess - 1).__floor__()
-    hi = (center + guess + 1).__ceil__()
-    while lo <= hi and (lo - center) ** 2 > radius_sq:
-        lo += 1
-    while hi >= lo and (hi - center) ** 2 > radius_sq:
-        hi -= 1
-    return lo, hi
-
-
 def enumerate_sublevel(q_form, center, bound, limit=None):
     """All integer points x with (x-center)^T Q (x-center) <= bound.
 

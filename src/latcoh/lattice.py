@@ -62,7 +62,9 @@ class OutsideRegionError(LatcohError):
 
 
 class DescentError(LatcohError):
-    pass
+    """``truncation_region`` on a form that is not negative definite, whose
+    sublevel sets are unbounded.  (The name is older than the exact
+    enumeration: it once reported a coordinate descent.)"""
 
 
 class RegionTooSmallError(LatcohError):
@@ -347,6 +349,13 @@ class Region:
     xmax: tuple
     mcap: int
 
+    @classmethod
+    def bounding(cls, graph, base, offsets, mcap: int) -> "Region":
+        """The least box holding the packed ``offsets`` (at least one)."""
+        corners = list(zip(*(unpack(x, graph.n) for x in offsets)))
+        return cls(graph, base, tuple(map(min, corners)),
+                   tuple(map(max, corners)), mcap)
+
     def __post_init__(self):
         n = self.graph.n
         if not len(self.base) == len(self.xmin) == len(self.xmax) == n:
@@ -381,8 +390,9 @@ class Region:
         The first call builds the window's offset map, so a box of volume
         above ``BASIS_CAP`` raises ``BasisCapError`` here.  Windows that
         reach this stay small (the verification suites, the tests and the
-        demos use at most a few hundred offsets); large boxes such as the
-        truncation box of E8 are only ever asked ``contains_offset``.
+        demos use at most a few hundred offsets); larger boxes, such as a
+        ``--bounds`` box a cell bank is filtered by, are only ever asked
+        ``contains_offset``.
         """
         x = self.offset_of(k)
         return None if x is None else (x, self.cube_weights)
@@ -538,74 +548,52 @@ def continuous_minimum(graph: PlumbingGraph, base):
     return xbar, wbar
 
 
-def _descend(graph: PlumbingGraph, base, start):
-    """Single-coordinate descent of the relative weight from ``start``.
+def sublevel_points(graph: PlumbingGraph, base, mcap: int,
+                    limit: int = BASIS_CAP) -> dict:
+    """The sublevel set of the class of ``base`` at U cap ``mcap``, for
+    definite forms: every lattice offset of relative weight at most
+    wmin + ``mcap``, packed, mapped to its relative weight, with wmin the
+    least weight of an offset.
 
-    Cycles the vertices in declaration order, trying -1 then +1, moving
-    while the weight strictly decreases.  Deterministic; it terminates
-    because a definite form has finitely many offsets below any weight.
+    One exact solve gives the real minimum.  Levels from its ceiling up,
+    by doubling steps, are enumerated until one holds a point, whose least
+    weight is wmin.  An offset beyond the packed range raises
+    ``OffsetRangeError``, and more than ``limit`` points in one enumeration
+    raise ``BasisCapError``.
     """
-    n = graph.n
-    x = list(start)
-    w = relative_weight(graph, base, x)
-    improved = True
-    while improved:
-        improved = False
-        for j in range(n):
-            for sign in (-1, 1):
-                while True:
-                    trial = list(x)
-                    trial[j] += sign
-                    wt = relative_weight(graph, base, trial)
-                    if wt < w:
-                        x, w = trial, wt
-                        improved = True
-                    else:
-                        break
-    return tuple(x), w
+    neg = [[-x for x in row] for row in intersection_matrix(graph)]
+    xbar, wbar = continuous_minimum(graph, base)
+
+    def below(level):
+        out = {}
+        try:
+            for x in exact.enumerate_sublevel(neg, xbar, 2 * (level - wbar),
+                                              limit=limit):
+                out[pack(x)] = relative_weight(graph, base, x)
+        except RuntimeError as err:  # the enumeration's point limit
+            raise BasisCapError(str(err)) from err
+        return out
+
+    level, step = wbar.__ceil__(), 1
+    pts = below(level)
+    while not pts:
+        level += step
+        step *= 2
+        pts = below(level)
+    return below(min(pts.values()) + mcap)
 
 
-def truncation_region(graph: PlumbingGraph, spinc_or_base, mcap: int,
-                      hard_halfwidth: int = 1000) -> Region:
-    """Finite region guaranteed to contain every cube of relative weight up
-    to ``mcap`` plus a safety margin, for negative definite forms.
-
-    Runs the coordinate descent, then bounds the sublevel set
-    {x : w(x) - w* <= mcap + n + maxvar} where maxvar is the largest
-    single-step weight change at the minimizer: the exact bounding box of
-    the corresponding ellipsoid, intersected with a hard bounding box.
-    Other forms have unbounded sublevel sets and raise DescentError.
-    """
+def truncation_region(graph: PlumbingGraph, spinc_or_base, mcap: int) -> Region:
+    """The bounding box of the class's ``sublevel_points`` at U cap
+    ``mcap``: the ``region`` that ``engine.stabilize`` reports for the
+    class without bounds.  A form that is not negative definite has
+    unbounded sublevel sets and raises ``DescentError``."""
     if mcap < 0:
         raise ValueError("mcap must be nonnegative")
     base = tuple(getattr(spinc_or_base, "base", spinc_or_base))
     check_characteristic(graph, base)
-    n = graph.n
-    if n == 0:
-        return Region(graph, base, (), (), mcap)
     if not is_negative_definite(graph):
         raise DescentError("the form is not negative definite, so its "
                            "sublevel sets are unbounded; pass explicit bounds")
-    neg = [[-x for x in row] for row in intersection_matrix(graph)]
-
-    # Plain coordinate descent can stall far above the minimum on strongly
-    # correlated definite forms, so it starts at the rounded continuous
-    # minimizer.
-    xbar, wbar = continuous_minimum(graph, base)
-    start = tuple(int(c.__floor__() + (1 if c - c.__floor__() > Fraction(1, 2)
-                                       else 0)) for c in xbar)
-    xstar, wstar = _descend(graph, base, start)
-    maxvar = max(abs(relative_weight(graph, base,
-                                     tuple(xi + (sign if i == j else 0)
-                                           for i, xi in enumerate(xstar)))
-                     - wstar)
-                 for j in range(n) for sign in (-1, 1))
-    budget = 2 * (Fraction(wstar) + mcap + n + maxvar - wbar)
-    xmin, xmax = [], []
-    for j in range(n):
-        # The ellipsoid's half-width along x_j is sqrt(budget * (-M)^-1_jj).
-        inv_jj = exact.solve_fraction(neg, [int(i == j) for i in range(n)])[j]
-        lo, hi = exact.int_interval(xbar[j], budget * inv_jj)
-        xmin.append(max(lo, -hard_halfwidth))
-        xmax.append(min(hi, hard_halfwidth))
-    return Region(graph, base, tuple(xmin), tuple(xmax), mcap)
+    return Region.bounding(graph, base, sublevel_points(graph, base, mcap),
+                           mcap)

@@ -509,24 +509,18 @@ def _reference_class_cells(graph, spinc_or_base, mcap, box=None,
                            wcap_extra=0):
     """The mask scan the face-up build replaced: every one of the 2^n masks
     at every point, read through ``offset_cube_weight`` with a memo of its
-    own.  It shares ``_sublevel_points`` with ``class_cells``; the point
+    own.  It shares ``sublevel_points`` with ``class_cells``; the point
     enumeration has its own brute-force test in test_exact.py.  Its points
     map to their weights, as the bank's do."""
     from latcoh import engine
-    from latcoh.lattice import offset_cube_weight, relative_weight
+    from latcoh.lattice import (offset_cube_weight, relative_weight,
+                                sublevel_points)
     n = graph.n
     base = tuple(getattr(spinc_or_base, "base", spinc_or_base))
     complete = None
     if is_negative_definite(graph):
-        minimum = engine.continuous_minimum(graph, base)
-        probe, step = minimum[1].__ceil__(), 1
-        pts = engine._sublevel_points(graph, base, probe, minimum)
-        while not pts:
-            probe += step
-            step *= 2
-            pts = engine._sublevel_points(graph, base, probe, minimum)
-        wcap = min(pts.values()) + mcap + wcap_extra
-        unfiltered = engine._sublevel_points(graph, base, wcap, minimum)
+        unfiltered = sublevel_points(graph, base, mcap + wcap_extra)
+        wcap = min(unfiltered.values()) + mcap + wcap_extra
         pts = {x: w for x, w in unfiltered.items()
                if box is None or box.contains_offset(x)}
         if len(pts) == len(unfiltered):
@@ -640,15 +634,15 @@ def test_cells_read_each_cube_once(monkeypatch):
 
 def test_class_cells_solves_the_continuous_minimum_once(monkeypatch):
     # The probe loop and the final enumeration share one Fraction solve.
-    from latcoh import engine
+    from latcoh import lattice
     calls = []
-    real = engine.continuous_minimum
+    real = lattice.continuous_minimum
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(engine, "continuous_minimum", counted)
+    monkeypatch.setattr(lattice, "continuous_minimum", counted)
     for name in DEMOS:
         g = parse_graph((DATA / name).read_text())
         for cls in spinc_representatives(g):

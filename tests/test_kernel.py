@@ -9,9 +9,8 @@ import pytest
 
 from latcoh import (BasisCapError, LatcohError, Region, faults,
                     spinc_representatives, stabilize)
-from latcoh.engine import _sublevel_points
-from latcoh.lattice import (BASIS_CAP, cofaces, continuous_minimum,
-                            offset_cube_weight, pack, split_key)
+from latcoh.lattice import (BASIS_CAP, cofaces, offset_cube_weight, pack,
+                            split_key, sublevel_points)
 from latcoh.suites import random_graph_with_classes
 
 from conftest import chain, cube_key, e8, grown, vertex
@@ -90,7 +89,7 @@ def test_sublevel_cap_is_a_basis_cap_error():
     g = e8()
     base = spinc_representatives(g)[0].base
     with pytest.raises(BasisCapError, match="exceeded 5 points"):
-        _sublevel_points(g, base, 40, continuous_minimum(g, base), limit=5)
+        sublevel_points(g, base, 40, limit=5)
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -1,8 +1,10 @@
 import contextlib
+import itertools
 import operator
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,9 +13,10 @@ from hypothesis import strategies as st
 from latcoh import (Chain, DegenerateFormError, DescentError,
                     OutsideRegionError, Region, absolute_q,
                     characteristic_base, cube_weights, delta,
-                    delta_squared_check, faults, intersection_matrix, lattice,
-                    relative_weight, spinc_representatives, truncation_region,
-                    weight_monotonicity_check)
+                    delta_squared_check, faults, intersection_matrix,
+                    is_negative_definite, lattice, make_graph, parse_graph,
+                    relative_weight, spinc_representatives, stabilize,
+                    truncation_region, weight_monotonicity_check)
 from latcoh.lattice import (bits, delta_squared_failures, lattice_point, pack,
                             unpack)
 from latcoh.suites import graph_spec, random_graph, suite_delta_squared
@@ -399,26 +402,45 @@ def test_delta_fans_do_not_outlive_a_fault():
 
 # --- regions ----------------------------------------------------------------
 
-def test_truncation_region_single_vertex(rp3):
-    reg = truncation_region(rp3, (0,), 2)
-    # Threshold is 2 + 1 + 1 = 4 and w(x) = x^2, so the box is [-2, 2].
-    assert (reg.xmin, reg.xmax) == ((-2,), (2,))
-    assert reg.to_json() == {"base": [0], "xmin": [-2], "xmax": [2], "mcap": 2}
-
-
 def test_truncation_region_degenerate_errors():
     with pytest.raises(DescentError):
         truncation_region(vertex(0), (0,), 2)
 
 
-def test_truncation_region_e8_fixture():
-    # Regression fixture: exact bounding box of the threshold ellipsoid for
-    # the U cap 2 (threshold 2 + 8 + maxvar at the descent minimum).  The
-    # sublevel set sits far from the origin for this base vector.
-    reg = truncation_region(e8(), tuple([-2] * 8), 2)
-    assert reg.xmin == (-35, -68, -100, -130, -160, -108, -55, -81)
-    assert reg.xmax == (-23, -46, -68, -90, -110, -74, -37, -55)
-    assert reg == truncation_region(e8(), tuple([-2] * 8), 2)  # deterministic
+DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
+
+
+def _definite_graphs():
+    """The definite demos, the definite ``random_graph`` seeds 0 to 19 and
+    the graph with no vertex."""
+    for path in sorted(DATA.glob("*.graph")):
+        g = parse_graph(path.read_text())
+        if is_negative_definite(g):
+            yield pytest.param(g, id=path.stem)
+    for seed in range(20):
+        g = random_graph(random.Random(seed))
+        if is_negative_definite(g):
+            yield pytest.param(g, id="random%d" % seed)
+    yield pytest.param(make_graph(([], [])), id="empty")
+
+
+@pytest.mark.parametrize("g", _definite_graphs())
+def test_truncation_region_is_the_reported_sublevel_box(g):
+    # The box is the class's reported region, and for small graphs the
+    # bounding box of its sublevel set found by scanning a grid two wider.
+    for cls in spinc_representatives(g):
+        for mcap in range(3 if g.n >= 7 else 4):
+            reg = truncation_region(g, cls, mcap)
+            assert reg.to_json() == stabilize(g, cls, mcap).region
+            if g.n > 4:
+                continue
+            grid = itertools.product(*(range(a - 2, b + 3) for a, b in
+                                       zip(reg.xmin, reg.xmax)))
+            weights = {x: relative_weight(g, cls.base, x) for x in grid}
+            cap = min(weights.values()) + mcap
+            below = [x for x, w in weights.items() if w <= cap]
+            assert reg.xmin == tuple(map(min, zip(*below)))
+            assert reg.xmax == tuple(map(max, zip(*below)))
 
 
 def test_region_membership_and_offsets(rp3):
