@@ -34,7 +34,9 @@ weight of a cube key given point weights at packed offsets),
 the cofaces, as precomputed neighbour offsets in cubical persistence
 codes), ``coface_keys`` (those steps added to a key) and ``cofaces``
 (the same keys with their weight gaps).  Each fault hook on them has its
-single site here.  Values are immutable; the only state is a cube-weight
+single site here.  ``sublevel_points`` is the one enumeration of a
+definite class's sublevel set, and ``Region.bounding`` the one box
+around packed offsets.  Values are immutable; the only state is a cube-weight
 memo, owned by the window, cell bank or call that fills it, and the
 coface fans of ``delta``, owned by one call of ``delta`` or of
 ``delta_squared_failures`` because they hold fault-applied values.  No
