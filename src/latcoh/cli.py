@@ -220,8 +220,7 @@ def main(argv=None) -> int:
         return handler(args)
     except (RegionTooSmallError, engine.NonStabilizingError) as err:
         print("error: %s" % err, file=sys.stderr)
-        print("hint: rerun with a larger --max-depth or wider bounds",
-              file=sys.stderr)
+        print("hint: rerun with %s" % err.hint, file=sys.stderr)
         return EXIT_UNSTABILIZED
     except engine.InvariantError as err:
         print("error: %s" % err, file=sys.stderr)

@@ -44,7 +44,7 @@ from .triangle import SesReport, TriangleContext, _a_targets, _b_targets
 
 
 class NonStabilizingError(LatcohError):
-    pass
+    hint = "a larger --max-depth or wider bounds"
 
 
 class InvariantError(LatcohError):

@@ -2,84 +2,77 @@
 
 Everything in this module runs over Python ints and ``fractions.Fraction``;
 no floating point is used anywhere.  Matrices are small (the number of graph
-vertices), so the quadratic/cubic algorithms below are more than fast enough
-and keep every result exact.  Lattice-point enumeration uses Fractions only
-to set up its integer recursion, whose budgets and bounds are plain ints.
+vertices).  One fraction-free elimination, ``bareiss``, yields every fact
+about a form: its determinant, Sylvester's definiteness test, the integer
+set-up of lattice-point enumeration and the rational solves.
 """
 
 from fractions import Fraction
 from math import isqrt, lcm
 
 
-def det_bareiss(mat) -> int:
-    """Integer determinant by fraction-free (Bareiss) elimination.
+def bareiss(rows):
+    """Fraction-free (Bareiss 1968) elimination of n integer rows; columns
+    past the first n are augmented columns, carried along.
 
-    The empty matrix has determinant 1.
+    Returns (rows, swaps), or None when the n-by-n part is singular.  A row
+    is swapped in only at a zero pivot; ``swaps`` counts the swaps.  Entries
+    below the diagonal are kept as they stood when their column was the
+    pivot column.  With no swap, pivot k is the leading minor Delta_{k+1},
+    and for a symmetric matrix L D L^T the entry left at (j, k), j > k, is
+    the integer Delta_{k+1} L_jk.
     """
-    n = len(mat)
-    if n == 0:
-        return 1
-    a = [[int(x) for x in row] for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
+    a = [list(row) for row in rows]
+    n = len(a)
+    swaps, prev = 0, 1
+    for k in range(n):
         if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[-1][-1]
+            i = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if i is None:
+                return None
+            a[k], a[i] = a[i], a[k]
+            swaps += 1
+        pivot_row, piv = a[k], a[k][k]
+        for row in a[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, len(row)):
+                row[j] = (row[j] * piv - f * pivot_row[j]) // prev
+        prev = piv
+    return a, swaps
 
 
-def leading_minors(mat) -> list:
-    """Determinants of the leading principal k-by-k submatrices, k = 1..n."""
-    n = len(mat)
-    return [det_bareiss([row[:k] for row in mat[:k]]) for k in range(1, n + 1)]
+def det_bareiss(mat) -> int:
+    """Integer determinant: the sign of the swaps times the last pivot.
+    The empty matrix has determinant 1."""
+    elim = bareiss(mat)
+    if elim is None:
+        return 0
+    return (-1) ** elim[1] * elim[0][-1][-1] if mat else 1
+
+
+def definite_rows(mat):
+    """The ``bareiss`` rows of a symmetric integer ``mat`` if it is positive
+    definite, else None.  Sylvester's criterion: no swap, so the pivots are
+    the leading minors, and every pivot positive."""
+    elim = bareiss(mat)
+    if elim is None or elim[1] or any(row[k] <= 0
+                                      for k, row in enumerate(elim[0])):
+        return None
+    return elim[0]
 
 
 def solve_fraction(mat, rhs):
-    """Solve ``mat @ x = rhs`` exactly over the rationals.
-
-    Returns a list of Fractions, or None if the system is inconsistent.
-    Free variables, if any, are set to zero.
-    """
+    """Solve ``mat @ x = rhs`` exactly for a nonsingular square integer
+    ``mat``: ``bareiss`` on [mat | rhs], then back substitution in
+    Fractions.  Raises ValueError if ``mat`` is singular."""
     n = len(mat)
-    if n == 0:
-        return []
-    m = len(mat[0])
-    a = [[Fraction(mat[i][j]) for j in range(m)] + [Fraction(rhs[i])]
-         for i in range(n)]
-    pivots = []
-    row = 0
-    for col in range(m):
-        piv = next((r for r in range(row, n) if a[r][col] != 0), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        inv = 1 / a[row][col]
-        a[row] = [v * inv for v in a[row]]
-        for r in range(n):
-            if r != row and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[row])]
-        pivots.append(col)
-        row += 1
-        if row == n:
-            break
-    for r in range(row, n):
-        if a[r][m] != 0:
-            return None
-    x = [Fraction(0)] * m
-    for r, col in enumerate(pivots):
-        x[col] = a[r][m]
+    elim = bareiss([list(row) + [b] for row, b in zip(mat, rhs)])
+    if elim is None:
+        raise ValueError("matrix is singular")
+    a, x = elim[0], [Fraction(0)] * n
+    for k in reversed(range(n)):
+        s = a[k][n] - sum(a[k][j] * x[j] for j in range(k + 1, n))
+        x[k] = s / Fraction(a[k][k])
     return x
 
 
@@ -91,8 +84,6 @@ def hermite_column_form(mat) -> list:
     lower triangular, which makes coset reduction a single greedy pass.
     """
     n = len(mat)
-    if n == 0:
-        return []
     cols = [[mat[i][j] for i in range(n)] for j in range(n)]
     for i in range(n):
         while True:
@@ -134,63 +125,33 @@ def reduce_mod_columns(vec, h) -> tuple:
     return tuple(z)
 
 
-def ldlt(mat):
-    """L D L^T decomposition of a symmetric positive definite matrix.
-
-    Entries may be ints or Fractions.  Returns (L, D) with L unit lower
-    triangular and D the diagonal, all Fractions.  Raises ValueError if a
-    pivot fails to be positive.
-    """
-    n = len(mat)
-    a = [[Fraction(mat[i][j]) for j in range(n)] for i in range(n)]
-    lower = [[Fraction(0)] * n for _ in range(n)]
-    diag = [Fraction(0)] * n
-    for k in range(n):
-        d = a[k][k] - sum(diag[j] * lower[k][j] ** 2 for j in range(k))
-        if d <= 0:
-            raise ValueError("matrix is not positive definite")
-        diag[k] = d
-        lower[k][k] = Fraction(1)
-        for i in range(k + 1, n):
-            s = a[i][k] - sum(diag[j] * lower[i][j] * lower[k][j] for j in range(k))
-            lower[i][k] = s / d
-    return lower, diag
-
-
 def enumerate_sublevel(q_form, center, bound, limit=None):
     """All integer points x with (x-center)^T Q (x-center) <= bound.
 
-    ``q_form`` must be symmetric positive definite (ints or Fractions),
-    ``center`` a rational point, ``bound`` a rational.  Classic
-    lattice-point enumeration (Fincke-Pohst), run in integers: with den the
-    common denominator of the center, y = den x - den center and Delta_k
-    the leading minors (Delta_0 = 1), the form f(x) satisfies
+    ``q_form`` must be a symmetric positive definite integer matrix (else
+    ValueError), ``center`` a rational point, ``bound`` a rational.
+    Classic lattice-point enumeration (Fincke-Pohst), run in integers: with
+    den the common denominator of the center, y = den x - den center and
+    Delta_k the leading minors (Delta_0 = 1), the form f(x) satisfies
     den^2 f = sum_k v_k^2 / (Delta_k Delta_{k+1}) where
-    v_k = Delta_{k+1} y_k + sum_{j>k} Delta_{k+1} L_jk y_j is an integer
-    (L from ``ldlt`` of Q, first scaled to integers when its entries are
-    Fractions).  Scaled by T = lcm_k(Delta_k Delta_{k+1}) every
-    budget is an int and every coordinate interval comes from ``isqrt``;
-    Fractions appear only in this set-up.  Raises RuntimeError if more
+    v_k = Delta_{k+1} y_k + sum_{j>k} Delta_{k+1} L_jk y_j is an integer,
+    read off the ``bareiss`` rows of Q.  Scaled by
+    T = lcm_k(Delta_k Delta_{k+1}) every budget is an int and every
+    coordinate interval comes from ``isqrt``.  Raises RuntimeError if more
     than ``limit`` points are produced.
     """
     n = len(q_form)
-    qden = lcm(*(Fraction(v).denominator for row in q_form for v in row))
-    q_int = [[int(Fraction(v) * qden) for v in row] for row in q_form]
+    rows = definite_rows(q_form)
+    if rows is None:
+        raise ValueError("the form is not positive definite")
     center = [Fraction(c) for c in center]
     den = lcm(*(c.denominator for c in center))
     p = [int(c * den) for c in center]
-    lower, _ = ldlt(q_int)
-    minors = [1] + leading_minors(q_int)
-    ell = [[0] * n for _ in range(n)]
-    for k in range(n):
-        for j in range(k + 1, n):
-            v = minors[k + 1] * lower[j][k]
-            assert v.denominator == 1, "Delta_{k+1} L_jk is not an integer"
-            ell[j][k] = int(v)
+    minors = [1] + [row[k] for k, row in enumerate(rows)]
     scale = lcm(*(minors[k] * minors[k + 1] for k in range(n)))
     weight = [scale // (minors[k] * minors[k + 1]) for k in range(n)]
     step = [minors[k + 1] * den for k in range(n)]
-    budget = (Fraction(bound) * qden * scale * den * den).__floor__()
+    budget = (Fraction(bound) * scale * den * den).__floor__()
     if budget < 0:
         return
     if n == 0:
@@ -204,7 +165,7 @@ def enumerate_sublevel(q_form, center, bound, limit=None):
         nonlocal count
         # v_k = step_k x_k - b with b collecting the center and the
         # coordinates above k; weight_k v_k^2 <= budget bounds |v_k| by r.
-        b = minors[k + 1] * p[k] - sum(ell[j][k] * y[j] for j in range(k + 1, n))
+        b = minors[k + 1] * p[k] - sum(rows[j][k] * y[j] for j in range(k + 1, n))
         a = step[k]
         r = isqrt(budget // weight[k])
         lo, hi = -((r - b) // a), (b + r) // a

@@ -235,10 +235,10 @@ def determinant(graph: PlumbingGraph) -> int:
 
 
 def is_negative_definite(graph: PlumbingGraph) -> bool:
-    """Whether the intersection form is negative definite: Sylvester's
-    criterion on -M, every leading principal minor positive."""
+    """Whether the intersection form is negative definite: one Bareiss
+    elimination of -M with no row swap and every pivot positive."""
     neg = [[-x for x in row] for row in intersection_matrix(graph)]
-    return all(d > 0 for d in exact.leading_minors(neg))
+    return exact.definite_rows(neg) is not None
 
 
 def bad_vertices(graph: PlumbingGraph) -> frozenset:

@@ -70,7 +70,8 @@ class DescentError(LatcohError):
 
 
 class RegionTooSmallError(LatcohError):
-    pass
+    """A window too small for its margins, which a larger U cap widens."""
+    hint = "wider --bounds or a smaller --max-depth"
 
 
 class BasisCapError(LatcohError):
@@ -332,10 +333,11 @@ def absolute_q(graph: PlumbingGraph, k) -> Fraction:
     Only defined for nondegenerate forms; use relative weights otherwise.
     """
     coords = tuple(k)
-    m = intersection_matrix(graph)
-    if exact.det_bareiss(m) == 0:
-        raise DegenerateFormError("absolute weights need a nondegenerate form")
-    y = exact.solve_fraction(m, coords)
+    try:
+        y = exact.solve_fraction(intersection_matrix(graph), coords)
+    except ValueError as err:  # a singular form
+        raise DegenerateFormError("absolute weights need a nondegenerate "
+                                  "form") from err
     return -sum(Fraction(c) * yi for c, yi in zip(coords, y)) / 8
 
 

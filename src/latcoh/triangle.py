@@ -31,7 +31,8 @@ from math import isqrt
 
 from . import faults, gf2
 from .graph import (LatcohError, PlumbingGraph, characteristic_base,
-                    delete_vertex, graph_hash, increment_weight)
+                    delete_vertex, graph_hash, increment_weight,
+                    intersection_matrix)
 from .lattice import (Chain, OutsideRegionError, RegionTooSmallError, bits,
                       cube_weights, delta, key_steps, mask_of, origin)
 
@@ -250,10 +251,37 @@ def _a_window(mcap: int) -> int:
 
 
 def _t_margin(mcap: int) -> int:
-    """2 ceil(sqrt(2 mcap)) + 4: the width cut from each end of the
-    t-window to leave the middle zone."""
+    """Width cut from each end of the t-window [lo, hi] to leave the middle
+    zone: aw + mcap + 1, aw = ``_a_window(mcap)``; at caps 0 to 5 the older
+    width 2 ceil(sqrt(2 mcap)) + 4 is larger and kept, so reports stand.
+
+    Lemma: in a (y, S) block, A maps G+ duals at offsets in
+    [s - mcap, s + mcap] onto the D generator (s) + (s + 1) when v is
+    outside S, and duals in [min(s, s0) - mcap - 1, max(s, s0) + mcap - 1]
+    onto the generator (s) when v is in S, s0 the offset where r = 0.  For
+    s in the middle zone both lie in the G+ window [lo + aw, hi - aw], the
+    latter if lo + aw + mcap + 1 <= s0 <= hi - aw - mcap + 1 as well, which
+    ``default_region`` ensures.
+
+    Proof: A sends (p, m) to (p - i, m - c(i)), c reading r = t - s0 at the
+    target t (the step law).  Split A = A0 (1 + N), A0 the terms with
+    c = 0: p + 1 (i = -1), with p (i = 0) if v is outside S or p >= s0,
+    and p + 2 (i = -2) if v is in S and p <= s0 - 2.  A0^-1 sends
+    (s) + (s + 1) to s outside S, and t to every offset from
+    min(t, s0) - 1 to max(t, s0) - 1 with v in S.  N lowers m by k >= 1
+    and moves p by at most k, the depth-k terms of A p being A0 of offsets
+    in [p - k, p + k]: outside S, p - j and p + 1 + j with
+    k = T(j) = j(j+1)/2 >= j.  With v in S the reflection t -> 2 s0 - t,
+    p -> 2 s0 - 2 - p keeps c, so let p >= s0 - 1.  At p = s0 - 1,
+    c = T(|t - s0|).  At p >= s0, c = T(i) at t >= s0 and T(i) + s0 - t
+    below (case 4): the depth-k terms are p + 1 + j, p - j if >= s0
+    (T(j) = k) and at most one p - i < s0, and T(i) >= i > p - s0 puts
+    A0^-1 of each combination in [p - k, p + k].  So
+    A^-1 = (1 + N + N^2 + ...) A0^-1 moves p at most mcap past A0^-1.
+    """
     r = isqrt(2 * mcap)
-    return 2 * (r if r * r == 2 * mcap else r + 1) + 4
+    return max(_a_window(mcap) + mcap + 1,
+               2 * (r if r * r == 2 * mcap else r + 1) + 4)
 
 
 @dataclass(frozen=True)
@@ -336,10 +364,18 @@ class TriangleRegion:
 
 def default_region(ctx: TriangleContext, mcap: int,
                    y_halfwidth: int = 6) -> TriangleRegion:
-    """Window sized so that the interior middle zone is nonempty and A's
-    t-spread plus the kernel-generator margins fit, with two spare
-    offsets at each end of the t-window."""
-    s_half = _t_margin(mcap) + _a_window(mcap) + mcap + 2
+    """Window of t-offsets [-h, h], h = aw + mcap + max(tm + 2, e) with
+    tm = ``_t_margin(mcap)``: a middle zone of at least aw + mcap + 2
+    offsets each side of 0, and e the least width that holds every s0 as
+    ``_t_margin`` needs.  At offset s, r = m(v) + s + d, with d between
+    the sums of the negative and of the positive M(v, u), u != v (take
+    (t + m(v))/2 out of the second bracket of r), so s0 = -m(v) - d."""
+    vi = ctx.v_index
+    row = intersection_matrix(ctx.graph)[vi]
+    off = [x for j, x in enumerate(row) if j != vi]
+    e = max(row[vi] + 1 + sum(x for x in off if x > 0),
+            -row[vi] - 1 - sum(x for x in off if x < 0))
+    s_half = _a_window(mcap) + mcap + max(_t_margin(mcap) + 2, e)
     lo, hi = [], []
     for j in range(ctx.graph.n):
         half = s_half if j == ctx.v_index else y_halfwidth

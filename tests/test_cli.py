@@ -357,6 +357,32 @@ def test_triangle_corpus_is_pinned_under_each_fault(capsys, name, fault,
     assert err.split("\n")[0] == first_err
 
 
+@pytest.mark.parametrize("fault", (None,) + tuple(faults.FAULTS))
+def test_triangle_at_cap_eight_fails_only_under_a_fault(capsys, fault):
+    # At caps of 7 and more the old t-margin failed ker_b_equals_im_a with
+    # no fault active; the proven margin passes, and each fault still fails.
+    argv = ("triangle", str(DATA / "chain22.graph"), "--vertex", "b",
+            "--max-depth", "8")
+    with faults.injected(fault) if fault else contextlib.nullcontext():
+        code, out, _ = run(capsys, *argv)
+    if fault is None:
+        assert code == 0 and json.loads(out)["ses"]["passed"] is True
+    else:
+        assert code != 0
+
+
+def test_region_too_small_hints_wider_bounds_or_a_smaller_cap(capsys):
+    # A larger --max-depth widens the t-margin, so it cannot help here.
+    code, out, err = run(capsys, "triangle", str(DATA / "chain22.graph"),
+                         "--vertex", "b", "--bounds",
+                         '{"xmin":[-1,-1],"xmax":[1,1]}')
+    assert (code, out) == (2, "")
+    assert err.split("\n") == [
+        "error: t-window [-1, 1] cannot fit margin 10; increase the region "
+        "or lower the U cap",
+        "hint: rerun with wider --bounds or a smaller --max-depth", ""]
+
+
 # The same for star1337 at vertex a (cap 1), whose homology triangle needs
 # the second grading window (pad 8): three faults push homology or an image
 # of A out of every window, and the give-up error names what did not fit.

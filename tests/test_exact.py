@@ -46,11 +46,17 @@ def test_empty_matrix_determinant_is_one():
 
 
 def test_solve_fraction():
-    m = [[2, 1], [1, 3]]
-    x = exact.solve_fraction(m, [5, 10])
-    assert [sum(Fraction(m[i][j]) * x[j] for j in range(2)) for i in range(2)] == [5, 10]
-    assert exact.solve_fraction([[1, 1], [1, 1]], [0, 1]) is None
-    assert exact.solve_fraction([[1, 1], [1, 1]], [2, 2]) is not None
+    # [[0, 1], [1, 0]] needs a row swap at the first pivot; the second
+    # system is indefinite; the third is singular and must raise.
+    for m, rhs in (([[0, 1], [1, 0]], [3, -4]),
+                   ([[2, 1], [1, -3]], [5, 10]),
+                   ([[1, 2, 0], [2, -1, 1], [0, 1, 4]], [1, 0, -7])):
+        x = exact.solve_fraction(m, rhs)
+        assert all(type(v) is Fraction for v in x)
+        assert [sum(a * v for a, v in zip(row, x)) for row in m] == rhs
+    assert exact.solve_fraction([[0, 1], [1, 0]], [3, -4]) == [-4, 3]
+    with pytest.raises(ValueError, match="singular"):
+        exact.solve_fraction([[1, 1], [1, 1]], [2, 2])
 
 
 def test_hermite_form_spans_same_lattice():
@@ -83,18 +89,6 @@ def test_reduce_mod_columns_is_canonical():
             assert exact.reduce_mod_columns(shifted, h) == r
             seen.add(r)
     assert len(seen) == 6
-
-
-def test_ldlt_reconstructs():
-    m = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
-    lower, diag = exact.ldlt(m)
-    n = 3
-    for i in range(n):
-        for j in range(n):
-            s = sum(diag[k] * lower[i][k] * lower[j][k] for k in range(n))
-            assert s == m[i][j]
-    with pytest.raises(ValueError):
-        exact.ldlt([[0]])
 
 
 def test_enumerate_sublevel_matches_brute_force():
@@ -178,15 +172,66 @@ def test_enumerate_sublevel_matches_brute_force_seeded():
         assert list(exact.enumerate_sublevel(q, corner, 0)) == [tuple(corner)]
 
 
-def test_enumerate_sublevel_rational_form():
-    q = [[Fraction(3, 2), Fraction(-1, 3)], [Fraction(-1, 3), Fraction(5, 7)]]
-    center = [Fraction(2, 9), Fraction(-7, 4)]
-    values = _brute_values(q, center, Fraction(9))
-    for bound in (Fraction(0), Fraction(1, 2), Fraction(11, 3), Fraction(9)):
-        got = set(exact.enumerate_sublevel(q, center, bound))
-        assert got == {x for x, f in values.items() if f <= bound}
-    with pytest.raises(ValueError):
+def test_enumerate_sublevel_rejects_an_indefinite_form():
+    with pytest.raises(ValueError, match="not positive definite"):
         list(exact.enumerate_sublevel([[1, 2], [2, 1]], [0, 0], 1))
+
+
+def _ldlt(q):
+    """L and D of Q = L D L^T in Fractions, straight from the recurrence."""
+    n = len(q)
+    lower = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    diag = []
+    for k in range(n):
+        diag.append(Fraction(q[k][k])
+                    - sum(diag[j] * lower[k][j] ** 2 for j in range(k)))
+        for i in range(k + 1, n):
+            lower[i][k] = (q[i][k] - sum(diag[j] * lower[i][j] * lower[k][j]
+                                         for j in range(k))) / diag[k]
+    return lower, diag
+
+
+def test_bareiss_pivots_are_minors_and_keeps_scaled_ldlt():
+    for q, _, _ in _sublevel_cases():
+        n = len(q)
+        rows, swaps = exact.bareiss(q)
+        minors = [gauss_det([row[:k] for row in q[:k]]) for k in range(n + 1)]
+        assert swaps == 0
+        assert [rows[k][k] for k in range(n)] == minors[1:]
+        lower, diag = _ldlt(q)
+        assert diag == [Fraction(minors[k + 1], minors[k]) for k in range(n)]
+        for i in range(n):
+            for j in range(n):
+                assert sum(diag[k] * lower[i][k] * lower[j][k]
+                           for k in range(n)) == q[i][j]
+        for k in range(n):
+            for j in range(k + 1, n):
+                assert rows[j][k] == minors[k + 1] * lower[j][k]
+        assert exact.definite_rows(q) == rows
+
+
+def test_is_negative_definite_is_sylvesters_criterion():
+    # Weights up to +1 give forms with a zero leading minor (the Bareiss
+    # elimination then swaps a row) and forms that are indefinite.
+    from latcoh import intersection_matrix, is_negative_definite
+    from latcoh.suites import random_graph
+    rng = random.Random(11)
+    seen = {True: 0, False: 0, "zero minor": 0, "swap": 0}
+    for _ in range(300):
+        g = random_graph(rng, max_vertices=5, weights=(-3, 1), extra_edge=0.3)
+        neg = [[-v for v in row] for row in intersection_matrix(g)]
+        minors = [gauss_det([row[:k] for row in neg[:k]])
+                  for k in range(1, g.n + 1)]
+        sylvester = all(d > 0 for d in minors)
+        assert is_negative_definite(g) == sylvester
+        seen[sylvester] += 1
+        if 0 in minors[:-1]:
+            seen["zero minor"] += 1
+            elim = exact.bareiss(neg)
+            if elim is not None and elim[1]:
+                seen["swap"] += 1
+                assert exact.det_bareiss(neg) == gauss_det(neg)
+    assert min(seen.values()) >= 5, seen
 
 
 def test_enumerate_sublevel_limit_raises_at_the_next_point():

@@ -12,8 +12,9 @@ from latcoh import default_region
 from latcoh.lattice import bits, relative_weight
 from latcoh.suites import random_graph, random_graph_with_classes
 from latcoh.triangle import (SesReport, TriangleRegion, _a_targets,
-                             _chain_map_sample, _g_vector, _interior_y,
-                             _t_margin, c_window, chain_map_commutes)
+                             _a_window, _chain_map_sample, _g_vector,
+                             _interior_y, _t_margin, c_window,
+                             chain_map_commutes)
 
 from conftest import chain, vertex
 from test_acceptance import SES_CORPUS
@@ -282,6 +283,88 @@ def test_verify_ses_region_too_small(ctx1):
     tiny = TriangleRegion(ctx1, (-3,), (3,), 3)
     with pytest.raises(RegionTooSmallError):
         verify_ses(ctx1, tiny)
+
+
+@pytest.mark.parametrize("name, v", [("rp3", "a"), ("chain22", "a"),
+                                     ("chain22", "b")])
+def test_verify_ses_passes_beyond_cap_six(name, v):
+    # The old margin 2 ceil(sqrt(2 mcap)) + 4 fell behind aw + mcap + 1 at
+    # cap 7 and ker_b_equals_im_a failed with no fault active.
+    ctx = triangle_context(parse_graph((DATA / (name + ".graph")).read_text()), v)
+    for mcap in (7, 8, 9, 10):
+        assert _t_margin(mcap) == _a_window(mcap) + mcap + 1
+        rep = verify_ses(ctx, default_region(ctx, mcap))
+        assert rep.passed, (mcap, rep.to_json())
+
+
+def _zero_of_r(ctx, y, smask, lo):
+    """The t-offset s0 where r((K, t), S) = 0, by the step law."""
+    return lo - r_value(ctx, _g_vector(ctx, y, lo), smask)
+
+
+@pytest.mark.parametrize("name, v", [("rp3", "a"), ("chain22", "b"),
+                                     ("star232", "b")])
+def test_a_preimages_fill_the_margin_lemma_hull(name, v):
+    # The lemma of _t_margin, on the real A of one block in a wide window:
+    # each D generator at power m is A of G+ duals inside its hull (with m
+    # for mcap), and at m = mcap the hull is reached at both ends, so the
+    # bound is tight.
+    ctx = triangle_context(parse_graph((DATA / (name + ".graph")).read_text()), v)
+    vi, wide, y = ctx.v_index, 40, (0,) * (ctx.graph.n - 1)
+    for mcap in (3, 8):
+        aw = _a_window(mcap)
+        rows = {(t, m): idx for idx, (t, m) in enumerate(
+            (t, m) for t in range(-wide, wide + 1) for m in range(mcap + 1))}
+        srcs = [(p, m) for p in range(aw - wide, wide - aw + 1)
+                for m in range(mcap + 1)]
+        for smask in range(1 << ctx.graph.n):
+            image = gf2.Quotient(gf2.Basis())
+            for p, m in srcs:
+                kp = ctx.to_plus(_g_vector(ctx, y, p))
+                assert image.add(sum(
+                    1 << rows[((kg[vi] - ctx.base_g[vi]) // 2, m2)]
+                    for kg, _, m2 in _a_targets(ctx, kp, smask, m)))
+            inside = ctx.has_v(smask)
+            s0 = _zero_of_r(ctx, y, smask, -wide) if inside else 0
+            reach = set()
+            for s in range(s0 - 6, s0 + 7):
+                for m in range(mcap + 1):
+                    gen = 1 << rows[(s, m)]
+                    if not inside:
+                        gen ^= 1 << rows[(s + 1, m)]
+                    used = [srcs[j][0] for j in bits(image.coords(gen))]
+                    lo, hi = ((min(s, s0) - m - 1, max(s, s0) + m - 1)
+                              if inside else (s - m, s + m))
+                    assert lo <= min(used) and max(used) <= hi
+                    if m == mcap:
+                        reach.update(used)
+            assert min(reach) == s0 - 6 - mcap - inside
+            assert max(reach) == s0 + 6 + mcap - inside
+
+
+def test_default_region_holds_every_zero_of_r():
+    # default_region must hold each s0 in [lo + aw + mcap + 1,
+    # hi - aw - mcap + 1]; a weight of -12 or below put it outside the
+    # old window at cap 1 and the check failed with no fault active.
+    graphs = [(parse_graph((DATA / (name + ".graph")).read_text()), v)
+              for name, v in (("rp3", "a"), ("chain22", "b"),
+                              ("star232", "b"), ("star1337", "d"))]
+    graphs += [(vertex(-12), "a"), (vertex(-20), "a"),
+               (make_graph(([("a", -2), ("b", -15), ("c", -3)],
+                            [("a", "b", 1), ("b", "c", -1)])), "b")]
+    for g, v in graphs:
+        ctx = triangle_context(g, v)
+        for mcap in range(9):
+            region = default_region(ctx, mcap, y_halfwidth=3)
+            vi, aw = ctx.v_index, _a_window(mcap)
+            lo, hi = region.off_lo[vi], region.off_hi[vi]
+            for y in _interior_y(region):
+                for smask in range(1 << g.n):
+                    if ctx.has_v(smask):
+                        s0 = _zero_of_r(ctx, y, smask, lo)
+                        assert lo + aw + mcap + 1 <= s0 <= hi - aw - mcap + 1
+        if g.n == 1:
+            assert verify_ses(ctx, default_region(ctx, 1)).passed
 
 
 def test_verify_ses_catches_b_parity_fault(ctx1):
