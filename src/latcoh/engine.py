@@ -14,19 +14,14 @@ By Nemethi's definition H^q of a class is the persistence module of its
 sublevel filtration, with U acting as restriction, so
 ``module_presentation`` reads its towers and torsions off one reduction of
 the cell bank's coboundary in filtration order.  The long-exact-sequence
-check needs cycle representatives instead: for it the complex splits by
-cube degree and by the grading g = 2m + 2(w - wmin) (the coboundary keeps
-g, U drops it by two) into finite GF(2) pieces.  With U cap mcap the
-piece of degree q and grading 2L is the relative cochain complex
-C^q(S_L, S_{L-mcap-1}) of two sublevel sets.  Its coboundary columns are
-read off the ``coface_steps`` table, and each coboundary is eliminated
-once: the one reduction gives the cycles of its own piece and the
-boundaries of the piece above.  A cube weighs the largest of its
-corners, so no coface is lighter than its face and no code here checks
-it; nothing here reads the fault flags either, which act only at their
-sites in ``lattice`` and ``triangle``.
-Every elimination runs over bitset columns in a fixed order, so rerunning
-an input gives byte-identical output.
+check needs cycle representatives instead, so it splits the complex into
+finite GF(2) pieces by degree and grading (``GradedGF2Complex``), within a
+window sized from those bars (``les_check``).  A cube weighs the largest
+of its corners, so no coface is lighter than its face and no code here
+checks it; nothing here reads the fault flags either, which act only at
+their sites in ``lattice`` and ``triangle``.  Every elimination runs over
+bitset columns in a fixed order, so rerunning an input gives
+byte-identical output.
 """
 
 from collections import Counter
@@ -160,10 +155,6 @@ def class_cells(graph: PlumbingGraph, spinc_or_base, mcap: int,
     return CellBank(graph, base, pts, cells, wmin, complete)
 
 
-class _NeedEnlarge(Exception):
-    """The grading window is too small; the message says what left it."""
-
-
 class GradedGF2Complex:
     """Bases and coboundary matrices of one class, split by (degree,
     grading), for the long-exact-sequence check only.
@@ -175,16 +166,14 @@ class GradedGF2Complex:
     key of relative weight w in [L - mcap, L], in bank order, to its
     position, and the cube's U-power there is L - w.  L runs up to
     complete_to - wmin, the level the bank certifies; above mcap the pieces
-    are U-truncated, which the sublevel filtration behind
-    ``module_presentation`` does not represent.  Only complete banks are
-    accepted: in a box-clipped bank a missing coface may be a cube the box
-    cut off.  Every cell is taken to weigh within [wmin, complete_to], as
-    ``class_cells`` builds them.
+    are U-truncated.  Only complete banks are accepted: in a box-clipped
+    bank a missing coface may be a cube the box cut off.  Every cell is
+    taken to weigh within [wmin, complete_to], as ``class_cells`` builds
+    them.
 
-    The bases are filled in one pass over the bank: each degree keeps one
-    list of its per-level maps, and a cube of relative weight w goes into
-    the maps of levels w to min(w + mcap, top), a slice of that list taken
-    once per (degree, w).
+    The bases are filled in one pass over the bank: a cube of relative
+    weight w goes into the maps of levels w to min(w + mcap, top), a slice
+    of its degree's list of per-level maps taken once per (degree, w).
     """
 
     def __init__(self, bank: CellBank, mcap: int):
@@ -222,11 +211,10 @@ class GradedGF2Complex:
         the row of each of its cofaces that the target piece holds.
 
         A cube's fan, its cofaces in the bank, is read once off the
-        ``coface_steps`` of its mask, one membership test per coface, and
-        kept in ``fans`` for every level: a fresh dict per call unless the
-        caller passes one (``ComplexHomology`` does, for one build).  Fans
-        hold fault-applied values, so that dict must not outlive the
-        caller's call.
+        ``coface_steps`` of its mask and kept in ``fans`` for every level:
+        a fresh dict unless the caller passes one (``ComplexHomology`` does,
+        for one build).  Fans hold fault-applied values, so that dict must
+        not outlive the caller's call.
         """
         cells, n = self.bank.cells, self.bank.graph.n
         full = (1 << n) - 1
@@ -254,12 +242,10 @@ class ComplexHomology:
 
     ``pieces`` maps (degree, grading) to (quotient of the cycles by the
     boundaries, representative cycles), so chain maps can be pushed to
-    homology exactly.  The coface fans of the build live as long as it.
-
-    Each coboundary is eliminated once: pieces run in (degree, grading)
-    order, and the one reduction of δ_q by ``gf2.kernel_basis`` gives both
-    the cycles of piece (q, g) and the staircase of the boundaries of
-    piece (q + 1, g).
+    homology exactly.  Each coboundary is eliminated once: pieces run in
+    (degree, grading) order, and the one reduction of δ_q by
+    ``gf2.kernel_basis`` gives the cycles of piece (q, g) and the staircase
+    of the boundaries of piece (q + 1, g).  The fans live as long as it.
     """
 
     def __init__(self, cx: GradedGF2Complex):
@@ -281,8 +267,9 @@ class ComplexHomology:
 
     def reduce_chain(self, terms) -> dict:
         """Homology coordinates of a cycle given by (cube key, U-power)
-        duals, split by (degree, grading) piece.  A dual no piece holds
-        raises ``_NeedEnlarge``."""
+        duals, split by (degree, grading) piece.  A dual that no piece
+        holds raises KeyError, and a chain that is not a cycle ValueError
+        (``gf2.Quotient.coords``)."""
         bank, bases = self.cx.bank, self.cx.bases
         full = (1 << bank.graph.n) - 1
         grouped = {}
@@ -290,9 +277,7 @@ class ComplexHomology:
             # A key outside the bank is in no piece, whatever its weight.
             pg = ((key & full).bit_count(),
                   2 * (m + bank.cells.get(key, 0) - bank.wmin))
-            pos = bases.get(pg, {}).get(key)
-            if pos is None:
-                raise _NeedEnlarge()
+            pos = bases[pg][key]
             grouped[pg] = grouped.get(pg, 0) ^ (1 << pos)
         return {pg: self.pieces[pg][0].coords(vec)
                 for pg, vec in grouped.items()}
@@ -458,11 +443,40 @@ def _one_tower(degrees: dict) -> bool:
     return towers.pop(0, 0) == 1 and not any(towers.values())
 
 
-def _presentation_data(graph, base, mcap, grading_cap):
+def _presentation_data(graph, base, mcap, grading_cap, bank=None):
     """Cell bank and graded homology of one class in every grading up to
-    ``grading_cap``, for the long-exact-sequence check."""
-    bank = class_cells(graph, base, grading_cap // 2)
+    ``grading_cap``, for the long-exact-sequence check; ``bank``, when
+    given, is the class's bank at level grading_cap / 2 and is reused."""
+    bank = bank or class_cells(graph, base, grading_cap // 2)
     return bank, ComplexHomology(GradedGF2Complex(bank, mcap))
+
+
+def _check_laws(bank, degrees, where):
+    """Raise ``InvariantError``, naming ``where`` and the law, when the
+    presentation ``degrees`` of ``bank`` breaks a law of every correct one:
+    the lightest point is never paired (the elder rule), so degree 0 has a
+    tower at bottom 0.  On a complete bank of a connected tree with nu bad
+    vertices H^q = 0 for q >= max(nu, 1) (Laszlo and Nemethi's reduction
+    theorem), so no such degree has a summand; and with nu = 0 the whole
+    answer is the one tower at bottom 0."""
+    towers = degrees.get(0, DegreeModule((), ())).towers
+    if 0 not in towers:
+        raise InvariantError(
+            "%s: degree 0 has tower bottoms %s but no tower at bottom 0, "
+            "which the lightest point always gives" % (where, list(towers)))
+    if bank.complete_to is None or not is_tree(bank.graph):
+        return
+    nu = len(bad_vertices(bank.graph))
+    above = [deg for deg in degrees if deg >= max(nu, 1)]
+    if above:
+        raise InvariantError(
+            "%s: degree %d has summands, but a tree with %d bad vertices has "
+            "none in degree >= %d" % (where, min(above), nu, max(nu, 1)))
+    if not nu and degrees != {0: DegreeModule((0,), ())}:
+        raise InvariantError(
+            "%s: degree 0 has towers %s and torsions %s, but a tree with no "
+            "bad vertices has one tower at bottom 0 and nothing else"
+            % (where, list(towers), list(degrees[0].torsions)))
 
 
 def stabilize(graph: PlumbingGraph, spinc_or_base, mcap: int,
@@ -479,41 +493,15 @@ def stabilize(graph: PlumbingGraph, spinc_or_base, mcap: int,
     structure theorem allows (``_one_tower``); otherwise a torsion summand
     may be reported as a tower.  ``region`` is the bounding box of the
     enumerated offsets at this U cap; passing it back as ``bounds``
-    reproduces the answer.
-
-    An answer that breaks a law of every correct one raises
-    ``InvariantError`` instead.  The lightest point is never paired (the
-    elder rule), so degree 0 has a tower at bottom 0.  On a complete bank
-    of a connected tree with nu bad vertices H^q = 0 for q >= max(nu, 1)
-    (Laszlo and Nemethi's reduction theorem), so no such degree has a
-    summand; and with nu = 0 the whole answer is the one tower at bottom
-    0."""
+    reproduces the answer.  An answer that breaks a law of every correct
+    one raises ``InvariantError`` (``_check_laws``)."""
     base = tuple(getattr(spinc_or_base, "base", spinc_or_base))
-    index = getattr(spinc_or_base, "index", -1)
+    index = spinc_or_base.index if hasattr(spinc_or_base, "base") else -1
     box = None if bounds is None else replace(bounds, base=base)
     bank = class_cells(graph, base, mcap, box=box)
     region = Region.bounding(graph, base, bank.points, mcap)
     degrees = module_presentation(bank)
-    towers = degrees.get(0, DegreeModule((), ())).towers
-    if 0 not in towers:
-        raise InvariantError(
-            "class %d (base %s): degree 0 has tower bottoms %s but no tower "
-            "at bottom 0, which the lightest point always gives"
-            % (index, list(base), list(towers)))
-    nu = len(bad_vertices(graph))
-    above = [deg for deg in degrees if deg >= max(nu, 1)]
-    if above and bank.complete_to is not None and is_tree(graph):
-        raise InvariantError(
-            "class %d (base %s): degree %d has summands, but a tree with %d "
-            "bad vertices has none in degree >= %d"
-            % (index, list(base), min(above), nu, max(nu, 1)))
-    if (not nu and degrees != {0: DegreeModule((0,), ())}
-            and bank.complete_to is not None and is_tree(graph)):
-        raise InvariantError(
-            "class %d (base %s): degree 0 has towers %s and torsions %s, but "
-            "a tree with no bad vertices has one tower at bottom 0 and "
-            "nothing else" % (index, list(base), list(degrees[0].towers),
-                              list(degrees[0].torsions)))
+    _check_laws(bank, degrees, "class %d (base %s)" % (index, list(base)))
     return GradedModulePresentation(
         graph_hash=graph_hash(graph), class_index=index, base=base,
         degrees=degrees,
@@ -550,25 +538,23 @@ class LesReport:
 
 class _Side:
     """One side of a triangle check: the homology of every spin-c class of
-    ``graph``, cells to grading capg, indexed in the pass that builds it.
+    ``graph`` (on ``banks``, in class order, if given), cells to grading
+    capg, indexed in the pass that builds it.
 
     ``lookup`` maps raw characteristic vectors to (class index, packed
     offset shifted to a cube key with empty mask), injective because the
     sides are definite.  ``offsets`` maps each (class, degree, grading)
     piece with homology to its offset inside H^degree of the side, in
-    (class, grading) order; ``dims`` and ``degree_dims`` sum the
-    dimensions over the classes by (degree, grading) and by degree.
+    (class, grading) order; ``dims`` and ``degree_dims`` sum the dimensions
+    over the classes by (degree, grading) and by degree.
     """
 
-    def __init__(self, name, graph, mcap, capg):
-        if not is_negative_definite(graph):
-            raise NonStabilizingError(
-                "graph %r is not negative definite; the truncation does not "
-                "stabilize" % (graph.vertices,))
-        self.name, self.homs, self.lookup, self.offsets = name, [], {}, {}
+    def __init__(self, graph, mcap, capg, banks=None):
+        self.homs, self.lookup, self.offsets = [], {}, {}
         self.dims, self.degree_dims = {}, Counter()
-        for cls in spinc_representatives(graph):
-            bank, hom = _presentation_data(graph, cls.base, mcap, capg)
+        for i, cls in enumerate(spinc_representatives(graph)):
+            bank, hom = _presentation_data(graph, cls.base, mcap, capg,
+                                           banks and banks[i])
             for x in bank.points:
                 k = lattice_point(graph, cls.base, unpack(x, graph.n))
                 self.lookup[k] = (cls.index, x << graph.n)
@@ -579,18 +565,18 @@ class _Side:
             self.homs.append(hom)
 
 
-def _map_columns(name, src, image_terms, dst):
-    """Matrix columns, by degree, of the chain map ``name`` on homology
-    from side ``src`` to side ``dst``.  Returns (cols, broken).
+def _map_columns(src, image_terms, dst):
+    """Matrix columns, by degree, of a chain map on homology from side
+    ``src`` to side ``dst``.  Returns (cols, broken).
 
     Each representative of ``src`` is pushed once, in (class, degree,
     grading) order, so each degree's columns follow the offsets of ``src``.
     The image terms carry raw characteristic vectors (the chain maps know
     nothing about class decompositions); each is routed to its class in
     ``dst``, and the classes are reduced in the order the terms first reach
-    them.  An image that fails to be a cycle (only a corrupted map gives
-    one) contributes a zero column and sets the flag; a term that no piece
-    of ``dst`` holds raises ``_NeedEnlarge``.
+    them.  An image that is not a cycle, or has a term that no piece of
+    ``dst`` holds, is a zero column and sets the flag: in the window
+    ``les_check`` certifies, only a corrupted map gives either.
     """
     cols, broken = {}, False
     for hom in src.homs:
@@ -610,8 +596,6 @@ def _map_columns(name, src, image_terms, dst):
                 grouped, col = {}, 0
                 try:
                     for k, s, m in terms:
-                        if k not in dst.lookup:
-                            raise _NeedEnlarge()
                         ci, corner = dst.lookup[k]
                         grouped.setdefault(ci, []).append((corner | s, m))
                     for ci, part in grouped.items():
@@ -619,19 +603,40 @@ def _map_columns(name, src, image_terms, dst):
                         for pg, coords in reduced.items():
                             if coords:
                                 col ^= coords << dst.offsets[(ci, *pg)]
-                except ValueError:
+                except (KeyError, ValueError):
                     col, broken = 0, True
-                except _NeedEnlarge:
-                    raise _NeedEnlarge("%s maps %s homology in degree %d at "
-                                       "grading %d outside every piece of %s"
-                                       % (name, src.name, deg, g, dst.name))
                 cols.setdefault(deg, []).append(col)
     return cols, broken
 
 
-# The i-th of LES_ROUNDS grading windows reaches 2 mcap + 2 i LES_PAD.
-LES_PAD = 4
-LES_ROUNDS = 4
+def _certified_banks(name, graph, mcap):
+    """The banks at U cap ``mcap`` of the classes of one side, in class
+    order, and their largest finite bar endpoint in levels above wmin: a
+    tower's bottom or a torsion's top.
+
+    Each class must obey ``_check_laws`` (else ``InvariantError``) and pass
+    ``_one_tower`` (else ``NonStabilizingError``), the certificate behind
+    ``stabilized: true``, and shares its assumption: no summand is born
+    above the cap, so no higher bank has a bar endpoint this one misses."""
+    if not is_negative_definite(graph):
+        raise NonStabilizingError(
+            "graph %r is not negative definite; the truncation does not "
+            "stabilize" % (graph.vertices,))
+    banks, last = [], 0
+    for cls in spinc_representatives(graph):
+        bank = class_cells(graph, cls.base, mcap)
+        degrees = module_presentation(bank)
+        where = "%s class %d (base %s)" % (name, cls.index, list(cls.base))
+        _check_laws(bank, degrees, where)
+        if not _one_tower(degrees):
+            raise NonStabilizingError(
+                "%s: the summands at U cap %d are not the one degree-0 tower "
+                "of a stable answer" % (where, mcap))
+        banks.append(bank)
+        for mod in degrees.values():
+            last = max(last, *(b // 2 for b in mod.towers),
+                       *(b // 2 + k for b, k in mod.torsions))
+    return banks, last
 
 
 def les_check(ctx: TriangleContext, mcap: int, ses: SesReport) -> LesReport:
@@ -642,41 +647,35 @@ def les_check(ctx: TriangleContext, mcap: int, ses: SesReport) -> LesReport:
     B* A* = 0, and the connecting rank inferred at the bottom node matches
     the kernel of A* one degree up.  The induced maps exist only if A and B
     are chain maps, which ``ses`` (the caller's ``verify_ses`` report for
-    the same triangle) samples; its verdict is folded into ``exact``,
-    because the ranks alone cannot see a corrupted map.  Raises
-    NonStabilizingError when a side cannot stabilize; grows the grading
-    window, up to LES_ROUNDS times, when homology or map images touch its
-    top, and then raises NonStabilizingError naming what did not fit.
+    the same triangle) samples; its verdict is folded into ``exact``, as
+    the ranks alone cannot see a corrupted map.
+
+    The grading window is computed once.  Every class of the three sides
+    is certified at U cap ``mcap`` (``_certified_banks``).  With E the
+    largest finite bar endpoint, the piece C^q(S_L, S_{L-mcap-1}) has
+    homology only if an endpoint lies in (L - mcap - 1, L] (the exact
+    sequence of the pair), so every piece lies at grading <= 2 (mcap + E):
+    the pieces are built to there, on the certified banks when E = 0 and
+    on banks at level mcap + E otherwise, and ``grading_pad`` is E.
     """
     if (ses.graph_hash, ses.vertex) != (graph_hash(ctx.graph), ctx.v):
         raise ValueError("the SES report belongs to another triangle")
-    for attempt in range(LES_ROUNDS):
-        capg = 2 * mcap + 2 * LES_PAD * (attempt + 1)
-        try:
-            rep = _les_attempt(ctx, mcap, capg)
-        except _NeedEnlarge as err:
-            reason = err
-            continue
-        return replace(rep, exact=rep.exact and ses.chain_maps_ok)
-    raise NonStabilizingError("triangle homology did not fit any window up "
-                              "to grading %d: %s" % (capg, reason))
+    certified = [_certified_banks(name, graph, mcap) for name, graph in
+                 (("G+", ctx.plus), ("G", ctx.graph), ("G-v", ctx.minus))]
+    pad = max(last for _, last in certified)
+    banks = None if pad else [banks for banks, _ in certified]
+    del certified       # banks at level mcap: no use once pad > 0
+    rep = _les_attempt(ctx, mcap, 2 * (mcap + pad), banks)
+    return replace(rep, exact=rep.exact and ses.chain_maps_ok)
 
 
-def _les_attempt(ctx, mcap, capg):
-    sides = plus, mid, minus = (_Side("G+", ctx.plus, mcap, capg),
-                                _Side("G", ctx.graph, mcap, capg),
-                                _Side("G-v", ctx.minus, mcap, capg))
-    # Homology in the top pad zone means the window may be clipping
-    # genuine classes above the cap: enlarge.
-    for side in sides:
-        for deg, g in side.dims:
-            if g > capg - 2 * LES_PAD:
-                raise _NeedEnlarge("%s has homology in degree %d at grading "
-                                   "%d, in the pad zone above %d"
-                                   % (side.name, deg, g, capg - 2 * LES_PAD))
-
-    a_cols, bad_a = _map_columns("A", plus, partial(_a_targets, ctx), mid)
-    b_cols, bad_b = _map_columns("B", mid, partial(_b_targets, ctx), minus)
+def _les_attempt(ctx, mcap, capg, banks=None):
+    """``les_check``'s report in the window ``capg``, on ``banks`` if given."""
+    sides = plus, mid, minus = [
+        _Side(graph, mcap, capg, side_banks) for graph, side_banks
+        in zip((ctx.plus, ctx.graph, ctx.minus), banks or [None] * 3)]
+    a_cols, bad_a = _map_columns(plus, partial(_a_targets, ctx), mid)
+    b_cols, bad_b = _map_columns(mid, partial(_b_targets, ctx), minus)
     rank_a = Counter({deg: gf2.rank(cols) for deg, cols in a_cols.items()})
     top = max((deg for side in sides for deg in side.degree_dims), default=0)
     rows = []

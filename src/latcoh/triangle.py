@@ -261,7 +261,7 @@ def _t_margin(mcap: int) -> int:
     onto the generator (s) when v is in S, s0 the offset where r = 0.  For
     s in the middle zone both lie in the G+ window [lo + aw, hi - aw], the
     latter if lo + aw + mcap + 1 <= s0 <= hi - aw - mcap + 1 as well, which
-    ``default_region`` ensures.
+    ``default_region`` ensures and ``verify_ses`` checks (``_check_s0``).
 
     Proof: A sends (p, m) to (p - i, m - c(i)), c reading r = t - s0 at the
     target t (the step law).  Split A = A0 (1 + N), A0 the terms with
@@ -563,6 +563,18 @@ def _ses_block(ctx: TriangleContext, region: TriangleRegion, y, smask: int):
     return dims, (ba_zero, ker_b_equals_d, ker_b_equals_im_a)
 
 
+def _check_s0(region: TriangleRegion, s0: int):
+    """Raise ``RegionTooSmallError`` unless the zero s0 of r lies where the
+    lemma of ``_t_margin`` needs it: lo + aw + mcap + 1 <= s0 <=
+    hi - aw - mcap + 1 on the t-window [lo, hi]."""
+    vi, reach = region.ctx.v_index, _a_window(region.mcap) + region.mcap
+    lo, hi = region.off_lo[vi], region.off_hi[vi]
+    if not lo + reach + 1 <= s0 <= hi - reach + 1:
+        raise RegionTooSmallError(
+            "t-window [%d, %d] needs the zero of r in [%d, %d], but it is at "
+            "t-offset %d" % (lo, hi, lo + reach + 1, hi - reach + 1, s0))
+
+
 def verify_ses(ctx: TriangleContext, region: TriangleRegion) -> SesReport:
     """Machine-check the short exact sequence on interior windows.
 
@@ -582,6 +594,9 @@ def verify_ses(ctx: TriangleContext, region: TriangleRegion) -> SesReport:
     chain's image cancels according to its t-values and U powers alone;
     the ``b-parity-skip`` fault reads only t.  The type memo lives for one
     call, so an active fault still reaches the computation of every type.
+    Each (True, r0) type must hold its zero s0 = lo - r0 of r where the
+    lemma of ``_t_margin`` needs it; r compares two cubes of one mask, so
+    no fault moves s0.
     """
     vi = ctx.v_index
     mid_lo, mid_hi = region.t_middle
@@ -600,6 +615,8 @@ def verify_ses(ctx: TriangleContext, region: TriangleRegion) -> SesReport:
             blocks += 1
             key = _block_type(ctx, region, y, smask)
             if key not in types:
+                if key[0]:
+                    _check_s0(region, region.off_lo[vi] - key[1])
                 types[key] = _ses_block(ctx, region, y, smask)
             block_dims, block_flags = types[key]
             dims = tuple(a + b for a, b in zip(dims, block_dims))

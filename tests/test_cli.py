@@ -218,9 +218,9 @@ PINNED = [
     (("compute", "twonode.graph", "--max-depth", "4"),
      "ad4aa139e884af90d86f2c4e55dfebe0dc07d738f30a3495d46f0cb713d07185", 0),
     (("triangle", "chain22.graph", "--vertex", "b"),
-     "a213b82556f8fecfb6b6d69c2b2712cc5f99036f1c45f879f2f2e203aefa2f63", 0),
+     "06e326a165d0efe1aa0bb5ddfcc5e4dc10d67c66f2c20d363b8eb5a0dd41b320", 0),
     (("triangle", "star232.graph", "--vertex", "b"),
-     "d40ecc6f066ddf852b4d934201e2055fa78ad749dad0c08277533e5e4d4db839", 0),
+     "9c2cb07a0d7690a4658f6ccae1b03f6597e4971e3e668c5d5f0b6b1724d310ae", 0),
     (("verify", "--seed", "42"),
      "fcf92508f70ccd8995864b256fc9bd16196f2f6a4ab2d682d853126537c24689", 0),
 ]
@@ -306,36 +306,38 @@ def test_verify_corpus_is_pinned_under_each_fault(capsys, seed, fault,
 # sha256 of stdout, the exit code and the first stderr line of the
 # benchmark's triangle runs (cap 3), with no fault and under each fault:
 # rebuilding the long-exact-sequence pieces must leave every byte of each
-# report, and each failure, as it was.
-TRIANGLE_DID_NOT_FIT = ("error: triangle homology did not fit any window up "
-                        "to grading 38: G+ has homology in degree 0 at "
-                        "grading 32, in the pad zone above 30")
+# report, and each failure, as it was.  A lattice fault breaks a law on the
+# first class of G+ that each side's certificate checks (exit 4).
 EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+NO_TREE_SUMMAND = (": degree 2 has summands, but a tree with %d bad vertices "
+                   "has none in degree >= 1")
+NO_BOTTOM_TOWER = (": degree 0 has tower bottoms %s but no tower at bottom 0, "
+                   "which the lightest point always gives")
 TRIANGLE_PINS = [
     ("chain22.graph", None,
-     "ba56e47a25e29b1470ed485102e754ebd087f76c5d493f84d1cde9cf0934a459", 0, ""),
-    ("chain22.graph", "cube-weight-parity-offset", EMPTY, 2,
-     TRIANGLE_DID_NOT_FIT),
-    ("chain22.graph", "delta-coface-shift-sign", EMPTY, 2,
-     TRIANGLE_DID_NOT_FIT),
+     "cb5fba1b2c2e06e5371920d6d3463f21b183e4c1e4eeb31897d3685dfe545677", 0, ""),
+    ("chain22.graph", "cube-weight-parity-offset", EMPTY, 4,
+     "error: G+ class 0 (base [0, 1])" + NO_TREE_SUMMAND % 0),
+    ("chain22.graph", "delta-coface-shift-sign", EMPTY, 4,
+     "error: G+ class 0 (base [0, 1])" + NO_BOTTOM_TOWER % [6]),
     ("chain22.graph", "b-parity-skip",
-     "94bc33c2b165b75485a0945c469bfd92f82fba899b191ee7d3ae48e3c00a0164", 3, ""),
+     "c63fbaabc3533be3143d126ea82b18e931488c91d8cd7d79cae41129be93006b", 3, ""),
     ("chain22.graph", "c-drop-quadratic",
-     "24d58a64e0483405ae9f5c72059d8a3151cb2e09308690c1c2687df126a0f98f", 3, ""),
+     "353c970e2b978b6a1528e2dd1a17011b9ae00ea029880ef242b85cdb70651b57", 3, ""),
     ("chain22.graph", "c-always-first-case",
-     "046a53998f5668acd4ede0fe3ec9e54f98c4bfd94573c7804023cb87015798f2", 3, ""),
+     "a236d8effc5320859c04d477e3fbc536c39ec6e33e9fede0c93c44dd3173aa83", 3, ""),
     ("star232.graph", None,
-     "fc443b53c434f72bce5a567f823d8aca01de995f29765937e92227429c8e1afe", 0, ""),
-    ("star232.graph", "cube-weight-parity-offset", EMPTY, 2,
-     TRIANGLE_DID_NOT_FIT),
-    ("star232.graph", "delta-coface-shift-sign", EMPTY, 2,
-     TRIANGLE_DID_NOT_FIT),
+     "1f36b0d5e71b3d6711ed2c41044ae375772332bf5e07f340b0c3086890128c0f", 0, ""),
+    ("star232.graph", "cube-weight-parity-offset", EMPTY, 4,
+     "error: G+ class 0 (base [0, 0, 0])" + NO_TREE_SUMMAND % 0),
+    ("star232.graph", "delta-coface-shift-sign", EMPTY, 4,
+     "error: G+ class 0 (base [0, 0, 0])" + NO_BOTTOM_TOWER % [6, 6]),
     ("star232.graph", "b-parity-skip",
-     "f35f58125b145754de6228c5430959e2e7d12a37d3661a92bcb9d8bb5ea9d478", 3, ""),
+     "6a13846dd1c362665e648dc9e5f60752bf0004e53f54b1a6414c815c3742955d", 3, ""),
     ("star232.graph", "c-drop-quadratic",
-     "1f9b98702d28d434788b44aa4574aaed3ebe383fc180acbcc8353cb8164f3cf1", 3, ""),
+     "9ee0f93107d90c56d5a127ce1ea7553e7907f3c0e1076cd68d11465f02445e62", 3, ""),
     ("star232.graph", "c-always-first-case",
-     "56d036cbb8dc4ca8f34d615fcd854d026449fda6d8c734fdf1b1c9ed0ebb4af3", 3, ""),
+     "8b5be590cadfabe0f692c16cc40a5bf01341b40461dbd7e3f8fe0b23e3535e9e", 3, ""),
 ]
 
 
@@ -383,27 +385,36 @@ def test_region_too_small_hints_wider_bounds_or_a_smaller_cap(capsys):
         "hint: rerun with wider --bounds or a smaller --max-depth", ""]
 
 
+def test_bounds_that_miss_the_zero_of_r_are_too_small(capsys):
+    # The window fits the t-margin, but the zero s0 of r (t-offset 1 or 2)
+    # lies below it, where the lemma of _t_margin no longer holds: with no
+    # fault this window used to fail ker_b_equals_im_a (exit 3).
+    code, out, err = run(capsys, "triangle", str(DATA / "chain22.graph"),
+                         "--vertex", "b", "--max-depth", "1", "--bounds",
+                         '{"xmin":[-6,12],"xmax":[6,50]}')
+    assert (code, out) == (2, "")
+    assert err.split("\n") == [
+        "error: t-window [12, 50] needs the zero of r in [17, 47], but it is "
+        "at t-offset 2",
+        "hint: rerun with wider --bounds or a smaller --max-depth", ""]
+
+
 # The same for star1337 at vertex a (cap 1), whose homology triangle needs
-# the second grading window (pad 8): three faults push homology or an image
-# of A out of every window, and the give-up error names what did not fit.
-STAR1337_DID_NOT_FIT = ("error: triangle homology did not fit any window up "
-                        "to grading 34: ")
+# a grading window one level above the cap (pad 1): its certified banks
+# have a torsion bar ending at level 1.  Under c-drop-quadratic an image of
+# A leaves every piece of G, which makes A's column broken (exit 3).
+STAR1337 = "error: G+ class 0 (base [1, 0, 1, 1])"
 STAR1337_PINS = [
     (None,
-     "040db2a5368591dc740f8a224d08655f21fad0e943c56d717aad332823dd1747", 0, ""),
-    ("cube-weight-parity-offset", EMPTY, 2,
-     STAR1337_DID_NOT_FIT + "G+ has homology in degree 0 at grading 28, "
-     "in the pad zone above 26"),
-    ("delta-coface-shift-sign", EMPTY, 2,
-     STAR1337_DID_NOT_FIT + "G+ has homology in degree 0 at grading 28, "
-     "in the pad zone above 26"),
+     "a0984eca2484dc7431309b59435647b0b9805b90bbbf68a2b4ec3755f3d2a0f8", 0, ""),
+    ("cube-weight-parity-offset", EMPTY, 4, STAR1337 + NO_TREE_SUMMAND % 1),
+    ("delta-coface-shift-sign", EMPTY, 4, STAR1337 + NO_BOTTOM_TOWER % [2]),
     ("b-parity-skip",
-     "fb94cc7dae576acad5a4b0a2603aefc1b4b4bac88744afa53adc819d639b5f62", 3, ""),
-    ("c-drop-quadratic", EMPTY, 2,
-     STAR1337_DID_NOT_FIT + "A maps G+ homology in degree 1 at grading 4 "
-     "outside every piece of G"),
+     "79acde1e10dd3d9de4e451aae80dd8da84e394b54b83830f2ad2ba25ef527001", 3, ""),
+    ("c-drop-quadratic",
+     "97a8d864203dc79437a41a5168beb3395545dd89764f61527bd4f4f361a7aa09", 3, ""),
     ("c-always-first-case",
-     "65df73fe31431bfc68ebc9d811e52abf3f120d306769c0753a588835226687c3", 3, ""),
+     "56fbbafafadf84f1e2eac68a1cc24533174e1ce4024e02da4598f25a7d6401ed", 3, ""),
 ]
 
 
@@ -422,16 +433,17 @@ def test_star1337_triangle_is_pinned_under_each_fault(capsys, fault, expected,
     assert err.split("\n")[0] == first_err
     if fault is None:
         les = json.loads(out)["les"]
-        assert (les["grading_pad"], les["exact"]) == (8, True)
+        assert (les["grading_pad"], les["exact"]) == (1, True)
         assert les["table"][1]["dim_plus"] == les["table"][1]["dim_g"] == 1
 
 
 # Which path sees which fault: the exit code of each path under each fault.
 # A path that never reads the faulted step exits 0 (compute reads neither A,
-# B nor the exponent c); 2 is a window that did not fit, 3 a failed
-# verification, 4 an answer that breaks a law of every correct one (no
-# bottom tower, a summand where a tree's cohomology vanishes, or, on a tree
-# with no bad vertex, anything but the one tower at 0).
+# B nor the exponent c); 3 is a failed verification, 4 an answer that
+# breaks a law of every correct one (no bottom tower, a summand where a
+# tree's cohomology vanishes, or, on a tree with no bad vertex, anything
+# but the one tower at 0), on the compute path or on a side of the
+# triangle.
 VISIBILITY_PATHS = {
     "compute rp3": ("compute", "rp3.graph", "--max-depth", "3"),
     "compute chain22": ("compute", "chain22.graph", "--max-depth", "3"),
@@ -442,7 +454,7 @@ VISIBILITY_PATHS = {
 VISIBILITY = {
     "compute rp3": [4, 4, 0, 0, 0],
     "compute chain22": [4, 4, 0, 0, 0],
-    "triangle chain22": [2, 2, 3, 3, 3],
+    "triangle chain22": [4, 4, 3, 3, 3],
     "verify seed 7": [3, 3, 3, 3, 3],
 }
 

@@ -6,11 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from latcoh import (ComplexHomology, NonStabilizingError, Region, class_cells,
-                    default_region, faults, gf2, is_negative_definite,
-                    les_check, make_graph, module_presentation, parse_graph,
-                    spinc_representatives, stabilize, triangle_context,
-                    truncation_region, verify_ses)
+from latcoh import (ComplexHomology, InvariantError, NonStabilizingError,
+                    Region, class_cells, default_region, faults, gf2,
+                    is_negative_definite, les_check, make_graph,
+                    module_presentation, parse_graph, spinc_representatives,
+                    stabilize, triangle_context, truncation_region, verify_ses)
 from latcoh.engine import DegreeModule, GradedGF2Complex, _presentation_data
 from latcoh.lattice import lattice_point, pack, unpack
 
@@ -218,35 +218,89 @@ def _chain22_b_cap1():
     return ctx, verify_ses(ctx, default_region(ctx, 1))
 
 
-def test_les_enlarges_the_window_when_an_attempt_asks(monkeypatch):
-    # An attempt that asks for more room is retried one pad higher, and the
-    # answer in the larger window is the same.
+def _star_2_4_4_10():
+    """The star with centre -2 and legs -4, -4, -10, whose triangle at the
+    centre has a nonzero connecting rank."""
+    return make_graph(([("c", -2), ("a", -4), ("b", -4), ("d", -10)],
+                       [("c", "a"), ("c", "b"), ("c", "d")]))
+
+
+def _window_cases():
+    cases = [pytest.param(name, v, mcap, 0, id="%s-%s-%d" % (name, v, mcap))
+             for name, v in (("chain22.graph", "b"), ("star232.graph", "b"),
+                             ("rp3.graph", "a"))
+             for mcap in (1, 2, 3)]
+    cases += [pytest.param("star1337.graph", "a", mcap, 1,
+                           id="star1337.graph-a-%d" % mcap) for mcap in (1, 2)]
+    return cases + [pytest.param(None, "c", 1, 1, id="star-2-4-4-10-c-1")]
+
+
+@pytest.mark.parametrize("name, v, mcap, pad", _window_cases())
+def test_les_window_matches_a_wide_window(name, v, mcap, pad):
+    # The window les_check computes gives the dims and rank table of one 16
+    # gradings above the cap, and its pad is E, the largest finite bar
+    # endpoint (a tower's bottom, a torsion's top) of the three sides'
+    # presentations at the cap.
+    from latcoh.engine import _les_attempt
+    g = (_star_2_4_4_10() if name is None
+         else parse_graph((DATA / name).read_text()))
+    ctx = triangle_context(g, v)
+    rep = les_check(ctx, mcap, verify_ses(ctx, default_region(ctx, mcap)))
+    wide = _les_attempt(ctx, mcap, 2 * mcap + 16)
+    assert (rep.dims, rep.rows, rep.exact) == (wide.dims, wide.rows, True)
+    ends = [end for side in (ctx.plus, ctx.graph, ctx.minus)
+            for cls in spinc_representatives(side)
+            for mod in module_presentation(
+                class_cells(side, cls.base, mcap)).values()
+            for end in [b // 2 for b in mod.towers]
+            + [b // 2 + k for b, k in mod.torsions]]
+    assert rep.grading_pad == max(ends) == pad
+
+
+@pytest.mark.parametrize("fault, law", [
+    ("cube-weight-parity-offset",
+     "degree 2 has summands, but a tree with 0 bad vertices has none in "
+     "degree >= 1"),
+    ("delta-coface-shift-sign",
+     "degree 0 has tower bottoms [2] but no tower at bottom 0")])
+def test_les_names_the_side_class_and_law_a_lattice_fault_breaks(fault, law):
+    # Each side's certificate runs stabilize's laws on every class, so a
+    # lattice fault is a wrong answer (exit 4), not a window too small.
+    ctx, ses = _chain22_b_cap1()
+    with faults.injected(fault):
+        with pytest.raises(InvariantError) as err:
+            les_check(ctx, 1, ses)
+    assert str(err.value).startswith("G+ class 0 (base [0, 1]): " + law)
+
+
+def test_les_refuses_a_side_without_the_one_tower(monkeypatch):
+    # A class whose summands at the cap are not the one degree-0 tower
+    # fails the certificate, which names the side, the class and the cap.
     import latcoh.engine as eng
     ctx, ses = _chain22_b_cap1()
-    first = les_check(ctx, 1, ses)
-    attempt = eng._les_attempt
-    caps = []
-
-    def enlarge_once(ctx, mcap, capg):
-        caps.append(capg)
-        if len(caps) == 1:
-            raise eng._NeedEnlarge()
-        return attempt(ctx, mcap, capg)
-
-    monkeypatch.setattr(eng, "_les_attempt", enlarge_once)
-    rep = les_check(ctx, 1, ses)
-    assert caps == [2 + 2 * eng.LES_PAD, 2 + 4 * eng.LES_PAD]
-    assert (first.grading_pad, rep.grading_pad) == (4, 8)
-    assert rep.rows == first.rows and rep.dims == first.dims
-    assert rep.exact and first.exact
+    monkeypatch.setattr(eng, "_one_tower", lambda degrees: False)
+    with pytest.raises(NonStabilizingError,
+                       match=r"^G\+ class 0 \(base \[0, 1\]\): the summands "
+                             r"at U cap 1 are not the one degree-0 tower"):
+        les_check(ctx, 1, ses)
 
 
-def test_les_gives_up_when_no_window_fits():
-    # The weight fault puts homology in the top pad zone of every window.
-    ctx, ses = _chain22_b_cap1()
-    with faults.injected("cube-weight-parity-offset"):
-        with pytest.raises(NonStabilizingError, match="did not fit any window"):
-            les_check(ctx, 1, ses)
+def test_an_image_no_piece_holds_is_a_broken_column():
+    # An image term outside every piece of the target is no reason to
+    # widen the window: in the certified window only a corrupted map gives
+    # one, so it is a zero column and the map is flagged broken.  A vector
+    # outside the bank and a U-power above every piece both count.
+    import latcoh.engine as eng
+    from latcoh.triangle import _a_targets
+    ctx, _ = _chain22_b_cap1()
+    plus, mid = eng._Side(ctx.plus, 1, 2), eng._Side(ctx.graph, 1, 2)
+    for far, up in ((1000, 0), (0, 99)):
+        def moved(k, smask, m):
+            return [(tuple(x + far for x in t), s, mt + up)
+                    for t, s, mt in _a_targets(ctx, k, smask, m)]
+
+        cols, broken = eng._map_columns(plus, moved, mid)
+        assert broken and not any(any(col) for col in cols.values())
 
 
 def test_a_triple_with_a_nonzero_connecting_rank():
@@ -254,11 +308,9 @@ def test_a_triple_with_a_nonzero_connecting_rank():
     # truncated pieces of G+ hold one degree-1 class and A* kills it, so
     # exactness at G+ needs a connecting map of rank 1 out of degree 0,
     # inferred here as dim H^0(G-v) - rank B*.
-    g = make_graph(([("c", -2), ("a", -4), ("b", -4), ("d", -10)],
-                    [("c", "a"), ("c", "b"), ("c", "d")]))
-    ctx = triangle_context(g, "c")
+    ctx = triangle_context(_star_2_4_4_10(), "c")
     rep = les_check(ctx, 1, verify_ses(ctx, default_region(ctx, 1)))
-    assert (rep.exact, rep.grading_pad) == (True, 8)
+    assert (rep.exact, rep.grading_pad) == (True, 1)
     keys = ("dim_plus", "dim_g", "dim_minus", "rank_A", "rank_B",
             "rank_connecting", "exact_middle", "exact_ends")
     assert [tuple(row[k] for k in keys) for row in rep.rows] == [
@@ -1011,14 +1063,14 @@ def _reference_complex_homology(bank, mcap):
 
 
 def _les_side_cases():
-    from latcoh.engine import LES_PAD
+    # Eight gradings above the cap, so U-truncated pieces are covered too.
     cases = []
     for name, v in (("chain22.graph", "b"), ("star232.graph", "b"),
                     ("rp3.graph", "a")):
         for mcap in (1, 2, 3):
             for fault in (None,) + faults.FAULTS:
                 cases.append(pytest.param(
-                    name, v, mcap, 2 * mcap + 2 * LES_PAD, fault,
+                    name, v, mcap, 2 * mcap + 8, fault,
                     id="%s-%s-%d-%s" % (name, v, mcap, fault or "no fault")))
     return cases
 
@@ -1026,8 +1078,8 @@ def _les_side_cases():
 @pytest.mark.parametrize("name, v, mcap, capg, fault", _les_side_cases())
 def test_one_elimination_per_coboundary_matches_the_per_piece_build(
         name, v, mcap, capg, fault):
-    # Every class of G, G+ and G-v at the first grading window of the
-    # long-exact-sequence check: the same bases, columns, cycles, boundary
+    # Every class of G, G+ and G-v at a grading window above the one the
+    # long-exact-sequence check needs: the same bases, columns, cycles, boundary
     # staircases and homology coordinates as eliminating each δ twice.
     from latcoh.lattice import bits
     ctx = triangle_context(parse_graph((DATA / name).read_text()), v)
