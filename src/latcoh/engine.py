@@ -27,6 +27,7 @@ byte-identical output.
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import product
 
 from . import gf2
 from .graph import (LatcohError, PlumbingGraph, bad_vertices, graph_hash,
@@ -34,12 +35,24 @@ from .graph import (LatcohError, PlumbingGraph, bad_vertices, graph_hash,
 from .lattice import (BASIS_CAP, BasisCapError, Region, bits,
                       check_characteristic, coface_keys, coface_steps,
                       key_steps, lattice_point, offset_cube_weight,
-                      relative_weight, sublevel_points, unpack)
+                      relative_weight, retraction_box, sublevel_points,
+                      unpack)
 from .triangle import SesReport, TriangleContext, _a_targets, _b_targets
 
 
 class NonStabilizingError(LatcohError):
     hint = "a larger --max-depth or wider bounds"
+
+
+class BarsAboveCapError(NonStabilizingError):
+    """Bars that may end above the U cap, in a box too large to read them
+    from; at a cap as high as they may end, the cap's bank holds them."""
+    hint = "a larger --max-depth"
+
+
+class NoPieceError(Exception):
+    """A dual (cube key, U-power) that no piece of a ``ComplexHomology``
+    holds."""
 
 
 class InvariantError(LatcohError):
@@ -115,7 +128,6 @@ def class_cells(graph: PlumbingGraph, spinc_or_base, mcap: int,
     base = tuple(getattr(spinc_or_base, "base", spinc_or_base))
     check_characteristic(graph, base)
     n = graph.n
-
     complete = None
     if is_negative_definite(graph):
         unfiltered = sublevel_points(graph, base, mcap)
@@ -138,12 +150,18 @@ def class_cells(graph: PlumbingGraph, spinc_or_base, mcap: int,
 
     if not pts:
         raise NonStabilizingError("no lattice points under the weight cap")
-    wmin = min(pts.values())
+    return _bank(graph, base, pts, wcap, complete)
 
-    # Every admissible cube is read once through the kernel's weight
-    # routine, which adds the active faults to the memo's fault-free value.
-    # A cube in the memo is read without touching any other entry, so the
-    # memo becomes the bank in place and the two are never held in full.
+
+def _bank(graph, base, pts, wcap, complete):
+    """The bank of the cubes with every corner in ``pts`` and weight at
+    most ``wcap``.
+
+    Every admissible cube is read once through the kernel's weight
+    routine, which adds the active faults to the memo's fault-free value.
+    A cube in the memo is read without touching any other entry, so the
+    memo becomes the bank in place and the two are never held in full."""
+    n = graph.n
     cells = _admissible_cubes(pts, n)
     point_weight = pts.get
     for key in list(cells):
@@ -152,7 +170,7 @@ def class_cells(graph: PlumbingGraph, spinc_or_base, mcap: int,
             cells[key] = w
         else:
             del cells[key]
-    return CellBank(graph, base, pts, cells, wmin, complete)
+    return CellBank(graph, base, pts, cells, min(pts.values()), complete)
 
 
 class GradedGF2Complex:
@@ -268,8 +286,8 @@ class ComplexHomology:
     def reduce_chain(self, terms) -> dict:
         """Homology coordinates of a cycle given by (cube key, U-power)
         duals, split by (degree, grading) piece.  A dual that no piece
-        holds raises KeyError, and a chain that is not a cycle ValueError
-        (``gf2.Quotient.coords``)."""
+        holds raises ``NoPieceError``, and a chain that is not a cycle
+        ValueError (``gf2.Quotient.coords``)."""
         bank, bases = self.cx.bank, self.cx.bases
         full = (1 << bank.graph.n) - 1
         grouped = {}
@@ -277,7 +295,9 @@ class ComplexHomology:
             # A key outside the bank is in no piece, whatever its weight.
             pg = ((key & full).bit_count(),
                   2 * (m + bank.cells.get(key, 0) - bank.wmin))
-            pos = bases[pg][key]
+            pos = bases.get(pg, {}).get(key)
+            if pos is None:
+                raise NoPieceError(key, m)
             grouped[pg] = grouped.get(pg, 0) ^ (1 << pos)
         return {pg: self.pieces[pg][0].coords(vec)
                 for pg, vec in grouped.items()}
@@ -443,12 +463,10 @@ def _one_tower(degrees: dict) -> bool:
     return towers.pop(0, 0) == 1 and not any(towers.values())
 
 
-def _presentation_data(graph, base, mcap, grading_cap, bank=None):
-    """Cell bank and graded homology of one class in every grading up to
-    ``grading_cap``, for the long-exact-sequence check; ``bank``, when
-    given, is the class's bank at level grading_cap / 2 and is reused."""
-    bank = bank or class_cells(graph, base, grading_cap // 2)
-    return bank, ComplexHomology(GradedGF2Complex(bank, mcap))
+def _presentation_data(bank, mcap):
+    """Graded homology of one class's complete ``bank`` in every grading up
+    to twice its level, for the long-exact-sequence check."""
+    return ComplexHomology(GradedGF2Complex(bank, mcap))
 
 
 def _check_laws(bank, degrees, where):
@@ -538,8 +556,8 @@ class LesReport:
 
 class _Side:
     """One side of a triangle check: the homology of every spin-c class of
-    ``graph`` (on ``banks``, in class order, if given), cells to grading
-    capg, indexed in the pass that builds it.
+    ``graph`` on its bank in ``banks`` (in class order), indexed in the
+    pass that builds it.
 
     ``lookup`` maps raw characteristic vectors to (class index, packed
     offset shifted to a cube key with empty mask), injective because the
@@ -549,12 +567,11 @@ class _Side:
     over the classes by (degree, grading) and by degree.
     """
 
-    def __init__(self, graph, mcap, capg, banks=None):
+    def __init__(self, graph, mcap, banks):
         self.homs, self.lookup, self.offsets = [], {}, {}
         self.dims, self.degree_dims = {}, Counter()
-        for i, cls in enumerate(spinc_representatives(graph)):
-            bank, hom = _presentation_data(graph, cls.base, mcap, capg,
-                                           banks and banks[i])
+        for cls, bank in zip(spinc_representatives(graph), banks):
+            hom = _presentation_data(bank, mcap)
             for x in bank.points:
                 k = lattice_point(graph, cls.base, unpack(x, graph.n))
                 self.lookup[k] = (cls.index, x << graph.n)
@@ -563,6 +580,13 @@ class _Side:
                 self.degree_dims[deg] += d
                 self.dims[(deg, g)] = self.dims.get((deg, g), 0) + d
             self.homs.append(hom)
+
+
+def _side_banks(graph, level):
+    """The banks at U cap ``level`` of the classes of ``graph``, in class
+    order."""
+    return [class_cells(graph, cls.base, level)
+            for cls in spinc_representatives(graph)]
 
 
 def _map_columns(src, image_terms, dst):
@@ -596,6 +620,8 @@ def _map_columns(src, image_terms, dst):
                 grouped, col = {}, 0
                 try:
                     for k, s, m in terms:
+                        if k not in dst.lookup:
+                            raise NoPieceError(k, m)
                         ci, corner = dst.lookup[k]
                         grouped.setdefault(ci, []).append((corner | s, m))
                     for ci, part in grouped.items():
@@ -603,37 +629,62 @@ def _map_columns(src, image_terms, dst):
                         for pg, coords in reduced.items():
                             if coords:
                                 col ^= coords << dst.offsets[(ci, *pg)]
-                except (KeyError, ValueError):
+                except (NoPieceError, ValueError):
                     col, broken = 0, True
                 cols.setdefault(deg, []).append(col)
     return cols, broken
 
 
+def _box_bars(graph, base, box):
+    """The presentation of the bank of every cube of the offset box
+    (lo, hi), weighed as ``class_cells`` weighs them; a box of more than
+    ``BASIS_CAP`` offsets raises ``BasisCapError``."""
+    pts = {x: relative_weight(graph, base, unpack(x, graph.n))
+           for x in Region(graph, base, *box, 0).iter_offsets()}
+    return module_presentation(_bank(graph, base, pts, max(pts.values()),
+                                     None))
+
+
 def _certified_banks(name, graph, mcap):
     """The banks at U cap ``mcap`` of the classes of one side, in class
-    order, and their largest finite bar endpoint in levels above wmin: a
-    tower's bottom or a torsion's top.
+    order, and the largest finite bar endpoint of the side, in levels
+    above wmin: a tower's bottom or a torsion's top.
 
-    Each class must obey ``_check_laws`` (else ``InvariantError``) and pass
-    ``_one_tower`` (else ``NonStabilizingError``), the certificate behind
-    ``stabilized: true``, and shares its assumption: no summand is born
-    above the cap, so no higher bank has a bar endpoint this one misses."""
+    Each class must obey ``_check_laws`` at the cap (else
+    ``InvariantError``).  Its bars are then read whole: its sublevel sets
+    retract onto the cubes of ``lattice.retraction_box``, so no bar ends
+    above the box's heaviest corner, and when that lies above the cap the
+    bars are those of the box's bank (``BarsAboveCapError`` if it is too
+    large).  The filtration ends contractible, so the bars must hold the
+    one degree-0 tower of ``_one_tower`` (else ``InvariantError``)."""
     if not is_negative_definite(graph):
         raise NonStabilizingError(
             "graph %r is not negative definite; the truncation does not "
             "stabilize" % (graph.vertices,))
     banks, last = [], 0
-    for cls in spinc_representatives(graph):
-        bank = class_cells(graph, cls.base, mcap)
-        degrees = module_presentation(bank)
+    for cls, bank in zip(spinc_representatives(graph),
+                         _side_banks(graph, mcap)):
+        bars = module_presentation(bank)
         where = "%s class %d (base %s)" % (name, cls.index, list(cls.base))
-        _check_laws(bank, degrees, where)
-        if not _one_tower(degrees):
-            raise NonStabilizingError(
-                "%s: the summands at U cap %d are not the one degree-0 tower "
-                "of a stable answer" % (where, mcap))
+        _check_laws(bank, bars, where)
+        box = retraction_box(graph, cls.base)
+        top = max(relative_weight(graph, cls.base, corner)
+                  for corner in product(*zip(*box))) - bank.wmin
+        if top > mcap:
+            try:
+                bars = _box_bars(graph, cls.base, box)
+            except BasisCapError as err:
+                raise BarsAboveCapError(
+                    "%s: its bars may end as high as level %d, above the U "
+                    "cap %d, and the box %s that holds them is too large: %s"
+                    % (where, top, mcap, list(box), err)) from err
+        if not _one_tower(bars):
+            raise InvariantError(
+                "%s: its bars end in towers %s, but its sublevel sets end "
+                "contractible, with one degree-0 tower"
+                % (where, {deg: list(mod.towers) for deg, mod in bars.items()}))
         banks.append(bank)
-        for mod in degrees.values():
+        for mod in bars.values():
             last = max(last, *(b // 2 for b in mod.towers),
                        *(b // 2 + k for b, k in mod.torsions))
     return banks, last
@@ -650,30 +701,33 @@ def les_check(ctx: TriangleContext, mcap: int, ses: SesReport) -> LesReport:
     the same triangle) samples; its verdict is folded into ``exact``, as
     the ranks alone cannot see a corrupted map.
 
-    The grading window is computed once.  Every class of the three sides
-    is certified at U cap ``mcap`` (``_certified_banks``).  With E the
-    largest finite bar endpoint, the piece C^q(S_L, S_{L-mcap-1}) has
-    homology only if an endpoint lies in (L - mcap - 1, L] (the exact
-    sequence of the pair), so every piece lies at grading <= 2 (mcap + E):
-    the pieces are built to there, on the certified banks when E = 0 and
-    on banks at level mcap + E otherwise, and ``grading_pad`` is E.
+    The grading window is computed once, from every bar of every class
+    of the three sides (``_certified_banks``).  With E the largest finite
+    bar endpoint, the piece C^q(S_L, S_{L-mcap-1}) has homology only if an
+    endpoint lies in (L - mcap - 1, L] (the exact sequence of the pair), so
+    the pieces are built to grading 2 (mcap + E), on the certified banks
+    when E = 0 and on banks at level mcap + E otherwise; ``grading_pad``
+    is E.
     """
     if (ses.graph_hash, ses.vertex) != (graph_hash(ctx.graph), ctx.v):
         raise ValueError("the SES report belongs to another triangle")
-    certified = [_certified_banks(name, graph, mcap) for name, graph in
-                 (("G+", ctx.plus), ("G", ctx.graph), ("G-v", ctx.minus))]
+    graphs = ctx.plus, ctx.graph, ctx.minus
+    certified = [_certified_banks(name, graph, mcap)
+                 for name, graph in zip(("G+", "G", "G-v"), graphs)]
     pad = max(last for _, last in certified)
-    banks = None if pad else [banks for banks, _ in certified]
+    banks = [side_banks if not pad else _side_banks(graph, mcap + pad)
+             for (side_banks, _), graph in zip(certified, graphs)]
     del certified       # banks at level mcap: no use once pad > 0
-    rep = _les_attempt(ctx, mcap, 2 * (mcap + pad), banks)
+    rep = _les_attempt(ctx, mcap, banks)
     return replace(rep, exact=rep.exact and ses.chain_maps_ok)
 
 
-def _les_attempt(ctx, mcap, capg, banks=None):
-    """``les_check``'s report in the window ``capg``, on ``banks`` if given."""
+def _les_attempt(ctx, mcap, banks):
+    """``les_check``'s report on ``banks``, one list per side (G+, G, G-v)
+    of complete banks of one level, whose pieces it builds."""
     sides = plus, mid, minus = [
-        _Side(graph, mcap, capg, side_banks) for graph, side_banks
-        in zip((ctx.plus, ctx.graph, ctx.minus), banks or [None] * 3)]
+        _Side(graph, mcap, side_banks) for graph, side_banks
+        in zip((ctx.plus, ctx.graph, ctx.minus), banks)]
     a_cols, bad_a = _map_columns(plus, partial(_a_targets, ctx), mid)
     b_cols, bad_b = _map_columns(mid, partial(_b_targets, ctx), minus)
     rank_a = Counter({deg: gf2.rank(cols) for deg, cols in a_cols.items()})
@@ -697,7 +751,8 @@ def _les_attempt(ctx, mcap, capg, banks=None):
                          "exact_middle": middle, "exact_ends": ends})
 
     return LesReport(graph_hash=graph_hash(ctx.graph), vertex=ctx.v,
-                     mcap=mcap, grading_pad=(capg - 2 * mcap) // 2,
+                     mcap=mcap, grading_pad=(banks[0][0].complete_to
+                                             - banks[0][0].wmin - mcap),
                      dims={"plus": plus.dims, "g": mid.dims,
                            "minus": minus.dims},
                      rows=tuple(rows), exact=exact)

@@ -35,8 +35,9 @@ the cofaces, as precomputed neighbour offsets in cubical persistence
 codes), ``coface_keys`` (those steps added to a key) and ``cofaces``
 (the same keys with their weight gaps).  Each fault hook on them has its
 single site here.  ``sublevel_points`` is the one enumeration of a
-definite class's sublevel set, and ``Region.bounding`` the one box
-around packed offsets.  Values are immutable; the only state is a cube-weight
+definite class's sublevel set, ``Region.bounding`` the one box
+around packed offsets, and ``retraction_box`` the box every sublevel set
+of a class retracts onto.  Values are immutable; the only state is a cube-weight
 memo, owned by the window, cell bank or call that fills it, and the
 coface fans of ``delta``, owned by one call of ``delta`` or of
 ``delta_squared_failures`` because they hold fault-applied values.  No
@@ -585,6 +586,75 @@ def sublevel_points(graph: PlumbingGraph, base, mcap: int,
         step *= 2
         pts = below(level)
     return below(min(pts.values()) + mcap)
+
+
+def retraction_box(graph: PlumbingGraph, base) -> tuple:
+    """Offsets (lo, hi) of a box onto which every sublevel set S_L of the
+    class of ``base`` deformation retracts, for a definite form: the cubes
+    of the box have the bars of the whole class, however high they end.
+
+    Flip the sign of some coordinates so that no entry of M off the
+    diagonal is negative (a tree always allows it; a graph that does not
+    raises ``LatcohError``), and let g_k(c) = w(c) - w(c - e_k).  A point
+    y <= c with y_k = c_k has (My)_k <= (Mc)_k, so w(y) - w(y - e_k) >=
+    g_k(c); where g_k(c) >= 0, sliding the face y_k = c_k of {y <= c} down
+    by e_k retracts S_L within {y <= c} onto S_L within {y <= c - e_k},
+    through cubes no heavier than those it moves, for every L at once.
+    Let hi be the least point with g >= -1 (the condition is closed under
+    coordinatewise minimum).  For c >= hi, c != hi, as -M is definite,
+    some k with c_k > hi_k has g_k(c) - g_k(hi) = (-M(c - hi))_k >= 1: from
+    a corner above the finite S_L the slides reach hi.  Likewise with
+    h_k(c) = w(c) - w(c + e_k), S_L within {y <= hi} retracts onto the box
+    from lo, the greatest point <= hi with h >= -1.  These equivalences
+    commute with the inclusions S_L in S_L', so the persistence modules
+    agree.  Each corner is found by Laufer's walk, raising (or lowering)
+    one coordinate at a time where the bound fails, which never passes it
+    (the monotonicity above); hi's walk starts from the floor of m +
+    (-M)^-1 (diag(-M) / 2 - 1), m the real minimiser, below hi as
+    (-M)^-1 >= 0.
+    """
+    n, mat = graph.n, intersection_matrix(graph)
+    sign = [0] * n
+    for root in range(n):
+        if not sign[root]:
+            sign[root], todo = 1, [root]
+            while todo:
+                i = todo.pop()
+                for j in range(n):
+                    if j != i and mat[i][j] and not sign[j]:
+                        sign[j] = sign[i] * (1 if mat[i][j] > 0 else -1)
+                        todo.append(j)
+    if any(sign[i] * sign[j] * mat[i][j] < 0
+           for i in range(n) for j in range(i)):
+        raise LatcohError(
+            "graph %r: no flip of coordinates leaves the form without a "
+            "negative entry off the diagonal, so no box is known to hold its "
+            "bars" % (graph.vertices,))
+
+    def weight(y):
+        return relative_weight(graph, base, [s * yi for s, yi in zip(sign, y)])
+
+    def walk(c, step):
+        k = 0
+        while k < n:
+            back = list(c)
+            back[k] -= step
+            if weight(c) - weight(back) < -1:
+                c[k] += step
+                k = 0
+            else:
+                k += 1
+        return c
+
+    xbar, _ = continuous_minimum(graph, base)
+    flipped = [[sign[i] * sign[j] * -mat[i][j] for j in range(n)]
+               for i in range(n)]
+    twice = exact.solve_fraction(flipped, [-mat[i][i] - 2 for i in range(n)])
+    hi = walk([(s * x + d / 2).__floor__()
+               for s, x, d in zip(sign, xbar, twice)], 1)
+    lo = walk(list(hi), -1)
+    return (tuple(s * (a if s > 0 else b) for s, a, b in zip(sign, lo, hi)),
+            tuple(s * (b if s > 0 else a) for s, a, b in zip(sign, lo, hi)))
 
 
 def truncation_region(graph: PlumbingGraph, spinc_or_base, mcap: int) -> Region:

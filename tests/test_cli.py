@@ -399,9 +399,30 @@ def test_bounds_that_miss_the_zero_of_r_are_too_small(capsys):
         "hint: rerun with wider --bounds or a smaller --max-depth", ""]
 
 
+def test_bars_in_a_box_too_large_to_read_ask_for_a_larger_cap(capsys,
+                                                             graph_file):
+    # twonode with v6 set to -3, at v6: G+ class 0 may have bars ending far
+    # above cap 1, and the box that holds them is far beyond the basis cap.
+    # Only a larger --max-depth can help, so the hint asks for nothing else.
+    text = (DATA / "twonode.graph").read_text().replace("vertex v6 -2",
+                                                        "vertex v6 -3")
+    code, out, err = run(capsys, "triangle", graph_file(text), "--vertex",
+                         "v6", "--max-depth", "1", "--bounds",
+                         '{"xmin":[-2,-2,-2,-2,-2,-2,-14],'
+                         '"xmax":[2,2,2,2,2,2,14]}')
+    assert (code, out) == (2, "")
+    first, second, rest = err.split("\n")
+    assert first.startswith(
+        "error: G+ class 0 (base [1, 1, 1, 1, 1, 1, 0]): its bars may end "
+        "as high as level 16277, above the U cap 1, and the box ")
+    assert first.endswith("that holds them is too large: region volume "
+                          "1192373664768 exceeds the basis cap")
+    assert (second, rest) == ("hint: rerun with a larger --max-depth", "")
+
+
 # The same for star1337 at vertex a (cap 1), whose homology triangle needs
-# a grading window one level above the cap (pad 1): its certified banks
-# have a torsion bar ending at level 1.  Under c-drop-quadratic an image of
+# a grading window one level above the cap (pad 1): its classes have a
+# torsion bar ending at level 1, and no bar ends higher.  Under c-drop-quadratic an image of
 # A leaves every piece of G, which makes A's column broken (exit 3).
 STAR1337 = "error: G+ class 0 (base [1, 0, 1, 1])"
 STAR1337_PINS = [

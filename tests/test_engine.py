@@ -2,6 +2,7 @@ import contextlib
 import gc
 import random
 import weakref
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,8 @@ from latcoh.engine import DegreeModule, GradedGF2Complex, _presentation_data
 from latcoh.lattice import lattice_point, pack, unpack
 
 from conftest import chain, e8, grown, vertex
+
+DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 
 
 # --- complexes --------------------------------------------------------------
@@ -225,36 +228,62 @@ def _star_2_4_4_10():
                        [("c", "a"), ("c", "b"), ("c", "d")]))
 
 
+def _random_triples():
+    """Definite triples (G, G+ and G-v definite, G-v not empty) of the
+    ``random_graph`` trees of seeds 0 to 39 with at most three vertices."""
+    from latcoh.suites import random_graph
+    for seed in range(40):
+        g = random_graph(random.Random(seed), max_vertices=4,
+                         weights=(-5, -1))
+        for v in g.vertices if g.n <= 3 else ():
+            ctx = triangle_context(g, v)
+            sides = ctx.plus, ctx.graph, ctx.minus
+            if ctx.minus.n and all(map(is_negative_definite, sides)):
+                yield "seed%d-%s" % (seed, v), ctx
+
+
 def _window_cases():
-    cases = [pytest.param(name, v, mcap, 0, id="%s-%s-%d" % (name, v, mcap))
+    def demo(name, v):
+        return triangle_context(parse_graph((DATA / name).read_text()), v)
+
+    cases = [pytest.param(demo(name, v), mcap, 0,
+                          id="%s-%s-%d" % (name, v, mcap))
              for name, v in (("chain22.graph", "b"), ("star232.graph", "b"),
                              ("rp3.graph", "a"))
              for mcap in (1, 2, 3)]
-    cases += [pytest.param("star1337.graph", "a", mcap, 1,
+    cases += [pytest.param(demo("star1337.graph", "a"), mcap, 1,
                            id="star1337.graph-a-%d" % mcap) for mcap in (1, 2)]
-    return cases + [pytest.param(None, "c", 1, 1, id="star-2-4-4-10-c-1")]
+    cases += [pytest.param(ctx, mcap, None, id="%s-%d" % (label, mcap))
+              for label, ctx in _random_triples() for mcap in (1, 2)]
+    return cases + [pytest.param(triangle_context(_star_2_4_4_10(), "c"), 1,
+                                 1, id="star-2-4-4-10-c-1")]
 
 
-@pytest.mark.parametrize("name, v, mcap, pad", _window_cases())
-def test_les_window_matches_a_wide_window(name, v, mcap, pad):
-    # The window les_check computes gives the dims and rank table of one 16
-    # gradings above the cap, and its pad is E, the largest finite bar
-    # endpoint (a tower's bottom, a torsion's top) of the three sides'
-    # presentations at the cap.
-    from latcoh.engine import _les_attempt
-    g = (_star_2_4_4_10() if name is None
-         else parse_graph((DATA / name).read_text()))
-    ctx = triangle_context(g, v)
+@pytest.mark.parametrize("ctx, mcap, pad", _window_cases())
+def test_les_window_matches_a_wide_window(ctx, mcap, pad):
+    # The window les_check computes gives the dims and rank table of one 8
+    # levels higher, and its pad is E, the largest finite bar endpoint (a
+    # tower's bottom, a torsion's top) of the three sides: at that higher
+    # level every class has one tower and its other bars all end.  The
+    # random triples are the seeded trees of ``_random_triples``.
+    from latcoh.engine import _les_attempt, _side_banks
     rep = les_check(ctx, mcap, verify_ses(ctx, default_region(ctx, mcap)))
-    wide = _les_attempt(ctx, mcap, 2 * mcap + 16)
+    level = mcap + rep.grading_pad + 8
+    sides = ctx.plus, ctx.graph, ctx.minus
+    wide = _les_attempt(ctx, mcap, [_side_banks(side, level)
+                                    for side in sides])
     assert (rep.dims, rep.rows, rep.exact) == (wide.dims, wide.rows, True)
-    ends = [end for side in (ctx.plus, ctx.graph, ctx.minus)
-            for cls in spinc_representatives(side)
-            for mod in module_presentation(
-                class_cells(side, cls.base, mcap)).values()
-            for end in [b // 2 for b in mod.towers]
-            + [b // 2 + k for b, k in mod.torsions]]
-    assert rep.grading_pad == max(ends) == pad
+    assert wide.grading_pad == rep.grading_pad + 8
+    ends = [0]
+    for side in sides:
+        for bank in _side_banks(side, level):
+            bars = module_presentation(bank)
+            assert [(deg, mod.towers) for deg, mod in bars.items()
+                    if mod.towers] == [(0, (0,))]
+            ends += [b // 2 + k for mod in bars.values()
+                     for b, k in mod.torsions]
+    assert rep.grading_pad == max(ends)
+    assert pad is None or rep.grading_pad == pad
 
 
 @pytest.mark.parametrize("fault, law", [
@@ -273,16 +302,33 @@ def test_les_names_the_side_class_and_law_a_lattice_fault_breaks(fault, law):
     assert str(err.value).startswith("G+ class 0 (base [0, 1]): " + law)
 
 
-def test_les_refuses_a_side_without_the_one_tower(monkeypatch):
-    # A class whose summands at the cap are not the one degree-0 tower
-    # fails the certificate, which names the side, the class and the cap.
+def test_les_bars_that_are_not_one_tower_are_a_wrong_answer(monkeypatch):
+    # Every class's bars are read whole, and its sublevel sets end
+    # contractible: bars that do not hold the one degree-0 tower are a
+    # wrong answer, named by side and class.
     import latcoh.engine as eng
     ctx, ses = _chain22_b_cap1()
     monkeypatch.setattr(eng, "_one_tower", lambda degrees: False)
-    with pytest.raises(NonStabilizingError,
-                       match=r"^G\+ class 0 \(base \[0, 1\]\): the summands "
-                             r"at U cap 1 are not the one degree-0 tower"):
+    with pytest.raises(InvariantError,
+                       match=r"^G\+ class 0 \(base \[0, 1\]\): its bars end "
+                             r"in towers \{0: \[0\]\}, but its sublevel "
+                             r"sets end contractible"):
         les_check(ctx, 1, ses)
+
+
+def test_les_reads_bars_above_the_cap_off_the_retraction_box(monkeypatch):
+    # star1337 at a, cap 1: classes whose retraction box reaches above the
+    # cap have their bars read off the box's bank, and those bars set the
+    # pad.
+    import latcoh.engine as eng
+    ctx = triangle_context(
+        parse_graph((DATA / "star1337.graph").read_text()), "a")
+    read = []
+    box_bars = eng._box_bars
+    monkeypatch.setattr(eng, "_box_bars", lambda graph, base, box: read.append(
+        box) or box_bars(graph, base, box))
+    rep = les_check(ctx, 1, verify_ses(ctx, default_region(ctx, 1)))
+    assert read and rep.grading_pad == 1
 
 
 def test_an_image_no_piece_holds_is_a_broken_column():
@@ -293,7 +339,8 @@ def test_an_image_no_piece_holds_is_a_broken_column():
     import latcoh.engine as eng
     from latcoh.triangle import _a_targets
     ctx, _ = _chain22_b_cap1()
-    plus, mid = eng._Side(ctx.plus, 1, 2), eng._Side(ctx.graph, 1, 2)
+    plus, mid = (eng._Side(graph, 1, eng._side_banks(graph, 1))
+                 for graph in (ctx.plus, ctx.graph))
     for far, up in ((1000, 0), (0, 99)):
         def moved(k, smask, m):
             return [(tuple(x + far for x in t), s, mt + up)
@@ -301,6 +348,75 @@ def test_an_image_no_piece_holds_is_a_broken_column():
 
         cols, broken = eng._map_columns(plus, moved, mid)
         assert broken and not any(any(col) for col in cols.values())
+
+
+def test_a_bookkeeping_error_in_a_map_push_is_not_a_broken_column():
+    # Only a term no piece holds, or an image that is not a cycle, makes a
+    # broken column; any other KeyError is a fault of the code and rises.
+    import latcoh.engine as eng
+    from latcoh.triangle import _a_targets
+    ctx, _ = _chain22_b_cap1()
+    plus, mid = (eng._Side(graph, 1, eng._side_banks(graph, 1))
+                 for graph in (ctx.plus, ctx.graph))
+    mid.offsets.clear()
+    with pytest.raises(KeyError):
+        eng._map_columns(plus, partial(_a_targets, ctx), mid)
+
+
+def _box_cases():
+    from latcoh.suites import random_graph
+    cases = [pytest.param(parse_graph((DATA / name).read_text()), id=name)
+             for name in ("chain22.graph", "star232.graph", "rp3.graph",
+                          "s3.graph", "star1337.graph")]
+    for seed in range(20):
+        g = random_graph(random.Random(seed), max_vertices=4,
+                         weights=(-5, -1), extra_edge=0)
+        if is_negative_definite(g):
+            cases.append(pytest.param(g, id="tree%d" % seed))
+    return cases
+
+
+@pytest.mark.parametrize("g", _box_cases())
+def test_the_retraction_box_holds_every_bar(g):
+    # The bars of the cubes of the retraction box, cut at a level, are the
+    # bars of the exact sublevel set there; at the box's heaviest corner
+    # they are all that is left: one degree-0 tower and bars that ended.
+    from itertools import product
+    from latcoh.engine import _box_bars
+    from latcoh.lattice import relative_weight, retraction_box
+    for cls in spinc_representatives(g):
+        box = retraction_box(g, cls.base)
+        bars = _box_bars(g, cls.base, box)
+        wmin = class_cells(g, cls.base, 0).wmin
+        top = max(relative_weight(g, cls.base, c)
+                  for c in product(*zip(*box))) - wmin
+        for level in sorted({0, 1, 3, min(top, 6)}):
+            cut = {}
+            for deg, mod in bars.items():
+                towers = [b for b in mod.towers if b // 2 <= level]
+                towers += [b for b, k in mod.torsions
+                           if b // 2 <= level < b // 2 + k]
+                torsions = tuple((b, k) for b, k in mod.torsions
+                                 if b // 2 + k <= level)
+                if towers or torsions:
+                    cut[deg] = DegreeModule(tuple(sorted(towers)), torsions)
+            assert cut == module_presentation(class_cells(g, cls.base, level))
+        assert [(deg, mod.towers) for deg, mod in bars.items()
+                if mod.towers] == [(0, (0,))]
+        assert all(b // 2 + k <= top for mod in bars.values()
+                   for b, k in mod.torsions)
+
+
+def test_no_box_is_claimed_for_signs_no_flip_makes_positive():
+    # A triangle of edges with one negative sign: flipping coordinates
+    # keeps the sign of every cycle, so the box's argument does not apply.
+    from latcoh.graph import LatcohError
+    from latcoh.lattice import retraction_box
+    g = make_graph(([("a", -3), ("b", -3), ("c", -3)],
+                    [("a", "b"), ("b", "c"), ("a", "c", -1)]))
+    assert is_negative_definite(g)
+    with pytest.raises(LatcohError, match="no flip of coordinates leaves"):
+        retraction_box(g, tuple(g.weights))
 
 
 def test_a_triple_with_a_nonzero_connecting_rank():
@@ -438,7 +554,6 @@ def test_brieskorn_sphere_torsion():
 
 # --- the completeness certificate -------------------------------------------
 
-DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 DEMOS = ("s3.graph", "rp3.graph", "chain22.graph", "star232.graph",
          "twonode.graph", "e8.graph")
 
@@ -984,7 +1099,8 @@ def _presentation_cases():
 @pytest.mark.parametrize("g, mcap", _presentation_cases())
 def test_bars_match_the_composite_rank_presentation(g, mcap):
     for cls in spinc_representatives(g):
-        bank, hom = _presentation_data(g, cls.base, mcap, 2 * mcap)
+        bank = class_cells(g, cls.base, mcap)
+        hom = _presentation_data(bank, mcap)
         assert module_presentation(bank) == \
             _reference_module_presentation(hom, mcap)
 
@@ -999,7 +1115,7 @@ def _euler_cases():
 @pytest.mark.parametrize("g, mcap", _euler_cases())
 def test_piece_homology_has_the_euler_characteristic_of_its_chains(g, mcap):
     for cls in spinc_representatives(g):
-        _, hom = _presentation_data(g, cls.base, mcap, 2 * mcap)
+        hom = _presentation_data(class_cells(g, cls.base, mcap), mcap)
         cx = hom.cx
         for grade in sorted({g2 for _, g2 in cx.pieces()}):
             degs = [d for d, g2 in cx.pieces() if g2 == grade]
@@ -1086,7 +1202,8 @@ def test_one_elimination_per_coboundary_matches_the_per_piece_build(
     with _fault_state(fault):
         for side in (ctx.graph, ctx.plus, ctx.minus):
             for cls in spinc_representatives(side):
-                bank, hom = _presentation_data(side, cls.base, mcap, capg)
+                bank = class_cells(side, cls.base, capg // 2)
+                hom = _presentation_data(bank, mcap)
                 bases, deltas, pieces = _reference_complex_homology(bank, mcap)
                 cx = hom.cx
                 assert ({pg: list(b.items()) for pg, b in cx.bases.items()}
