@@ -71,7 +71,10 @@ class CellBank:
     x << n | S to the cube's relative weight.  ``complete_to`` is the
     relative weight up to which the bank provably contains every cube of
     the infinite lattice (None when the box clipped the sublevel set or no
-    weight cap was applied).
+    weight cap was applied).  ``dropped`` lists the keys of the cubes with
+    every corner in ``points`` that weigh more than the cap; a cube weighs
+    the largest of its corners, so it is empty unless a fault corrupts the
+    weights.
 
     ``cells`` holds exactly the cubes whose corners are all in ``points``
     and whose weight is within the cap.  They are built layer by layer
@@ -86,6 +89,7 @@ class CellBank:
     cells: dict
     wmin: int
     complete_to: int = None
+    dropped: tuple = ()
 
 
 def _admissible_cubes(pts, n):
@@ -160,17 +164,23 @@ def _bank(graph, base, pts, wcap, complete):
     Every admissible cube is read once through the kernel's weight
     routine, which adds the active faults to the memo's fault-free value.
     A cube in the memo is read without touching any other entry, so the
-    memo becomes the bank in place and the two are never held in full."""
+    memo becomes the bank in place and the two are never held in full.
+    Every corner of a cube weighs at most ``wcap``, so a cube dropped here
+    is one whose weight a fault raised; the bank records it in
+    ``dropped``."""
     n = graph.n
     cells = _admissible_cubes(pts, n)
     point_weight = pts.get
+    dropped = []
     for key in list(cells):
         w = offset_cube_weight(point_weight, cells, n, key)
         if w <= wcap:
             cells[key] = w
         else:
             del cells[key]
-    return CellBank(graph, base, pts, cells, min(pts.values()), complete)
+            dropped.append(key)
+    return CellBank(graph, base, pts, cells, min(pts.values()), complete,
+                    tuple(dropped))
 
 
 class GradedGF2Complex:
@@ -476,25 +486,47 @@ def _check_laws(bank, degrees, where):
     tower at bottom 0.  On a complete bank of a connected tree with nu bad
     vertices H^q = 0 for q >= max(nu, 1) (Laszlo and Nemethi's reduction
     theorem), so no such degree has a summand; and with nu = 0 the whole
-    answer is the one tower at bottom 0."""
+    answer is the one tower at bottom 0.  Last, the bank is a subcomplex:
+    no cell lacks a face, which only a cube in ``bank.dropped`` can break,
+    so a bank that dropped none costs nothing here."""
     towers = degrees.get(0, DegreeModule((), ())).towers
     if 0 not in towers:
         raise InvariantError(
             "%s: degree 0 has tower bottoms %s but no tower at bottom 0, "
             "which the lightest point always gives" % (where, list(towers)))
-    if bank.complete_to is None or not is_tree(bank.graph):
-        return
-    nu = len(bad_vertices(bank.graph))
-    above = [deg for deg in degrees if deg >= max(nu, 1)]
-    if above:
-        raise InvariantError(
-            "%s: degree %d has summands, but a tree with %d bad vertices has "
-            "none in degree >= %d" % (where, min(above), nu, max(nu, 1)))
-    if not nu and degrees != {0: DegreeModule((0,), ())}:
-        raise InvariantError(
-            "%s: degree 0 has towers %s and torsions %s, but a tree with no "
-            "bad vertices has one tower at bottom 0 and nothing else"
-            % (where, list(towers), list(degrees[0].torsions)))
+    if bank.complete_to is not None and is_tree(bank.graph):
+        nu = len(bad_vertices(bank.graph))
+        above = [deg for deg in degrees if deg >= max(nu, 1)]
+        if above:
+            raise InvariantError(
+                "%s: degree %d has summands, but a tree with %d bad vertices "
+                "has none in degree >= %d" % (where, min(above), nu,
+                                              max(nu, 1)))
+        if not nu and degrees != {0: DegreeModule((0,), ())}:
+            raise InvariantError(
+                "%s: degree 0 has towers %s and torsions %s, but a tree with "
+                "no bad vertices has one tower at bottom 0 and nothing else"
+                % (where, list(towers), list(degrees[0].torsions)))
+    n = bank.graph.n
+    for face in bank.dropped:
+        for bit, unit in key_steps(n):
+            if face & bit:
+                continue
+            for cell in (face | bit, (face | bit) - unit):
+                if cell in bank.cells:
+                    raise InvariantError(
+                        "%s: cell %s is in the bank but its face %s is not, "
+                        "and a bank holds every face of its cells"
+                        % (where, _cube_text(bank.graph, cell),
+                           _cube_text(bank.graph, face)))
+
+
+def _cube_text(graph, key):
+    """The cube of ``key`` as (offset, vertices of its mask), for errors."""
+    n = graph.n
+    return "(x=%s, S=%s)" % (list(unpack(key >> n, n)),
+                             [graph.vertices[j]
+                              for j in bits(key & ((1 << n) - 1))])
 
 
 def stabilize(graph: PlumbingGraph, spinc_or_base, mcap: int,
@@ -728,7 +760,8 @@ def _les_attempt(ctx, mcap, banks):
     sides = plus, mid, minus = [
         _Side(graph, mcap, side_banks) for graph, side_banks
         in zip((ctx.plus, ctx.graph, ctx.minus), banks)]
-    a_cols, bad_a = _map_columns(plus, partial(_a_targets, ctx), mid)
+    a_cols, bad_a = _map_columns(
+        plus, lambda k, s, m: _a_targets(ctx, k, s, m)[m], mid)
     b_cols, bad_b = _map_columns(mid, partial(_b_targets, ctx), minus)
     rank_a = Counter({deg: gf2.rank(cols) for deg, cols in a_cols.items()})
     top = max((deg for side in sides for deg in side.degree_dims), default=0)

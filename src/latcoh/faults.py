@@ -5,10 +5,12 @@ suites are required to catch every one of them; production code runs with
 the set empty.  Cube-weight memos hold fault-free values and each fault is
 applied at its single site (the shift sign where ``lattice.coface_steps``
 picks its table, which is cached per fault state), so no cube-weight memo
-depends on the active set.  The coface fans
-``lattice.delta`` keeps do: they hold fault-applied values, so their
-dict lives for one call of ``delta`` or of
-``lattice.delta_squared_failures`` and never longer.  The set is
+depends on the active set, and a ``Region`` or a triangle context may keep
+its memos across fault states.  The coface fans ``lattice.delta`` keeps do
+depend on it: they hold fault-applied values, so each dict of them is
+owned by one call and dropped with it, of ``delta``, of
+``lattice.delta_squared_failures``, of ``triangle.chain_map_trials``
+(one per window) or of ``engine.ComplexHomology``'s build.  The set is
 process-global: activate faults only from one thread at a time.
 
 A fault flag is read through ``faults.is_active(name)`` at its one site,

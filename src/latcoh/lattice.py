@@ -37,16 +37,20 @@ codes), ``coface_keys`` (those steps added to a key) and ``cofaces``
 single site here.  ``sublevel_points`` is the one enumeration of a
 definite class's sublevel set, ``Region.bounding`` the one box
 around packed offsets, and ``retraction_box`` the box every sublevel set
-of a class retracts onto.  Values are immutable; the only state is a cube-weight
-memo, owned by the window, cell bank or call that fills it, and the
-coface fans of ``delta``, owned by one call of ``delta`` or of
-``delta_squared_failures`` because they hold fault-applied values.  No
-cache is keyed by a graph; the codec, the packed origin, the key steps and
-the coface steps of each vertex count n are small constant tables, cached
-for the process (the coface steps per fault state, filled per mask on
-first use).  Read top down, a memo also records the cubes found to have
-no weight; a cell bank fills its memo bottom up with its admissible cubes
-only, so it holds no miss.
+of a class retracts onto.  Values are immutable; the only state is a
+cube-weight memo and the coface fans of ``delta``.  A memo holds
+fault-free values and is owned by the one object that fills it: a
+``Region`` (its class), a cell bank, a triangle's context (one memo per
+side and K, which its K-box windows, the corner gap r and the exponent
+by definition all read) or a single call.  Fans hold fault-applied
+values, so they are owned by one call: of ``delta``, of
+``delta_squared_failures``, or of ``triangle.chain_map_trials`` (one
+dict per window).  No cache is keyed by a graph; the codec, the packed
+origin, the key steps and the coface steps of each vertex count n are
+small constant tables, cached for the process (the coface steps per
+fault state, filled per mask on first use).  Read top down, a memo also
+records the cubes found to have no weight; a cell bank fills its memo
+bottom up with its admissible cubes only, so it holds no miss.
 """
 
 import functools

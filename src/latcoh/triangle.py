@@ -33,8 +33,9 @@ from . import faults, gf2
 from .graph import (LatcohError, PlumbingGraph, characteristic_base,
                     delete_vertex, graph_hash, increment_weight,
                     intersection_matrix)
-from .lattice import (Chain, OutsideRegionError, RegionTooSmallError, bits,
-                      cube_weights, delta, key_steps, mask_of, origin)
+from .lattice import (BASIS_CAP, BasisCapError, Chain, OutsideRegionError,
+                      RegionTooSmallError, bits, cube_weights, delta,
+                      key_steps, mask_of, origin)
 
 
 @dataclass(frozen=True)
@@ -53,18 +54,24 @@ class TriangleContext:
     base_g: tuple
     base_plus: tuple
     base_minus: tuple
-    r_memo: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
-    weights: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
+    memos: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
-    def cube_weights(self, plus: bool, k):
-        """Cube weights, by cube key, relative to K on G+ (``plus``) or on
-        G, memoised per K for the lifetime of the context."""
-        weight = self.weights.get((plus, k))
+    def cube_weights(self, side: str, k):
+        """Cube weights, by cube key, relative to K on one side of the
+        triangle: G (``side`` "g"), G+ ("plus") or G-v ("minus").
+
+        The context is the one owner of these memos: one per (side, K),
+        kept for its lifetime and read by ``r_value``, ``c_exponent_def``
+        and the three ``KBox`` windows of every ``TriangleRegion`` on it;
+        nothing else on the chain level is memoised across calls.  They
+        hold fault-free values, so that lifetime is safe under any fault
+        set."""
+        weight = self.memos.get((side, k))
         if weight is None:
-            graph = self.plus if plus else self.graph
-            weight = self.weights[(plus, k)] = cube_weights(graph, k)
+            graph = {"g": self.graph, "plus": self.plus,
+                     "minus": self.minus}[side]
+            weight = self.memos[side, k] = cube_weights(graph, k)
         return weight
 
     def to_plus(self, k) -> tuple:
@@ -98,19 +105,15 @@ def triangle_context(graph: PlumbingGraph, v: str) -> TriangleContext:
 def r_value(ctx: TriangleContext, k, s) -> int:
     """Corner gap r((K,t),S) = q((K,t),S-v) - q((K,t)+2E_v,S-v); v in S.
 
-    Memoised per (K, S) on the context for its lifetime."""
+    Two reads of the context's cube weights of K on G, which the two
+    brackets share with every other mask and reader of K."""
     smask = mask_of(ctx.graph, s)
     if not ctx.has_v(smask):
         raise LatcohError("r((K,t),S) needs v in S")
-    k = tuple(k)
-    r = ctx.r_memo.get((k, smask))
-    if r is None:
-        weight = cube_weights(ctx.graph, k)
-        n, vi = ctx.graph.n, ctx.v_index
-        corner = origin(n) << n | smask & ~(1 << vi)
-        r = ctx.r_memo[(k, smask)] = (weight(corner)
-                                      - weight(corner + key_steps(n)[vi][1]))
-    return r
+    weight = ctx.cube_weights("g", tuple(k))
+    n, vi = ctx.graph.n, ctx.v_index
+    corner = origin(n) << n | smask & ~(1 << vi)
+    return weight(corner) - weight(corner + key_steps(n)[vi][1])
 
 
 def c_exponent_def(ctx: TriangleContext, i: int, k, s) -> int:
@@ -121,8 +124,8 @@ def c_exponent_def(ctx: TriangleContext, i: int, k, s) -> int:
     k = tuple(k)
     kp = list(k)
     kp[ctx.v_index] += 2 * i + 1
-    bracket_g = ctx.cube_weights(False, k)(corner)
-    bracket_p = ctx.cube_weights(True, tuple(kp))(corner)
+    bracket_g = ctx.cube_weights("g", k)(corner)
+    bracket_p = ctx.cube_weights("plus", tuple(kp))(corner)
     return bracket_g - bracket_p + i * (i + 1) // 2
 
 
@@ -168,19 +171,21 @@ def c_window(m: int) -> tuple:
                  if min(i * (i + 1) // 2, (i + 1) * (i + 2) // 2) <= m)
 
 
-def _a_targets(ctx: TriangleContext, k, smask: int, m: int):
-    """Image terms of A on the dual U^-m ((K,t0),S)^v of G+."""
+def _a_targets(ctx: TriangleContext, k, smask: int, top: int) -> list:
+    """Image terms of A on the duals U^-m ((K,t0),S)^v of G+, one list per
+    level m = 0, ..., ``top``.  Each c(i) is evaluated once for all the
+    levels; level m takes its i from ``c_window(m)``, in that order."""
     vi = ctx.v_index
     t0 = k[vi]
     kg = list(k)
-    out = []
-    for i in c_window(m):
+    exps = {}
+    for i in c_window(top):
         kg[vi] = t0 - 2 * i - 1
         target = tuple(kg)
-        c = c_exponent_closed(ctx, i, target, smask)
-        if c <= m:
-            out.append((target, smask, m - c))
-    return out
+        exps[i] = target, c_exponent_closed(ctx, i, target, smask)
+    return [[(target, smask, m - c)
+             for target, c in map(exps.__getitem__, c_window(m)) if c <= m]
+            for m in range(top + 1)]
 
 
 def map_A(ctx: TriangleContext, e: Chain, region) -> Chain:
@@ -196,7 +201,7 @@ def map_A(ctx: TriangleContext, e: Chain, region) -> Chain:
             raise LatcohError("term is not characteristic for the raised graph")
         if not region.plus.contains(k):
             raise OutsideRegionError("source term %r outside the G+ window" % ((k, s, m),))
-        for term in _a_targets(ctx, k, s, m):
+        for term in _a_targets(ctx, k, s, m)[m]:
             ok = 0 <= term[2] <= region.mcap and region.g.contains(term[0])
             (inside if ok else out).symmetric_difference_update([term])
     return Chain(frozenset(inside), frozenset(out))
@@ -286,20 +291,23 @@ def _t_margin(mcap: int) -> int:
 
 @dataclass(frozen=True)
 class KBox:
-    """Characteristic vectors K of one graph with (K - base)/2 in [lo, hi].
+    """Characteristic vectors K of one side of a triangle with (K - base)/2
+    in [lo, hi].
 
     Such a box meets several spin-c classes, so each K is its own frame for
-    the coboundary: cube weights are taken relative to K at offset 0, with
-    one memo per K that lives as long as the box.
+    the coboundary: cube weights are taken relative to K at offset 0.  The
+    box owns no memo: ``side`` names the side whose weights it reads
+    through ``TriangleContext.cube_weights``, one memo per K for the
+    context's lifetime.
     """
 
+    ctx: TriangleContext = field(repr=False, compare=False)
+    side: str
     graph: PlumbingGraph
     base: tuple
     lo: tuple
     hi: tuple
     mcap: int
-    weights: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
 
     def __post_init__(self):
         n = self.graph.n
@@ -314,10 +322,7 @@ class KBox:
         """(packed offset 0, cube weights relative to K), or None outside."""
         if not self.contains(k):
             return None
-        weight = self.weights.get(k)
-        if weight is None:
-            weight = self.weights[k] = cube_weights(self.graph, k)
-        return origin(self.graph.n), weight
+        return origin(self.graph.n), self.ctx.cube_weights(self.side, k)
 
 
 @dataclass(frozen=True)
@@ -342,11 +347,12 @@ class TriangleRegion:
         ctx, lo, hi, mcap = self.ctx, self.off_lo, self.off_hi, self.mcap
         shrink = [_a_window(mcap) * (j == ctx.v_index) for j in range(len(lo))]
         for name, box in (
-                ("g", KBox(ctx.graph, ctx.base_g, lo, hi, mcap)),
-                ("plus", KBox(ctx.plus, ctx.base_plus,
+                ("g", KBox(ctx, "g", ctx.graph, ctx.base_g, lo, hi, mcap)),
+                ("plus", KBox(ctx, "plus", ctx.plus, ctx.base_plus,
                               tuple(a + d for a, d in zip(lo, shrink)),
                               tuple(b - d for b, d in zip(hi, shrink)), mcap)),
-                ("minus", KBox(ctx.minus, ctx.base_minus, ctx.restrict_coords(lo),
+                ("minus", KBox(ctx, "minus", ctx.minus, ctx.base_minus,
+                               ctx.restrict_coords(lo),
                                ctx.restrict_coords(hi), mcap))):
             object.__setattr__(self, name, box)
 
@@ -507,9 +513,8 @@ def _ses_block(ctx: TriangleContext, region: TriangleRegion, y, smask: int):
     a_chains = []
     for s_off in range(plus_lo, plus_hi + 1):
         kp = ctx.to_plus(_g_vector(ctx, y, s_off))
-        for m in range(mcap + 1):
+        for targets in _a_targets(ctx, kp, smask, mcap):
             vec = 0
-            targets = _a_targets(ctx, kp, smask, m)
             for kg, _, m2 in targets:
                 t_off = (kg[vi] - ctx.base_g[vi]) // 2
                 idx = row_index.get((t_off, m2))
@@ -586,13 +591,15 @@ def verify_ses(ctx: TriangleContext, region: TriangleRegion) -> SesReport:
     A.  A seeded sample of interior duals double-checks that A and B
     commute with the coboundaries.
 
-    A block's matrices depend on y and S only through its ``_block_type``,
-    so each type is eliminated once per call and its dimensions are added
-    once per block.  On the A side that is the step law of r.  The B-side
-    results do not depend on y either: B drops t and keeps K without v and
-    S, so all duals of one block land on the same (K without v, S) and a
-    chain's image cancels according to its t-values and U powers alone;
-    the ``b-parity-skip`` fault reads only t.  The type memo lives for one
+    The blocks are counted before any is built, and more than
+    ``BASIS_CAP`` of them raise ``BasisCapError``.  A block's matrices
+    depend on y and S only through its ``_block_type``, so each type is
+    eliminated once per call and its dimensions are added once per block.
+    On the A side that is the step law of r.  The B-side results do not
+    depend on y either: B drops t and keeps K without v and S, so all duals
+    of one block land on the same (K without v, S) and a chain's image
+    cancels according to its t-values and U powers alone; the
+    ``b-parity-skip`` fault reads only t.  The type memo lives for one
     call, so an active fault still reaches the computation of every type.
     Each (True, r0) type must hold its zero s0 = lo - r0 of r where the
     lemma of ``_t_margin`` needs it; r compares two cubes of one mask, so
@@ -606,13 +613,21 @@ def verify_ses(ctx: TriangleContext, region: TriangleRegion) -> SesReport:
             "or lower the U cap" % (region.off_lo[vi], region.off_hi[vi],
                                     _t_margin(region.mcap)))
 
+    blocks = 1 << ctx.graph.n
+    for j in range(ctx.graph.n):
+        if j != vi:
+            blocks *= max(0, region.off_hi[j] - region.off_lo[j] - 3)
+    if blocks > BASIS_CAP:
+        raise BasisCapError(
+            "the chain-level window has %d (y, S) blocks, above the basis "
+            "cap %d; pass a smaller window with --bounds"
+            % (blocks, BASIS_CAP))
+
     types = {}
     dims = (0,) * 6
     flags = (True,) * 3
-    blocks = 0
     for y in _interior_y(region):
         for smask in range(1 << ctx.graph.n):
-            blocks += 1
             key = _block_type(ctx, region, y, smask)
             if key not in types:
                 if key[0]:
@@ -637,20 +652,23 @@ def verify_ses(ctx: TriangleContext, region: TriangleRegion) -> SesReport:
 
 
 def chain_map_commutes(ctx: TriangleContext, region: TriangleRegion,
-                       k, smask: int, m: int, which: str) -> bool:
+                       k, smask: int, m: int, which: str, fans=None) -> bool:
     """delta A = A delta (which='A', element over G+) or
     delta B = B delta (which='B', element over G), on one dual.
 
     Returns True when both sides are escape-free and equal; raises
     OutsideRegionError if the element itself is out of window and
     ValueError if truncation clipped an image (caller should skip).
+    ``fans`` maps each window's name ("g", "plus", "minus") to the coface
+    fans ``delta`` keeps on it; None gives each ``delta`` its own.
     """
-    chain_map, src, dst = {"A": (map_A, region.plus, region.g),
-                           "B": (map_B, region.g, region.minus)}[which]
+    chain_map, src, dst = {"A": (map_A, "plus", "g"),
+                           "B": (map_B, "g", "minus")}[which]
+    fans = {} if fans is None else fans
     e = Chain.dual(k, smask, m)
     fe = chain_map(ctx, e, region)
-    dfe = delta(fe, dst)
-    de = delta(e, src)
+    dfe = delta(fe, getattr(region, dst), fans.get(dst))
+    de = delta(e, getattr(region, src), fans.get(src))
     fde = chain_map(ctx, de, region)
     if fe.escaped or dfe.escaped or de.escaped or fde.escaped:
         raise ValueError("clipped")
@@ -662,7 +680,10 @@ def chain_map_trials(ctx: TriangleContext, region: TriangleRegion, ys,
     """Commutation trials of A and B on interior duals: for each non-v
     offset y in ``ys``, each S, each t-offset in ``t_offsets`` and U power 0
     and the cap, yields (which, K, S, m, ok) from ``chain_map_commutes``.
-    A trial the window clips is skipped."""
+    A trial the window clips is skipped.  Every trial reads one dict of
+    coface fans per window, so each fan is built once per call; fans hold
+    fault-applied values, so the dicts are dropped with the call."""
+    fans = {"g": {}, "plus": {}, "minus": {}}
     for y in ys:
         for smask in range(1 << ctx.graph.n):
             for s_off in t_offsets:
@@ -670,7 +691,8 @@ def chain_map_trials(ctx: TriangleContext, region: TriangleRegion, ys,
                     kg = _g_vector(ctx, y, s_off)
                     for which, k in (("A", ctx.to_plus(kg)), ("B", kg)):
                         try:
-                            ok = chain_map_commutes(ctx, region, k, smask, m, which)
+                            ok = chain_map_commutes(ctx, region, k, smask, m,
+                                                    which, fans)
                         except (ValueError, OutsideRegionError):
                             continue
                         yield which, k, smask, m, ok

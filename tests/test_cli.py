@@ -420,6 +420,28 @@ def test_bars_in_a_box_too_large_to_read_ask_for_a_larger_cap(capsys,
     assert (second, rest) == ("hint: rerun with a larger --max-depth", "")
 
 
+def test_a_chain_level_window_over_the_basis_cap_is_refused(capsys,
+                                                            graph_file,
+                                                            monkeypatch):
+    # The same triple with no --bounds: its default window has 9^6 * 2^7
+    # (y, S) blocks, counted before verify_ses builds any.  It used to run
+    # for minutes and reach 1.3 GB.
+    from latcoh import triangle
+
+    def no_interior(region):
+        raise AssertionError("the blocks were built before the size guard")
+
+    monkeypatch.setattr(triangle, "_interior_y", no_interior)
+    text = (DATA / "twonode.graph").read_text().replace("vertex v6 -2",
+                                                        "vertex v6 -3")
+    code, out, err = run(capsys, "triangle", graph_file(text), "--vertex",
+                         "v6", "--max-depth", "1")
+    assert (code, out) == (1, "")
+    assert err.split("\n") == [
+        "error: the chain-level window has 68024448 (y, S) blocks, above "
+        "the basis cap 5000000; pass a smaller window with --bounds", ""]
+
+
 # The same for star1337 at vertex a (cap 1), whose homology triangle needs
 # a grading window one level above the cap (pad 1): its classes have a
 # torsion bar ending at level 1, and no bar ends higher.  Under c-drop-quadratic an image of
@@ -462,12 +484,13 @@ def test_star1337_triangle_is_pinned_under_each_fault(capsys, fault, expected,
 # A path that never reads the faulted step exits 0 (compute reads neither A,
 # B nor the exponent c); 3 is a failed verification, 4 an answer that
 # breaks a law of every correct one (no bottom tower, a summand where a
-# tree's cohomology vanishes, or, on a tree with no bad vertex, anything
-# but the one tower at 0), on the compute path or on a side of the
-# triangle.
+# tree's cohomology vanishes, on a tree with no bad vertex anything but the
+# one tower at 0, or a cell whose face the bank lacks), on the compute
+# path or on a side of the triangle.
 VISIBILITY_PATHS = {
     "compute rp3": ("compute", "rp3.graph", "--max-depth", "3"),
     "compute chain22": ("compute", "chain22.graph", "--max-depth", "3"),
+    "compute e8 cap 1": ("compute", "e8.graph", "--max-depth", "1"),
     "triangle chain22": ("triangle", "chain22.graph", "--vertex", "b",
                          "--max-depth", "1"),
     "verify seed 7": ("verify", "--seed", "7", "--graphs", "4"),
@@ -475,6 +498,7 @@ VISIBILITY_PATHS = {
 VISIBILITY = {
     "compute rp3": [4, 4, 0, 0, 0],
     "compute chain22": [4, 4, 0, 0, 0],
+    "compute e8 cap 1": [4, 4, 0, 0, 0],
     "triangle chain22": [4, 4, 3, 3, 3],
     "verify seed 7": [3, 3, 3, 3, 3],
 }

@@ -2,7 +2,6 @@ import contextlib
 import gc
 import random
 import weakref
-from functools import partial
 from pathlib import Path
 
 import pytest
@@ -344,7 +343,7 @@ def test_an_image_no_piece_holds_is_a_broken_column():
     for far, up in ((1000, 0), (0, 99)):
         def moved(k, smask, m):
             return [(tuple(x + far for x in t), s, mt + up)
-                    for t, s, mt in _a_targets(ctx, k, smask, m)]
+                    for t, s, mt in _a_targets(ctx, k, smask, m)[m]]
 
         cols, broken = eng._map_columns(plus, moved, mid)
         assert broken and not any(any(col) for col in cols.values())
@@ -360,7 +359,8 @@ def test_a_bookkeeping_error_in_a_map_push_is_not_a_broken_column():
                  for graph in (ctx.plus, ctx.graph))
     mid.offsets.clear()
     with pytest.raises(KeyError):
-        eng._map_columns(plus, partial(_a_targets, ctx), mid)
+        eng._map_columns(plus, lambda k, s, m: _a_targets(ctx, k, s, m)[m],
+                         mid)
 
 
 def _box_cases():
@@ -797,6 +797,27 @@ def test_cells_read_each_cube_once(monkeypatch):
     assert len(bank.points) == 2401
     assert len(bank.cells) == 22009
     assert sorted(calls) == sorted(bank.cells)
+
+
+def test_only_a_fault_drops_a_cube_and_the_bank_law_names_it():
+    # Every corner of an admissible cube weighs at most the cap, so with no
+    # fault no cube is dropped.  The parity fault lifts odd cubes past it,
+    # and a kept cell whose face was dropped is no subcomplex: exit 4 where
+    # the compute path used to ask for a larger --max-depth.
+    from latcoh import engine
+    g = e8()
+    base = spinc_representatives(g)[0].base
+    for mcap in (1, 2):
+        assert class_cells(g, base, mcap).dropped == ()
+    with faults.injected("cube-weight-parity-offset"):
+        bank = class_cells(g, base, 1)
+        degrees = module_presentation(bank)
+    assert len(bank.dropped) == 506
+    with pytest.raises(InvariantError, match=(
+            r"^e8: cell \(x=\[(-?\d+, ){7}-?\d+\], S=\['f', 'h'\]\) is in "
+            r"the bank but its face \(x=\[.*\], S=\['f'\]\) is not, and a "
+            r"bank holds every face of its cells$")):
+        engine._check_laws(bank, degrees, "e8")
 
 
 def test_class_cells_solves_the_continuous_minimum_once(monkeypatch):

@@ -9,12 +9,12 @@ from latcoh import (Chain, LatcohError, RegionTooSmallError, c_exponent_closed,
                     is_negative_definite, make_graph, map_A, map_B,
                     parse_graph, r_value, triangle_context, verify_ses)
 from latcoh import default_region
-from latcoh.lattice import bits, relative_weight
+from latcoh.lattice import OutsideRegionError, bits, relative_weight
 from latcoh.suites import random_graph, random_graph_with_classes
 from latcoh.triangle import (SesReport, TriangleRegion, _a_targets,
                              _a_window, _chain_map_sample, _g_vector,
                              _interior_y, _t_margin, c_window,
-                             chain_map_commutes)
+                             chain_map_commutes, chain_map_trials)
 
 from conftest import chain, vertex
 from test_acceptance import SES_CORPUS
@@ -323,7 +323,7 @@ def test_a_preimages_fill_the_margin_lemma_hull(name, v):
                 kp = ctx.to_plus(_g_vector(ctx, y, p))
                 assert image.add(sum(
                     1 << rows[((kg[vi] - ctx.base_g[vi]) // 2, m2)]
-                    for kg, _, m2 in _a_targets(ctx, kp, smask, m)))
+                    for kg, _, m2 in _a_targets(ctx, kp, smask, m)[m]))
             inside = ctx.has_v(smask)
             s0 = _zero_of_r(ctx, y, smask, -wide) if inside else 0
             reach = set()
@@ -451,7 +451,7 @@ def _reference_verify_ses(ctx, region):
                 kp = ctx.to_plus(_g_vector(ctx, y, s_off))
                 for m in range(mcap + 1):
                     vec = 0
-                    targets = _a_targets(ctx, kp, smask, m)
+                    targets = _a_targets(ctx, kp, smask, m)[m]
                     for kg, _, m2 in targets:
                         t_off = (kg[vi] - ctx.base_g[vi]) // 2
                         idx = row_index.get((t_off, m2))
@@ -539,3 +539,117 @@ def test_verify_ses_equals_per_block_reference(fault):
         assert got == want, (spec, v, fault)
         if fault is None:
             assert isinstance(got, SesReport) and got.passed
+
+
+def test_triangle_does_each_chain_level_computation_once(monkeypatch,
+                                                         capsys):
+    # On chain22 and star232 at b, cap 3: one cube-weight memo per (side,
+    # K) for the whole run, one coface fan per (window, K, S) in each
+    # chain_map_trials call, and one c(i) per (target, i) for each G+ dual
+    # of a (y, S) block, each dual's targets built once per block.  The
+    # run made 1,744 memos, 1,216 fans and recomputed c at every level.
+    import latcoh.lattice as lat
+    import latcoh.triangle as tri
+    from latcoh.cli import main
+    real = {name: getattr(mod, name) for mod, name in (
+        (tri, "cube_weights"), (lat, "cofaces"), (tri, "chain_map_trials"),
+        (tri, "_ses_block"), (tri, "_a_targets"),
+        (tri, "c_exponent_closed"))}
+    memos, fans, blocks, exps = [], [], [], []
+    block = [None]      # the duals of the _ses_block call in progress
+
+    def cube_weights(graph, base):
+        memos[-1].append((graph.n, graph.weights, tuple(base)))
+        return real["cube_weights"](graph, base)
+
+    def cofaces(cube_weight, key, n):
+        fans[-1].append((id(cube_weight), key))
+        return real["cofaces"](cube_weight, key, n)
+
+    def chain_map_trials(*args):
+        fans.append([])
+        yield from real["chain_map_trials"](*args)
+
+    def ses_block(*args):
+        block[0] = []
+        blocks.append(block[0])
+        try:
+            return real["_ses_block"](*args)
+        finally:
+            block[0] = None
+
+    def a_targets(ctx, k, smask, top):
+        if block[0] is not None:
+            block[0].append((k, smask))
+            exps.append([])
+        return real["_a_targets"](ctx, k, smask, top)
+
+    def c_exponent_closed(ctx, i, k, s):
+        if block[0] is not None:
+            exps[-1].append((i, k, s))
+        return real["c_exponent_closed"](ctx, i, k, s)
+
+    for name, fn in (("cube_weights", cube_weights),
+                     ("chain_map_trials", chain_map_trials),
+                     ("_ses_block", ses_block), ("_a_targets", a_targets),
+                     ("c_exponent_closed", c_exponent_closed)):
+        monkeypatch.setattr(tri, name, fn)
+    monkeypatch.setattr(lat, "cofaces", cofaces)
+    for name in ("chain22", "star232"):
+        memos.append([])
+        assert main(["triangle", str(DATA / (name + ".graph")), "--vertex",
+                     "b", "--max-depth", "3"]) == 0
+    capsys.readouterr()
+    assert [len(run) == len(set(run)) for run in memos] == [True, True]
+    assert sum(map(len, memos)) == 580
+    assert len(fans) == 2 and all(len(f) == len(set(f)) for f in fans)
+    assert sum(map(len, fans)) == 672
+    assert blocks and all(len(b) == len(set(b)) for b in blocks)
+    assert sum(map(len, blocks)) == len(exps)
+    assert all(len(e) == len(set(e)) == len(c_window(3)) for e in exps)
+
+
+def _per_call_fan_trials(ctx, region, ys, t_offsets):
+    """``chain_map_trials`` with each ``delta`` building its own fans."""
+    for y in ys:
+        for smask in range(1 << ctx.graph.n):
+            for s_off in t_offsets:
+                for m in (0, region.mcap):
+                    kg = _g_vector(ctx, y, s_off)
+                    for which, k in (("A", ctx.to_plus(kg)), ("B", kg)):
+                        try:
+                            ok = chain_map_commutes(ctx, region, k, smask, m,
+                                                    which)
+                        except (ValueError, OutsideRegionError):
+                            continue
+                        yield which, k, smask, m, ok
+
+
+@pytest.mark.parametrize("fault", (None,) + faults.FAULTS)
+def test_shared_fans_give_the_per_call_trials(fault):
+    # One fan dict per window for a chain_map_trials call gives the trials
+    # that per-call fans give, clean and under each fault; the context's
+    # memos are shared by both and hold fault-free weights.
+    for name, v, mcap in (("chain22", "b", 3), ("star232", "b", 2)):
+        ctx = triangle_context(
+            parse_graph((DATA / (name + ".graph")).read_text()), v)
+        region = default_region(ctx, mcap)
+        slo, shi = region.t_middle
+        ys = _interior_y(region)[:3]
+        offsets = (slo, (slo + shi) // 2, shi)
+        with faults.injected(fault) if fault else contextlib.nullcontext():
+            got = list(chain_map_trials(ctx, region, ys, offsets))
+            want = list(_per_call_fan_trials(ctx, region, ys, offsets))
+        assert got == want, (name, fault)
+        oks = [ok for *_, ok in got]
+        assert oks and (all(oks) if fault is None else True)
+
+
+def test_a_window_with_no_interior_y_is_too_small_not_empty(ctx2):
+    # The size guard counts zero blocks here; the window is still refused
+    # by name, not checked as an empty sequence.
+    region = default_region(ctx2, 1)
+    hi = list(region.off_hi)
+    hi[1 - ctx2.v_index] = region.off_lo[1 - ctx2.v_index] + 3
+    with pytest.raises(RegionTooSmallError, match="no interior offsets"):
+        verify_ses(ctx2, TriangleRegion(ctx2, region.off_lo, tuple(hi), 1))
