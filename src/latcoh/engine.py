@@ -323,9 +323,9 @@ class DegreeModule:
 
 
 def _column(hits, base):
-    """The GF(2) sum of the rows ``hits`` (None, a coface outside the bank,
-    is skipped) as a bitset shifted down to row ``base``: a row hit twice
-    cancels."""
+    """The rows ``hits`` of a cube's cofaces (None, a coface outside the
+    bank, is skipped) as a bitset shifted down to row ``base``; the cofaces
+    of a cube are distinct keys, so no two rows coincide."""
     col = 0
     for row in hits:
         if row is not None:
@@ -353,8 +353,9 @@ def module_presentation(bank: CellBank) -> dict:
     was a pivot row of degree d is already paired, so its column is
     skipped.  A column is the rows of the cell's cofaces, read off the
     ``coface_steps`` of its mask (a coface is in the bank iff it has a
-    row).  A cube weighs at least as much as each of its faces, so the
-    earliest row of a column is never lighter than its cell.
+    row), and a cube's cofaces are distinct keys, so no row is hit twice.
+    A cube weighs at least as much as each of its faces, so the earliest
+    row of a column is never lighter than its cell.
 
     Pivots are implicit, as in Ripser (Bauer 2021): almost every column
     needs no addition, and such a pivot keeps only its cell's position and
@@ -397,17 +398,11 @@ def module_presentation(bank: CellBank) -> dict:
             hits = [row for d in steps[key & full]
                     if (row := get(key + d)) is not None]
             base = low = min(hits) if hits else None
-            col = None
-            if hits.count(low) > 1:
-                # A row hit twice cancels, so the sum decides the low.
-                col = _column(hits, base)
-                low = _low(col, base)
             if low is not None:
-                if col is None and low not in pivots:
+                if low not in pivots:
                     pivots[low] = pos
                 else:
-                    if col is None:
-                        col = _column(hits, base)
+                    col = _column(hits, base)
                     while low is not None:
                         other = pivots.get(low)
                         if other is None:
@@ -529,6 +524,15 @@ def _cube_text(graph, key):
                               for j in bits(key & ((1 << n) - 1))])
 
 
+def _certify(graph, base, mcap, where, box=None):
+    """(bank, bars) of one class at U cap ``mcap``, by ``class_cells`` and
+    ``module_presentation``, once they obey ``_check_laws`` as ``where``."""
+    bank = class_cells(graph, base, mcap, box=box)
+    bars = module_presentation(bank)
+    _check_laws(bank, bars, where)
+    return bank, bars
+
+
 def stabilize(graph: PlumbingGraph, spinc_or_base, mcap: int,
               bounds: Region = None) -> GradedModulePresentation:
     """Compute the presentation of one class once, in every grading up to
@@ -543,20 +547,19 @@ def stabilize(graph: PlumbingGraph, spinc_or_base, mcap: int,
     structure theorem allows (``_one_tower``); otherwise a torsion summand
     may be reported as a tower.  ``region`` is the bounding box of the
     enumerated offsets at this U cap; passing it back as ``bounds``
-    reproduces the answer.  An answer that breaks a law of every correct
-    one raises ``InvariantError`` (``_check_laws``)."""
+    reproduces the answer.  The bank and its bars come from ``_certify``,
+    so an answer that breaks a law of every correct one raises
+    ``InvariantError`` (``_check_laws``)."""
     base = tuple(getattr(spinc_or_base, "base", spinc_or_base))
     index = spinc_or_base.index if hasattr(spinc_or_base, "base") else -1
     box = None if bounds is None else replace(bounds, base=base)
-    bank = class_cells(graph, base, mcap, box=box)
-    region = Region.bounding(graph, base, bank.points, mcap)
-    degrees = module_presentation(bank)
-    _check_laws(bank, degrees, "class %d (base %s)" % (index, list(base)))
+    bank, degrees = _certify(graph, base, mcap,
+                             "class %d (base %s)" % (index, list(base)), box)
     return GradedModulePresentation(
         graph_hash=graph_hash(graph), class_index=index, base=base,
         degrees=degrees,
         stabilized=bank.complete_to is not None and _one_tower(degrees),
-        region=region.to_json())
+        region=Region.bounding(graph, base, bank.points, mcap).to_json())
 
 
 # ---------------------------------------------------------------------------
@@ -588,8 +591,8 @@ class LesReport:
 
 class _Side:
     """One side of a triangle check: the homology of every spin-c class of
-    ``graph`` on its bank in ``banks`` (in class order), indexed in the
-    pass that builds it.
+    ``graph`` on its bank in ``banks`` (in class order, so a class's index
+    is its bank's position), indexed in the pass that builds it.
 
     ``lookup`` maps raw characteristic vectors to (class index, packed
     offset shifted to a cube key with empty mask), injective because the
@@ -602,23 +605,16 @@ class _Side:
     def __init__(self, graph, mcap, banks):
         self.homs, self.lookup, self.offsets = [], {}, {}
         self.dims, self.degree_dims = {}, Counter()
-        for cls, bank in zip(spinc_representatives(graph), banks):
+        for index, bank in enumerate(banks):
             hom = _presentation_data(bank, mcap)
             for x in bank.points:
-                k = lattice_point(graph, cls.base, unpack(x, graph.n))
-                self.lookup[k] = (cls.index, x << graph.n)
+                k = lattice_point(graph, bank.base, unpack(x, graph.n))
+                self.lookup[k] = (index, x << graph.n)
             for (deg, g), d in hom.dims.items():   # in piece order
-                self.offsets[(cls.index, deg, g)] = self.degree_dims[deg]
+                self.offsets[(index, deg, g)] = self.degree_dims[deg]
                 self.degree_dims[deg] += d
                 self.dims[(deg, g)] = self.dims.get((deg, g), 0) + d
             self.homs.append(hom)
-
-
-def _side_banks(graph, level):
-    """The banks at U cap ``level`` of the classes of ``graph``, in class
-    order."""
-    return [class_cells(graph, cls.base, level)
-            for cls in spinc_representatives(graph)]
 
 
 def _map_columns(src, image_terms, dst):
@@ -682,7 +678,7 @@ def _certified_banks(name, graph, mcap):
     order, and the largest finite bar endpoint of the side, in levels
     above wmin: a tower's bottom or a torsion's top.
 
-    Each class must obey ``_check_laws`` at the cap (else
+    Each class must pass ``_certify`` at the cap (else
     ``InvariantError``).  Its bars are then read whole: its sublevel sets
     retract onto the cubes of ``lattice.retraction_box``, so no bar ends
     above the box's heaviest corner, and when that lies above the cap the
@@ -694,11 +690,9 @@ def _certified_banks(name, graph, mcap):
             "graph %r is not negative definite; the truncation does not "
             "stabilize" % (graph.vertices,))
     banks, last = [], 0
-    for cls, bank in zip(spinc_representatives(graph),
-                         _side_banks(graph, mcap)):
-        bars = module_presentation(bank)
+    for cls in spinc_representatives(graph):
         where = "%s class %d (base %s)" % (name, cls.index, list(cls.base))
-        _check_laws(bank, bars, where)
+        bank, bars = _certify(graph, cls.base, mcap, where)
         box = retraction_box(graph, cls.base)
         top = max(relative_weight(graph, cls.base, corner)
                   for corner in product(*zip(*box))) - bank.wmin
@@ -734,12 +728,12 @@ def les_check(ctx: TriangleContext, mcap: int, ses: SesReport) -> LesReport:
     the ranks alone cannot see a corrupted map.
 
     The grading window is computed once, from every bar of every class
-    of the three sides (``_certified_banks``).  With E the largest finite
-    bar endpoint, the piece C^q(S_L, S_{L-mcap-1}) has homology only if an
-    endpoint lies in (L - mcap - 1, L] (the exact sequence of the pair), so
-    the pieces are built to grading 2 (mcap + E), on the certified banks
-    when E = 0 and on banks at level mcap + E otherwise; ``grading_pad``
-    is E.
+    of the three sides (``_certified_banks``, one ``_certify`` per class).
+    With E the largest finite bar endpoint, the piece C^q(S_L,
+    S_{L-mcap-1}) has homology only if an endpoint lies in (L - mcap - 1,
+    L] (the exact sequence of the pair), so the pieces are built to
+    grading 2 (mcap + E), on the certified banks when E = 0 and on banks
+    at level mcap + E otherwise; ``grading_pad`` is E.
     """
     if (ses.graph_hash, ses.vertex) != (graph_hash(ctx.graph), ctx.v):
         raise ValueError("the SES report belongs to another triangle")
@@ -747,7 +741,8 @@ def les_check(ctx: TriangleContext, mcap: int, ses: SesReport) -> LesReport:
     certified = [_certified_banks(name, graph, mcap)
                  for name, graph in zip(("G+", "G", "G-v"), graphs)]
     pad = max(last for _, last in certified)
-    banks = [side_banks if not pad else _side_banks(graph, mcap + pad)
+    banks = [side_banks if not pad else
+             [class_cells(graph, bank.base, mcap + pad) for bank in side_banks]
              for (side_banks, _), graph in zip(certified, graphs)]
     del certified       # banks at level mcap: no use once pad > 0
     rep = _les_attempt(ctx, mcap, banks)

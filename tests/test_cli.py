@@ -519,6 +519,20 @@ def test_fault_visibility_matrix(capsys, path, fault, exit_code):
     assert code == exit_code
 
 
+# The compute-path mutation matrix: compute on every demo graph, at caps 1
+# and 2, under either lattice fault is a wrong answer (exit 4), never an
+# answer (exit 0) or a window too small (exit 2).
+@pytest.mark.parametrize("fault", ["cube-weight-parity-offset",
+                                   "delta-coface-shift-sign"])
+@pytest.mark.parametrize("cap", ["1", "2"])
+@pytest.mark.parametrize("graph", sorted(p.name for p in DATA.glob("*.graph")))
+def test_compute_mutation_matrix(capsys, graph, cap, fault):
+    with faults.injected(fault):
+        code, _, _ = run(capsys, "compute", str(DATA / graph),
+                         "--max-depth", cap)
+    assert code == 4
+
+
 def test_each_fault_acts_at_one_fault_site():
     # Each fault's name appears once in the package, as the argument of
     # faults.is_active, and no other code reads the fault state.
