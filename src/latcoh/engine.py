@@ -27,7 +27,7 @@ byte-identical output.
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import product
+from itertools import islice, product
 
 from . import gf2
 from .graph import (LatcohError, PlumbingGraph, bad_vertices, graph_hash,
@@ -80,7 +80,8 @@ class CellBank:
     and whose weight is within the cap.  They are built layer by layer
     from their faces (``_admissible_cubes``), never by trying every mask
     at every point; the memo that builds them holds nothing else and
-    becomes ``cells`` in place.
+    becomes ``cells`` in place.  So ``cells`` lists its keys by degree
+    (popcount of S), ``layers`` holding how many each degree has.
     """
 
     graph: PlumbingGraph
@@ -90,11 +91,13 @@ class CellBank:
     wmin: int
     complete_to: int = None
     dropped: tuple = ()
+    layers: tuple = ()
 
 
 def _admissible_cubes(pts, n):
     """Weights of every cube (x, S) whose corners are all in ``pts``, by
-    cube key, in the fault-free memo form ``offset_cube_weight`` reads.
+    cube key, in the fault-free memo form ``offset_cube_weight`` reads, in
+    order of |S|, and the number of cubes of each |S|.
 
     Admissible cubes are downward closed: the corners of (x, S + j) are
     those of its faces (x, S) and (x + e_j, S), and it weighs the larger
@@ -107,8 +110,9 @@ def _admissible_cubes(pts, n):
     memo = {x << n: w for x, w in pts.items()}
     steps, full = key_steps(n), (1 << n) - 1
     steps_above = [steps[top:] for top in range(n + 1)]   # by S's top bit
-    layer = list(memo)
+    layer, layers = list(memo), []
     while layer:
+        layers.append(len(layer))
         grown = []
         for key in layer:
             w = memo[key]
@@ -121,7 +125,7 @@ def _admissible_cubes(pts, n):
             if len(memo) > BASIS_CAP:
                 raise BasisCapError("cell bank exceeded %d cubes" % BASIS_CAP)
         layer = grown
-    return memo
+    return memo, layers
 
 
 def class_cells(graph: PlumbingGraph, spinc_or_base, mcap: int,
@@ -169,7 +173,7 @@ def _bank(graph, base, pts, wcap, complete):
     is one whose weight a fault raised; the bank records it in
     ``dropped``."""
     n = graph.n
-    cells = _admissible_cubes(pts, n)
+    cells, layers = _admissible_cubes(pts, n)
     point_weight = pts.get
     dropped = []
     for key in list(cells):
@@ -179,8 +183,9 @@ def _bank(graph, base, pts, wcap, complete):
         else:
             del cells[key]
             dropped.append(key)
+            layers[(key & ((1 << n) - 1)).bit_count()] -= 1
     return CellBank(graph, base, pts, cells, min(pts.values()), complete,
-                    tuple(dropped))
+                    tuple(dropped), tuple(layers))
 
 
 class GradedGF2Complex:
@@ -238,30 +243,33 @@ class GradedGF2Complex:
         the coboundary of the pair of sublevel sets, so a cube's column has
         the row of each of its cofaces that the target piece holds.
 
-        A cube's fan, its cofaces in the bank, is read once off the
-        ``coface_steps`` of its mask and kept in ``fans`` for every level:
-        a fresh dict unless the caller passes one (``ComplexHomology`` does,
-        for one build).  Fans hold fault-applied values, so that dict must
-        not outlive the caller's call.
+        A cube's fan, its cofaces in the bank, is read off ``fans``: those
+        of ``coface_fans`` unless the caller passes them (``ComplexHomology``
+        does, for one build).  Fans hold fault-applied values, so that dict
+        must not outlive the caller's call.
         """
-        cells, n = self.bank.cells, self.bank.graph.n
-        full = (1 << n) - 1
-        steps = coface_steps(n)
         row = self.bases.get((deg + 1, g), {}).get
-        fans = {} if fans is None else fans
+        fans = self.coface_fans() if fans is None else fans
         cols = []
         for key in self.bases.get((deg, g), ()):
-            fan = fans.get(key)
-            if fan is None:
-                fan = fans[key] = [up for d in steps[key & full]
-                                   if (up := key + d) in cells]
             # The cofaces of one cube are distinct, so no two rows cancel.
             col = 0
-            for r in map(row, fan):
+            for r in map(row, fans.get(key, ())):
                 if r is not None:
                     col |= 1 << r
             cols.append(col)
         return cols
+
+    def coface_fans(self) -> dict:
+        """Cube key -> the keys of its cofaces in the bank, filled in one
+        pass over the ``faces`` of ``coface_steps`` of every cell."""
+        n = self.bank.graph.n
+        faces, full = coface_steps(n).faces, (1 << n) - 1
+        fans = {}
+        for tau in self.bank.cells:
+            for d in faces[tau & full]:
+                fans.setdefault(tau - d, []).append(tau)
+        return fans
 
 
 class ComplexHomology:
@@ -273,13 +281,13 @@ class ComplexHomology:
     homology exactly.  Each coboundary is eliminated once: pieces run in
     (degree, grading) order, and the one reduction of δ_q by
     ``gf2.kernel_basis`` gives the cycles of piece (q, g) and the staircase
-    of the boundaries of piece (q + 1, g).  The fans live as long as it.
+    of the boundaries of piece (q + 1, g).  One ``coface_fans`` serves all.
     """
 
     def __init__(self, cx: GradedGF2Complex):
         self.cx = cx
         self.pieces = {}
-        fans = {}
+        fans = cx.coface_fans()
         images = {}
         for deg, g in cx.pieces():
             cycles, images[(deg, g)] = gf2.kernel_basis(
@@ -347,21 +355,23 @@ def module_presentation(bank: CellBank) -> dict:
     bank's coboundary in filtration order: the cohomology form with
     clearing (de Silva, Morozov and Vejdemo-Johansson 2011; Chen and
     Kerber 2011).  Within a degree the cells are cube keys sorted by
-    (weight, cube key), and rows are indexed per degree, which keeps the
-    columns short.  Degree d is reduced before d + 1, its columns from last
-    to first, each pivoting at its earliest row; a degree-(d+1) cell that
-    was a pivot row of degree d is already paired, so its column is
-    skipped.  A column is the rows of the cell's cofaces, read off the
-    ``coface_steps`` of its mask (a coface is in the bank iff it has a
-    row), and a cube's cofaces are distinct keys, so no row is hit twice.
-    A cube weighs at least as much as each of its faces, so the earliest
-    row of a column is never lighter than its cell.
+    (weight, cube key), each degree a slice of the bank by its ``layers``,
+    and rows are indexed per degree, which keeps the columns short.  Degree
+    d is reduced before d + 1, its columns from last to first, each
+    pivoting at its earliest row; a degree-(d+1) cell that was a pivot row
+    of degree d is already paired, so its column is skipped.  A cube's
+    cofaces are distinct keys, so no row is hit twice, and a cube weighs
+    at least as much as each of its faces, so the earliest row of a column
+    is never lighter than its cell.
 
     Pivots are implicit, as in Ripser (Bauer 2021): almost every column
-    needs no addition, and such a pivot keeps only its cell's position and
-    is rebuilt from ``coface_keys`` when a later column collides with it.
-    Only a column that took additions is stored, as a bitset shifted down
-    to its low row, so no pivot costs bits below its earliest row.
+    takes no addition and needs only its earliest row, which one ascending
+    pass over the ``faces`` (of ``coface_steps``) of the next degree's rows
+    gives every cell, touching each incidence once.  A column whose
+    earliest row is already a pivot is read whole off ``coface_keys`` and a
+    row index built then, and so is each pivot it adds that took no
+    addition, which keeps only its cell's position.  Only a column that
+    took additions is stored, as a bitset shifted down to its low row.
 
     A pair (sigma, tau) is torsion of bottom 2(w(sigma) - wmin) and length
     w(tau) - w(sigma); a pair of equal weights is no summand.  An unpaired
@@ -370,22 +380,25 @@ def module_presentation(bank: CellBank) -> dict:
     """
     cells, n, wmin = bank.cells, bank.graph.n, bank.wmin
     full = (1 << n) - 1
-    steps = coface_steps(n)
-    layers = {}
-    for key in cells:
-        layers.setdefault((key & full).bit_count(), []).append(key)
-    for keys in layers.values():
-        keys.sort()
-        keys.sort(key=cells.__getitem__)   # stable, so in (weight, key) order
+    faces = coface_steps(n).faces
+    keys, layers = iter(cells), []
+    for count in bank.layers:
+        layer = sorted(islice(keys, count))
+        layer.sort(key=cells.__getitem__)   # stable, so in (weight, key) order
+        layers.append(layer)
     out = {}
     cleared = set()
-    order = layers.get(0, [])
+    order = layers[0]
     below = [cells[key] for key in order]
-    for deg in range(len(layers)):
-        upper = layers.get(deg + 1, [])
+    # One degree per nonempty layer: a fault may empty one below the top.
+    for deg in range(len(layers) - bank.layers.count(0)):
+        upper = layers[deg + 1] if deg + 1 < len(layers) else []
         above = [cells[key] for key in upper]
-        rows = dict(zip(upper, range(len(upper))))
-        get = rows.get
+        first = {}      # cube key -> its earliest coface row
+        for row, tau in enumerate(upper):
+            for d in faces[tau & full]:
+                first.setdefault(tau - d, row)
+        get = None
         pivots = {}     # low row -> position of the cell pivoting there
         reduced = {}    # low row -> pivot column that took additions,
                         # shifted down to that row
@@ -394,15 +407,13 @@ def module_presentation(bank: CellBank) -> dict:
             if pos in cleared:
                 continue
             w = below[pos]
-            key = order[pos]
-            hits = [row for d in steps[key & full]
-                    if (row := get(key + d)) is not None]
-            base = low = min(hits) if hits else None
+            base = low = first.get(order[pos])
             if low is not None:
                 if low not in pivots:
                     pivots[low] = pos
                 else:
-                    col = _column(hits, base)
+                    get = get or dict(zip(upper, range(len(upper)))).get
+                    col = _column(map(get, coface_keys(order[pos], n)), base)
                     while low is not None:
                         other = pivots.get(low)
                         if other is None:
@@ -502,18 +513,14 @@ def _check_laws(bank, degrees, where):
                 "%s: degree 0 has towers %s and torsions %s, but a tree with "
                 "no bad vertices has one tower at bottom 0 and nothing else"
                 % (where, list(towers), list(degrees[0].torsions)))
-    n = bank.graph.n
     for face in bank.dropped:
-        for bit, unit in key_steps(n):
-            if face & bit:
-                continue
-            for cell in (face | bit, (face | bit) - unit):
-                if cell in bank.cells:
-                    raise InvariantError(
-                        "%s: cell %s is in the bank but its face %s is not, "
-                        "and a bank holds every face of its cells"
-                        % (where, _cube_text(bank.graph, cell),
-                           _cube_text(bank.graph, face)))
+        for cell in coface_keys(face, bank.graph.n):
+            if cell in bank.cells:
+                raise InvariantError(
+                    "%s: cell %s is in the bank but its face %s is not, "
+                    "and a bank holds every face of its cells"
+                    % (where, _cube_text(bank.graph, cell),
+                       _cube_text(bank.graph, face)))
 
 
 def _cube_text(graph, key):

@@ -4,7 +4,8 @@ Each named fault corrupts one step of the core algebra.  The verification
 suites are required to catch every one of them; production code runs with
 the set empty.  Cube-weight memos hold fault-free values and each fault is
 applied at its single site (the shift sign where ``lattice.coface_steps``
-picks its table, which is cached per fault state), so no cube-weight memo
+picks its table, which is cached per fault state and carries its
+transpose, the face steps, so one read serves both), so no cube-weight memo
 depends on the active set, and a ``Region`` or a triangle context may keep
 its memos across fault states.  The coface fans ``lattice.delta`` keeps do
 depend on it: they hold fault-applied values, so each dict of them is

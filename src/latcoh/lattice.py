@@ -25,32 +25,31 @@ enter (``pack``, which raises ``OffsetRangeError`` beyond
 of field on each side, so no step of the kernel, by -1 or by +1, carries
 into the next coordinate.
 
-This module is also the one kernel of the complex that the chain checks
-and the homology engine share, as plain functions of the graph:
+This module is also the one kernel of the complex that the chain checks and
+the homology engine share, as plain functions of the graph:
 ``relative_weight``, ``lattice_point`` (base + 2Mx), ``cube_weights`` (a
 memoised cube-weight function of one base), ``offset_cube_weight`` (the
 weight of a cube key given point weights at packed offsets),
 ``coface_steps`` (the coboundary rule as data: per mask, the key steps to
-the cofaces, as precomputed neighbour offsets in cubical persistence
-codes), ``coface_keys`` (those steps added to a key) and ``cofaces``
-(the same keys with their weight gaps).  Each fault hook on them has its
-single site here.  ``sublevel_points`` is the one enumeration of a
-definite class's sublevel set, ``Region.bounding`` the one box
-around packed offsets, and ``retraction_box`` the box every sublevel set
-of a class retracts onto.  Values are immutable; the only state is a
-cube-weight memo and the coface fans of ``delta``.  A memo holds
-fault-free values and is owned by the one object that fills it: a
-``Region`` (its class), a cell bank, a triangle's context (one memo per
-side and K, which its K-box windows, the corner gap r and the exponent
-by definition all read) or a single call.  Fans hold fault-applied
-values, so they are owned by one call: of ``delta``, of
-``delta_squared_failures``, or of ``triangle.chain_map_trials`` (one
-dict per window).  No cache is keyed by a graph; the codec, the packed
-origin, the key steps and the coface steps of each vertex count n are
-small constant tables, cached for the process (the coface steps per
-fault state, filled per mask on first use).  Read top down, a memo also
-records the cubes found to have no weight; a cell bank fills its memo
-bottom up with its admissible cubes only, so it holds no miss.
+the cofaces, as precomputed neighbour offsets in cubical persistence codes,
+and their transpose to the faces), ``coface_keys`` (those steps added to a
+key) and ``cofaces`` (the same keys with their weight gaps).  Each fault
+hook on them has its single site here.  ``sublevel_points`` is the one
+enumeration of a definite class's sublevel set, ``Region.bounding`` the one
+box around packed offsets, and ``retraction_box`` the box every sublevel
+set of a class retracts onto.  Values are immutable; the only state is a
+cube-weight memo and the coface fans of ``delta``.  A memo holds fault-free
+values and is owned by the one object that fills it: a ``Region`` (its
+class), a cell bank, a triangle's context (one memo per side and K, which
+its K-box windows, the corner gap r and the exponent by definition all
+read) or a single call.  Fans hold fault-applied values, so they are owned
+by one call: of ``delta``, of ``delta_squared_failures``, or of
+``triangle.chain_map_trials`` (one dict per window).  No cache is keyed by a
+graph; the codec, the packed origin, the key steps and the coface steps of
+each vertex count n are small constant tables, cached for the process (the
+coface steps per fault state, filled per mask on first use).  Read top down,
+a memo also records the cubes found to have no weight; a cell bank fills
+its memo bottom up with its admissible cubes only, so it holds no miss.
 """
 
 import functools
@@ -299,8 +298,9 @@ def coface_steps(n: int) -> _PerMask:
     """The coboundary rule in n coordinates, as data: for each mask S the
     tuple of steps d, one per coface, that take a cube key (x, S) to the
     keys (x, S + w) and (x - e_w, S + w) of its cofaces, for every
-    direction w outside S in turn.  The table is cached per n and fault
-    state; this is the one site of the shift-sign fault."""
+    direction w outside S in turn; its ``faces``, the transpose, has the d
+    of each w in T with key - d the faces of (x, T).  The table is cached
+    per n and fault state; this is the one site of the shift-sign fault."""
     return _coface_table(n, faults.is_active("delta-coface-shift-sign"))
 
 
@@ -308,8 +308,13 @@ def coface_steps(n: int) -> _PerMask:
 def _coface_table(n: int, wrong_way: bool) -> _PerMask:
     pairs = [(bit, bit + unit if wrong_way else bit - unit)
              for bit, unit in key_steps(n)]
-    return _PerMask(lambda s: tuple(d for w, pair in enumerate(pairs)
-                                    if not s >> w & 1 for d in pair))
+
+    def steps(inside):
+        return _PerMask(lambda s: tuple(d for w, pair in enumerate(pairs)
+                                        if s >> w & 1 == inside for d in pair))
+    table = steps(0)
+    table.faces = steps(1)
+    return table
 
 
 def coface_keys(key: int, n: int) -> list:

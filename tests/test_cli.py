@@ -217,6 +217,11 @@ PINNED = [
      "4f5e78a360349d13fff5b04daf13fbcffcee222cb5cf49ed96645ddc4508d007", 0),
     (("compute", "twonode.graph", "--max-depth", "4"),
      "ad4aa139e884af90d86f2c4e55dfebe0dc07d738f30a3495d46f0cb713d07185", 0),
+    (("compute", "e8.graph", "--max-depth", "3"),
+     "e356d11542618d9acbb87603ff401c4ec3b92c35bbd935e1dc1e9df092d8cd9b", 0),
+    # Its reduction reads columns whole on a collision.
+    (("compute", "twonode.graph", "--max-depth", "3"),
+     "97223371b321638c3118120685076998d4647f6e13012f07bfdd275eee0a1447", 2),
     (("triangle", "chain22.graph", "--vertex", "b"),
      "06e326a165d0efe1aa0bb5ddfcc5e4dc10d67c66f2c20d363b8eb5a0dd41b320", 0),
     (("triangle", "star232.graph", "--vertex", "b"),

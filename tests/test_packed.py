@@ -225,7 +225,7 @@ def test_packed_kernel_matches_the_tuple_kernel(g, mcap, fault):
             pts = dict(bank.points)
             tuple_pts = {unpack(x, n): w for x, w in pts.items()}
             # The face-up memo, cube for cube and in the same order.
-            memo = _admissible_cubes(pts, n)
+            memo, _ = _admissible_cubes(pts, n)
             assert ([split_key(key, n) for key in memo]
                     == list(_reference_admissible_cubes(tuple_pts, n)))
             # The coboundary rule over the bank, and over the top-down memo
@@ -295,6 +295,31 @@ def test_coface_keys_match_the_direction_loop_on_every_mask(n, fault):
             assert len(coface_steps(n)[s]) == 2 * (n - s.bit_count())
 
 
+@pytest.mark.parametrize("fault", SHIFT_SIGN)
+@pytest.mark.parametrize("n", range(1, 7))
+def test_the_face_table_is_the_transpose_of_the_coface_table(n, fault):
+    # A step d takes a cube (x, S) to a coface exactly when it takes that
+    # coface back to (x, S): the direction of d is its bit below the
+    # offset field, in S + w and not in S.  On keys, the cube is among the
+    # faces of each of its cofaces, and each face has the cube as a coface.
+    x = tuple(range(-(n // 2), n - n // 2))
+    full = (1 << n) - 1
+    with _fault_state(fault):
+        steps = coface_steps(n)
+        up = {(s, s | d & full, d) for s in range(1 << n) for d in steps[s]}
+        down = {(t & ~(d & full), t, d) for t in range(1 << n)
+                for d in steps.faces[t]}
+        assert up == down
+        for t in range(1 << n):
+            assert len(steps.faces[t]) == 2 * t.bit_count()
+        for s in range(1 << n):
+            key = cube_key(x, s)
+            for coface in coface_keys(key, n):
+                faces = [coface - d for d in steps.faces[coface & full]]
+                assert key in faces
+                assert all(coface in coface_keys(face, n) for face in faces)
+
+
 @settings(max_examples=300, deadline=None)
 @given(offsets.filter(bool), st.data(), st.sampled_from(SHIFT_SIGN))
 def test_coface_keys_match_the_direction_loop_at_the_field_edges(x, data,
@@ -322,8 +347,8 @@ def test_the_shift_sign_fault_flips_a_rule_read_before_it():
 
 
 def test_a_class_of_many_vertices_fills_only_the_masks_it_reads():
-    # The table has 2^n masks; a class of A_20 at cap 1 reads a few
-    # hundred, and only those are built.
+    # The table and its transpose have 2^n masks; a class of A_20 at cap 1
+    # reads a few hundred, and only those are built.
     n = 20
     g = make_graph(([("v%d" % i, -2) for i in range(n)],
                     [("v%d" % i, "v%d" % (i + 1)) for i in range(n - 1)]))
@@ -331,4 +356,5 @@ def test_a_class_of_many_vertices_fills_only_the_masks_it_reads():
     assert stabilize(g, spinc_representatives(g)[0], 1).degrees
     masks = {key & ((1 << n) - 1) for key in bank.cells}
     assert set(coface_steps(n)) <= masks
+    assert set(coface_steps(n).faces) <= masks
     assert len(masks) < 2 ** n // 1000
