@@ -174,10 +174,9 @@ def _bank(graph, base, pts, wcap, complete):
     ``dropped``."""
     n = graph.n
     cells, layers = _admissible_cubes(pts, n)
-    point_weight = pts.get
     dropped = []
     for key in list(cells):
-        w = offset_cube_weight(point_weight, cells, n, key)
+        w = offset_cube_weight(None, cells, n, key)
         if w <= wcap:
             cells[key] = w
         else:

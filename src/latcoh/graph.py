@@ -91,6 +91,17 @@ class PlumbingGraph:
             m[j][i] += sign
         return tuple(tuple(row) for row in m)
 
+    @functools.cached_property
+    def pair_sums(self) -> tuple:
+        """By mask T, the sum of M_ij over i < j in T; kept as M is."""
+        sums = [0]
+        for j, row in enumerate(self._matrix):
+            across = [0]        # by mask T below j: the sum of M_ij, i in T
+            for mij in row[:j]:
+                across += [a + mij for a in across]
+            sums += [s + a for s, a in zip(sums, across)]
+        return tuple(sums)
+
     def degree(self, i: int) -> int:
         return sum(1 for a, b, _ in self.edges for e in (a, b) if e == i)
 

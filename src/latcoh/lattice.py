@@ -29,7 +29,7 @@ This module is also the one kernel of the complex that the chain checks and
 the homology engine share, as plain functions of the graph:
 ``relative_weight``, ``lattice_point`` (base + 2Mx), ``cube_weights`` (a
 memoised cube-weight function of one base), ``offset_cube_weight`` (the
-weight of a cube key given point weights at packed offsets),
+one read of a cube-weight memo, which fills a point on a miss),
 ``coface_steps`` (the coboundary rule as data: per mask, the key steps to
 the cofaces, as precomputed neighbour offsets in cubical persistence codes,
 and their transpose to the faces), ``coface_keys`` (those steps added to a
@@ -45,11 +45,11 @@ its K-box windows, the corner gap r and the exponent by definition all
 read) or a single call.  Fans hold fault-applied values, so they are owned
 by one call: of ``delta``, of ``delta_squared_failures``, or of
 ``triangle.chain_map_trials`` (one dict per window).  No cache is keyed by a
-graph; the codec, the packed origin, the key steps and the coface steps of
-each vertex count n are small constant tables, cached for the process (the
-coface steps per fault state, filled per mask on first use).  Read top down,
-a memo also records the cubes found to have no weight; a cell bank fills
-its memo bottom up with its admissible cubes only, so it holds no miss.
+graph; the codec, the packed origin, the key steps, the masks holding each
+bit and the coface steps of each vertex count n are small constant tables,
+cached for the process (the coface steps per fault state, filled per mask
+on first use).  A memo fills all 2^n cubes of a point at its first miss
+there; a cell bank fills its memo with its admissible cubes only.
 """
 
 import functools
@@ -226,58 +226,59 @@ def lattice_point(graph: PlumbingGraph, base, x) -> tuple:
 
 def cube_weights(graph: PlumbingGraph, base):
     """Cube weights, cube key -> weight relative to ``base`` of the cube at
-    base + 2Mx, memoised in a dict owned by the returned function."""
-    n = graph.n
+    base + 2Mx, memoised in a dict owned by the returned function, which
+    fills it one point at a time (``_fill_point``)."""
+    memo = {}
+    return functools.partial(offset_cube_weight,
+                             functools.partial(_fill_point, graph, base, memo),
+                             memo, graph.n)
 
-    def point_weight(x):
-        return relative_weight(graph, base, unpack(x, n))
 
-    return functools.partial(offset_cube_weight, point_weight, {}, n)
-
-
-def offset_cube_weight(point_weight, memo: dict, n: int, key: int):
+def offset_cube_weight(fill, memo: dict, n: int, key: int):
     """Weight of the cube with key ``key`` (in n coordinates): the largest
-    ``point_weight`` over its corners x + 1_T, T inside S, or None when
-    some corner has no weight.
+    relative weight over its corners x + 1_T, T inside S.
 
-    ``point_weight`` takes a packed offset, like ``dict.get`` on
-    ``CellBank``'s point weights.  ``memo`` belongs to the caller and holds
-    fault-free values, so it stays valid whichever faults are active; a
-    caller may fill it beforehand with the same two-face rule
-    (``engine._admissible_cubes`` does), and then a cube in it is read
-    without recursion.
+    ``memo`` belongs to the caller and holds fault-free values, so it stays
+    valid whichever faults are active.  On a miss, ``fill(x)`` writes the
+    cubes at the packed offset x to it; a memo filled beforehand, as
+    ``engine._admissible_cubes`` fills a cell bank's, never misses, and its
+    caller passes None.
     """
-    val = memo.get(key, _UNSEEN)
-    if val is _UNSEEN:
-        val = _corner_max(point_weight, memo, n, key)
-    if (val is not None and faults.is_active("cube-weight-parity-offset")
+    val = memo.get(key)
+    if val is None:
+        fill(key >> n)
+        val = memo[key]
+    if (faults.is_active("cube-weight-parity-offset")
             and (key & ((1 << n) - 1)).bit_count() % 2):
         val += 1
     return val
 
 
-_UNSEEN = object()
+def _fill_point(graph, base, memo, x):
+    """Write the 2^n cubes (x, T) to ``memo``.  With K = base + 2Mx and p
+    the weight of x, the corner x + 1_T weighs p - sum_{i in T} (K_i +
+    m_i)/2 - sum_{i<j in T} M_ij, an int as K is characteristic, and the
+    cube weights are the subset maxima of the corners, one pass per bit."""
+    n = graph.n
+    point = unpack(x, n)
+    corners = [relative_weight(graph, base, point)]
+    for k, m in zip(lattice_point(graph, base, point), graph.weights):
+        half = (k + m) // 2
+        corners += [c - half for c in corners]
+    corners = [c - q for c, q in zip(corners, graph.pair_sums)]
+    for bit, upper in _upper_masks(n):
+        for t in upper:
+            face = corners[t ^ bit]
+            if face > corners[t]:
+                corners[t] = face
+    memo.update(zip(range(x << n, (x + 1) << n), corners))
 
 
-def _corner_max(point_weight, memo, n, key):
-    """Fill ``memo`` at a cube it lacks, reading each face before recursing."""
-    s = key & ((1 << n) - 1)
-    if s:
-        low = s & -s
-        face = key ^ low
-        val = memo.get(face, _UNSEEN)
-        if val is _UNSEEN:
-            val = _corner_max(point_weight, memo, n, face)
-        if val is not None:
-            face += key_steps(n)[low.bit_length() - 1][1]
-            other = memo.get(face, _UNSEEN)
-            if other is _UNSEEN:
-                other = _corner_max(point_weight, memo, n, face)
-            val = None if other is None else (val if val >= other else other)
-    else:
-        val = point_weight(key >> n)
-    memo[key] = val
-    return val
+@functools.cache
+def _upper_masks(n: int) -> tuple:
+    """(bit, the masks holding it) for each bit of n coordinates."""
+    return tuple((1 << i, [t for t in range(1 << n) if t >> i & 1])
+                 for i in range(n))
 
 
 class _PerMask(dict):
@@ -384,7 +385,7 @@ class Region:
     @functools.cached_property
     def cube_weights(self):
         """Cube weights (by cube key) of this class relative to the base,
-        memoised for the lifetime of the region."""
+        memoised a whole point at a time for the lifetime of the region."""
         return cube_weights(self.graph, self.base)
 
     @functools.cached_property

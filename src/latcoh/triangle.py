@@ -62,11 +62,11 @@ class TriangleContext:
         triangle: G (``side`` "g"), G+ ("plus") or G-v ("minus").
 
         The context is the one owner of these memos: one per (side, K),
-        kept for its lifetime and read by ``r_value``, ``c_exponent_def``
-        and the three ``KBox`` windows of every ``TriangleRegion`` on it;
-        nothing else on the chain level is memoised across calls.  They
-        hold fault-free values, so that lifetime is safe under any fault
-        set."""
+        kept for its lifetime (``verify_ses`` drops the G frames it made
+        for r when their y is done) and read by ``r_value``,
+        ``c_exponent_def`` and every ``TriangleRegion``'s ``KBox``
+        windows; nothing else on the chain level is memoised across
+        calls.  They hold fault-free values, safe under any fault set."""
         weight = self.memos.get((side, k))
         if weight is None:
             graph = {"g": self.graph, "plus": self.plus,
@@ -626,7 +626,9 @@ def verify_ses(ctx: TriangleContext, region: TriangleRegion) -> SesReport:
     types = {}
     dims = (0,) * 6
     flags = (True,) * 3
+    ends = region.off_lo[vi], region.off_hi[vi]     # the t that r is read at
     for y in _interior_y(region):
+        made = {("g", _g_vector(ctx, y, t)) for t in ends} - ctx.memos.keys()
         for smask in range(1 << ctx.graph.n):
             key = _block_type(ctx, region, y, smask)
             if key not in types:
@@ -636,6 +638,8 @@ def verify_ses(ctx: TriangleContext, region: TriangleRegion) -> SesReport:
             block_dims, block_flags = types[key]
             dims = tuple(a + b for a, b in zip(dims, block_dims))
             flags = tuple(a and b for a, b in zip(flags, block_flags))
+        for frame in made:      # r's frames, which no later y reads
+            del ctx.memos[frame]
 
     dim_domain, dim_ker_a, dim_im_a, dim_ker_b, dim_im_b, dim_b_targets = dims
     ba_zero, ker_b_equals_d, ker_b_equals_im_a = flags

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from latcoh import make_graph
+from latcoh import faults, make_graph
 from latcoh.lattice import pack
 
 # Seconds one test may run before it fails: a loop that stops making
@@ -59,6 +59,46 @@ def e8():
 def cube_key(x, s):
     """The cube key x << n | S of (x, S) for an integer tuple ``x``."""
     return pack(x) << len(x) | s
+
+
+_UNSEEN = object()
+
+
+def reference_cube_weight(point_weight, memo, cube):
+    """The cube weight by the two-face rule, on (x, S) pairs with tuple
+    offsets: (x, S) weighs the larger of its faces (x, S - j) and (x + e_j,
+    S - j), j the lowest bit of S, or None when ``point_weight`` (say
+    ``dict.get`` on a point map with holes) has no weight at some corner.
+    Odd cubes gain 1 under the parity fault; ``memo`` keeps the fault-free
+    values and the misses."""
+    val = memo.get(cube, _UNSEEN)
+    if val is _UNSEEN:
+        val = _reference_corner_max(point_weight, memo, cube)
+    if (val is not None and faults.is_active("cube-weight-parity-offset")
+            and bin(cube[1]).count("1") % 2):
+        val += 1
+    return val
+
+
+def _reference_corner_max(point_weight, memo, cube):
+    x, s = cube
+    if s:
+        j = (s & -s).bit_length() - 1
+        rest = s & (s - 1)
+        face = (x, rest)
+        val = memo.get(face, _UNSEEN)
+        if val is _UNSEEN:
+            val = _reference_corner_max(point_weight, memo, face)
+        if val is not None:
+            face = (x[:j] + (x[j] + 1,) + x[j + 1:], rest)
+            other = memo.get(face, _UNSEEN)
+            if other is _UNSEEN:
+                other = _reference_corner_max(point_weight, memo, face)
+            val = None if other is None else max(val, other)
+    else:
+        val = point_weight(x)
+    memo[cube] = val
+    return val
 
 
 def grown(region, d):

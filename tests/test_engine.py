@@ -14,7 +14,7 @@ from latcoh import (ComplexHomology, InvariantError, NonStabilizingError,
 from latcoh.engine import DegreeModule, GradedGF2Complex, _presentation_data
 from latcoh.lattice import lattice_point, pack, unpack
 
-from conftest import chain, e8, grown, vertex
+from conftest import chain, e8, grown, reference_cube_weight, vertex
 
 DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 
@@ -706,13 +706,12 @@ def test_stabilize_enumerates_each_class_once(monkeypatch):
 def _reference_class_cells(graph, spinc_or_base, mcap, box=None,
                            wcap_extra=0):
     """The mask scan the face-up build replaced: every one of the 2^n masks
-    at every point, read through ``offset_cube_weight`` with a memo of its
-    own.  It shares ``sublevel_points`` with ``class_cells``; the point
-    enumeration has its own brute-force test in test_exact.py.  Its points
-    map to their weights, as the bank's do."""
+    at every point, read by the two-face rule with a memo of its own.  It
+    shares ``sublevel_points`` with ``class_cells``; the point enumeration
+    has its own brute-force test in test_exact.py.  Its points map to their
+    weights, as the bank's do."""
     from latcoh import engine
-    from latcoh.lattice import (offset_cube_weight, relative_weight,
-                                sublevel_points)
+    from latcoh.lattice import relative_weight, sublevel_points
     n = graph.n
     base = tuple(getattr(spinc_or_base, "base", spinc_or_base))
     complete = None
@@ -729,11 +728,13 @@ def _reference_class_cells(graph, spinc_or_base, mcap, box=None,
         wcap = min(pts.values()) + mcap + wcap_extra
         pts = {x: w for x, w in pts.items() if w <= wcap}
     points = dict(sorted(pts.items()))
+    at = {unpack(x, n): w for x, w in pts.items()}
     memo = {}
     cells = {}
     for x in points:
+        y = unpack(x, n)
         for s in range(1 << n):
-            w = offset_cube_weight(pts.get, memo, n, x << n | s)
+            w = reference_cube_weight(at.get, memo, (y, s))
             if w is not None and w <= wcap:
                 cells[x << n | s] = w
     return engine.CellBank(graph, base, points, cells, min(pts.values()),

@@ -9,11 +9,12 @@ import pytest
 
 from latcoh import (BasisCapError, LatcohError, Region, faults,
                     spinc_representatives, stabilize)
-from latcoh.lattice import (BASIS_CAP, cofaces, offset_cube_weight, pack,
-                            split_key, sublevel_points)
+from latcoh.lattice import (BASIS_CAP, cofaces, pack, split_key,
+                            sublevel_points)
 from latcoh.suites import random_graph_with_classes
 
-from conftest import chain, cube_key, e8, grown, vertex
+from conftest import (chain, cube_key, e8, grown, reference_cube_weight,
+                      vertex)
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "latcoh"
 
@@ -26,13 +27,13 @@ def test_each_fault_has_exactly_one_site():
     assert sorted(sites) == sorted(faults.FAULTS)
 
 
-def test_offset_cube_weight_holes_and_maximum():
-    points = {pack(x): w for x, w in
-              {(0, 0): 0, (1, 0): 3, (0, 1): 1, (1, 1): 2}.items()}
+def test_two_face_reference_holes_and_maximum():
+    # The reference the mask-scan tests of cell banks read cube weights by.
+    points = {(0, 0): 0, (1, 0): 3, (0, 1): 1, (1, 1): 2}
     memo = {}
 
     def weight(x, s):
-        return offset_cube_weight(points.get, memo, 2, cube_key(x, s))
+        return reference_cube_weight(points.get, memo, (x, s))
 
     assert weight((0, 0), 0b11) == 3
     assert weight((0, 0), 0b10) == 1

@@ -2,6 +2,7 @@
 and the packed kernel against the tuple-keyed kernel it replaced."""
 
 import contextlib
+import itertools
 import random
 from pathlib import Path
 
@@ -10,14 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latcoh import (OFFSET_LIMIT, OffsetRangeError, Region, class_cells,
-                    faults, is_negative_definite, make_graph, parse_graph,
-                    relative_weight, spinc_representatives, stabilize)
+                    determinant, faults, is_negative_definite, make_graph,
+                    parse_graph, relative_weight, spinc_representatives,
+                    stabilize)
 from latcoh.engine import _admissible_cubes
 from latcoh.lattice import (BIAS, FIELD, coface_keys, coface_steps, cofaces,
                             cube_weights, key_steps, pack, split_key, unpack)
 from latcoh.suites import random_graph
 
-from conftest import cube_key
+from conftest import cube_key, reference_cube_weight
 
 DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 
@@ -107,41 +109,6 @@ def test_a_box_at_the_edge_of_the_field_computes_as_at_the_origin():
 
 # --- the tuple-keyed kernel the packed one replaced ------------------------
 
-_UNSEEN = object()
-
-
-def _reference_cube_weight(point_weight, memo, cube):
-    """``offset_cube_weight`` on (x, S) pairs with tuple offsets."""
-    val = memo.get(cube, _UNSEEN)
-    if val is _UNSEEN:
-        val = _reference_corner_max(point_weight, memo, cube)
-    if (val is not None and faults.is_active("cube-weight-parity-offset")
-            and bin(cube[1]).count("1") % 2):
-        val += 1
-    return val
-
-
-def _reference_corner_max(point_weight, memo, cube):
-    x, s = cube
-    if s:
-        j = (s & -s).bit_length() - 1
-        rest = s & (s - 1)
-        face = (x, rest)
-        val = memo.get(face, _UNSEEN)
-        if val is _UNSEEN:
-            val = _reference_corner_max(point_weight, memo, face)
-        if val is not None:
-            face = (x[:j] + (x[j] + 1,) + x[j + 1:], rest)
-            other = memo.get(face, _UNSEEN)
-            if other is _UNSEEN:
-                other = _reference_corner_max(point_weight, memo, face)
-            val = None if other is None else max(val, other)
-    else:
-        val = point_weight(x)
-    memo[cube] = val
-    return val
-
-
 def _reference_cofaces(cube_weight, x, s, n):
     """``cofaces`` on (x, S) pairs with tuple offsets."""
     w_here = cube_weight((x, s))
@@ -210,7 +177,7 @@ def _reference_weights(g, base):
     memo = {}
 
     def weight(cube):
-        return _reference_cube_weight(
+        return reference_cube_weight(
             lambda x: relative_weight(g, base, x), memo, cube)
     return weight
 
@@ -358,3 +325,86 @@ def test_a_class_of_many_vertices_fills_only_the_masks_it_reads():
     assert set(coface_steps(n)) <= masks
     assert set(coface_steps(n).faces) <= masks
     assert len(masks) < 2 ** n // 1000
+
+
+# --- the point fill ---------------------------------------------------------
+
+def _fill_cases():
+    """Seeded random graphs, three of each vertex count 1..6, among them
+    indefinite and degenerate forms and multi-edges, each with a seeded
+    characteristic base."""
+    rng = random.Random(29)
+    cases = {n: [] for n in range(1, 7)}
+    while any(len(got) < 3 for got in cases.values()):
+        g = random_graph(rng, max_vertices=6, weights=(-4, 1), extra_edge=0.5)
+        if len(cases[g.n]) < 3:
+            base = tuple(m + 2 * rng.randint(-2, 2) for m in g.weights)
+            cases[g.n].append((g, base))
+    return [case for got in cases.values() for case in got]
+
+
+def test_point_fill_cases_cover_every_kind_of_form():
+    graphs = [g for g, _ in _fill_cases()]
+    assert any(determinant(g) == 0 for g in graphs)
+    assert any(determinant(g) and not is_negative_definite(g)
+               for g in graphs)
+    assert any(is_negative_definite(g) for g in graphs)
+    assert any(len({(i, j) for i, j, _ in g.edges}) < len(g.edges)
+               for g in graphs)
+
+
+@pytest.mark.parametrize("g, base", _fill_cases())
+def test_point_fill_matches_the_corner_max_by_brute_force(g, base):
+    # Every mask at the points of a small box, read in a shuffled order: a
+    # cube weighs the largest relative weight of its corners x + 1_T.
+    n = g.n
+    hi = 1 if n <= 3 else 0
+    box = list(itertools.product(range(-1, hi + 1), repeat=n))
+    point = {y: relative_weight(g, base, y)
+             for y in itertools.product(range(-1, hi + 2), repeat=n)}
+    cubes = [(x, s) for x in box for s in range(1 << n)]
+    random.Random(n).shuffle(cubes)
+    weight = cube_weights(g, base)
+    for x, s in cubes:
+        corners = [tuple(xi + (t >> i & 1) for i, xi in enumerate(x))
+                   for t in range(1 << n) if t & s == t]
+        assert weight(cube_key(x, s)) == max(map(point.get, corners))
+    assert len(weight.args[1]) == len(cubes)    # whole points only
+
+
+@pytest.mark.parametrize("g, base", _fill_cases()[::3])
+def test_point_fill_keeps_the_memo_fault_free(g, base):
+    n = g.n
+    keys = [cube_key(x, s) for x in itertools.product((-1, 0, 1), repeat=n)
+            for s in range(1 << n)]
+    clean, faulted = cube_weights(g, base), cube_weights(g, base)
+    with faults.injected("cube-weight-parity-offset"):
+        got = [faulted(key) for key in keys]
+    assert got == [clean(key) + (key & ((1 << n) - 1)).bit_count() % 2
+                   for key in keys]
+    assert faulted.args[1] == clean.args[1]
+    assert [faulted(key) for key in keys] == [clean(key) for key in keys]
+
+
+def test_point_fill_runs_once_per_point_and_memo_in_verify(monkeypatch):
+    # One verify pass reads 507,355 cubes through its memos, each of which
+    # fills a point only on its first miss there.
+    from latcoh import lattice, suites
+    real_read, real_fill = lattice.offset_cube_weight, lattice._fill_point
+    reads, fills, refills = [0], [0], []
+
+    def read(*args):
+        reads[0] += 1
+        return real_read(*args)
+
+    def fill(graph, base, memo, x):
+        fills[0] += 1
+        if x << graph.n in memo:
+            refills.append((graph, base, x))
+        real_fill(graph, base, memo, x)
+
+    monkeypatch.setattr(lattice, "offset_cube_weight", read)
+    monkeypatch.setattr(lattice, "_fill_point", fill)
+    assert suites.run_all(42, 48)["passed"]
+    assert refills == []
+    assert (reads[0], fills[0]) == (507_355, 15_546)

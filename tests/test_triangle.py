@@ -609,6 +609,22 @@ def test_triangle_does_each_chain_level_computation_once(monkeypatch,
     assert all(len(e) == len(set(e)) == len(c_window(3)) for e in exps)
 
 
+def test_verify_ses_drops_the_frames_it_made_for_r():
+    # The G frames at the two ends of each y's t-window serve only that
+    # y's corner gaps r; one a reader made before is kept.
+    ctx = triangle_context(parse_graph((DATA / "star232.graph").read_text()),
+                           "b")
+    region = default_region(ctx, 3)
+    vi = ctx.v_index
+    ys = _interior_y(region)
+    ends = {("g", _g_vector(ctx, y, t)) for y in ys
+            for t in (region.off_lo[vi], region.off_hi[vi])}
+    kept = ("g", _g_vector(ctx, ys[0], region.off_lo[vi]))
+    ctx.cube_weights(*kept)
+    assert verify_ses(ctx, region).passed
+    assert len(ends) > 2 and ends & ctx.memos.keys() == {kept}
+
+
 def _per_call_fan_trials(ctx, region, ys, t_offsets):
     """``chain_map_trials`` with each ``delta`` building its own fans."""
     for y in ys:
