@@ -28,32 +28,35 @@ into the next coordinate.
 This module is also the one kernel of the complex that the chain checks and
 the homology engine share, as plain functions of the graph:
 ``relative_weight``, ``lattice_point`` (base + 2Mx), ``cube_weights`` (a
-memoised cube-weight function of one base), ``offset_cube_weight`` (the
-one read of a cube-weight memo, which fills a point on a miss),
-``coface_steps`` (the coboundary rule as data: per mask, the key steps to
-the cofaces, as precomputed neighbour offsets in cubical persistence codes,
-and their transpose to the faces), ``coface_keys`` (those steps added to a
-key) and ``cofaces`` (the same keys with their weight gaps).  Each fault
-hook on them has its single site here.  ``sublevel_points`` is the one
-enumeration of a definite class's sublevel set, ``Region.bounding`` the one
-box around packed offsets, and ``retraction_box`` the box every sublevel
-set of a class retracts onto.  Values are immutable; the only state is a
-cube-weight memo and the coface fans of ``delta``.  A memo holds fault-free
-values and is owned by the one object that fills it: a ``Region`` (its
-class), a cell bank, a triangle's context (one memo per side and K, which
-its K-box windows, the corner gap r and the exponent by definition all
-read) or a single call.  Fans hold fault-applied values, so they are owned
-by one call: of ``delta``, of ``delta_squared_failures``, or of
-``triangle.chain_map_trials`` (one dict per window).  No cache is keyed by a
-graph; the codec, the packed origin, the key steps, the masks holding each
-bit and the coface steps of each vertex count n are small constant tables,
-cached for the process (the coface steps per fault state, filled per mask
-on first use).  A memo fills all 2^n cubes of a point at its first miss
-there; a cell bank fills its memo with its admissible cubes only.
+memoised cube-weight function of one base), ``offset_cube_weight`` and
+``point_table`` (the reads of a cube and of a point's table from a memo,
+which fill the point on a miss), ``coface_steps`` (the coboundary rule as
+data: per mask, the key steps to the cofaces, as precomputed neighbour
+offsets in cubical persistence codes, and their transpose to the faces),
+``coface_keys`` (those steps added to a key) and ``cofaces`` (the same keys
+with their weight gaps).  Each fault hook on them has its single site here.
+``sublevel_points`` is the one enumeration of a definite class's sublevel
+set, ``Region.bounding`` the one box around packed offsets, and
+``retraction_box`` the box every sublevel set of a class retracts onto.
+Values are immutable; the only state is a cube-weight memo and the coface
+fans of ``delta``.  A memo holds fault-free values and is owned by the one
+object that fills it: a ``Region`` (its class), a cell bank, a triangle's
+context (one memo per side and K, which its K-box windows, the corner gap r
+and the exponent by definition all read) or a single call.  Fans hold
+fault-applied values, so they are owned by one call: of ``delta``, of
+``delta_squared_failures``, or of ``triangle.chain_map_trials`` (one dict
+per window).  No cache is keyed by a graph; the codec, the packed origin,
+the key steps, the mask pairs and parities and the coface steps of each
+vertex count n are small constant tables, cached for the process (the
+coface steps per fault state, filled per mask on first use).  A memo maps a
+packed offset x to its point table, the weights of the cubes (x, T) listed
+in mask order; a cell bank's memo maps cube keys to its admissible cubes
+only.
 """
 
 import functools
 import itertools
+import operator
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -225,13 +228,29 @@ def lattice_point(graph: PlumbingGraph, base, x) -> tuple:
 
 
 def cube_weights(graph: PlumbingGraph, base):
-    """Cube weights, cube key -> weight relative to ``base`` of the cube at
-    base + 2Mx, memoised in a dict owned by the returned function, which
-    fills it one point at a time (``_fill_point``)."""
+    """Cube weights, cube key -> weight relative to ``base`` (LatcohError
+    unless characteristic) of the cube at base + 2Mx: ``offset_cube_weight``
+    on (fill, memo, n), its memo a dict of point tables that it alone owns;
+    ``point_table(*weight.args, x)`` reads the table of x from it."""
+    check_characteristic(graph, base)
     memo = {}
     return functools.partial(offset_cube_weight,
                              functools.partial(_fill_point, graph, base, memo),
                              memo, graph.n)
+
+
+def parity_offsets(n: int):
+    """What the parity fault adds to the weight of a cube (x, T) in n
+    coordinates, |T| mod 2, as a list in mask order; None when it is off.
+    This is the one site of ``cube-weight-parity-offset``, and every read
+    of a weight applies what it returns."""
+    on = faults.is_active("cube-weight-parity-offset")
+    return _parities(n) if on else None
+
+
+@functools.cache
+def _parities(n: int) -> list:
+    return [t.bit_count() % 2 for t in range(1 << n)]
 
 
 def offset_cube_weight(fill, memo: dict, n: int, key: int):
@@ -239,26 +258,31 @@ def offset_cube_weight(fill, memo: dict, n: int, key: int):
     relative weight over its corners x + 1_T, T inside S.
 
     ``memo`` belongs to the caller and holds fault-free values, so it stays
-    valid whichever faults are active.  On a miss, ``fill(x)`` writes the
-    cubes at the packed offset x to it; a memo filled beforehand, as
-    ``engine._admissible_cubes`` fills a cell bank's, never misses, and its
-    caller passes None.
+    valid whichever faults are active.  It maps a packed offset x to its
+    point table, and ``fill(x)`` makes the table on a miss; with ``fill``
+    None, ``memo`` is a cell bank's, by cube key, which
+    ``engine._admissible_cubes`` fills beforehand so that it never misses.
     """
-    val = memo.get(key)
-    if val is None:
-        fill(key >> n)
-        val = memo[key]
-    if (faults.is_active("cube-weight-parity-offset")
-            and (key & ((1 << n) - 1)).bit_count() % 2):
-        val += 1
-    return val
+    val = memo[key] if fill is None else (
+        memo.get(key >> n) or fill(key >> n))[key & ((1 << n) - 1)]
+    odd = parity_offsets(n)
+    return val if odd is None else val + odd[key & ((1 << n) - 1)]
+
+
+def point_table(fill, memo: dict, n: int, x: int) -> list:
+    """The weights of the 2^n cubes (x, T) in mask order, as
+    ``offset_cube_weight`` reads one: with no fault active, the memo's own
+    list, which the caller must not change."""
+    table = memo.get(x) or fill(x)
+    odd = parity_offsets(n)
+    return table if odd is None else list(map(operator.add, table, odd))
 
 
 def _fill_point(graph, base, memo, x):
-    """Write the 2^n cubes (x, T) to ``memo``.  With K = base + 2Mx and p
-    the weight of x, the corner x + 1_T weighs p - sum_{i in T} (K_i +
-    m_i)/2 - sum_{i<j in T} M_ij, an int as K is characteristic, and the
-    cube weights are the subset maxima of the corners, one pass per bit."""
+    """Store and return the point table of x.  With K = base + 2Mx and p the
+    weight of x, the corner x + 1_T weighs p - sum_{i in T} (K_i + m_i)/2 -
+    sum_{i<j in T} M_ij, an int as K is characteristic, and the cube weights
+    are the subset maxima of the corners, one pass per bit."""
     n = graph.n
     point = unpack(x, n)
     corners = [relative_weight(graph, base, point)]
@@ -266,19 +290,19 @@ def _fill_point(graph, base, memo, x):
         half = (k + m) // 2
         corners += [c - half for c in corners]
     corners = [c - q for c, q in zip(corners, graph.pair_sums)]
-    for bit, upper in _upper_masks(n):
-        for t in upper:
-            face = corners[t ^ bit]
-            if face > corners[t]:
-                corners[t] = face
-    memo.update(zip(range(x << n, (x + 1) << n), corners))
+    for lower, upper in _mask_pairs(n):
+        for s, t in zip(lower, upper):
+            if corners[s] > corners[t]:
+                corners[t] = corners[s]
+    memo[x] = corners
+    return corners
 
 
 @functools.cache
-def _upper_masks(n: int) -> tuple:
-    """(bit, the masks holding it) for each bit of n coordinates."""
-    return tuple((1 << i, [t for t in range(1 << n) if t >> i & 1])
-                 for i in range(n))
+def _mask_pairs(n: int) -> tuple:
+    """(masks without bit w, the same masks with it) for each direction w."""
+    low = [[s for s in range(1 << n) if not s >> w & 1] for w in range(n)]
+    return tuple((lo, [s | 1 << w for s in lo]) for w, lo in enumerate(low))
 
 
 class _PerMask(dict):
@@ -329,8 +353,8 @@ def cofaces(cube_weight, key: int, n: int):
     gap, the weight of the coface minus that of the cube, is the U-power
     the coboundary lowers by.  ``cube_weight`` maps a cube key to a weight,
     like ``CellBank.cells.get``; gap is None where it has none.  A cube
-    weighs the largest of its corners, so a gap is never negative unless
-    a fault corrupts the weights; ``weight_monotonicity_check`` tests it.
+    weighs the largest of its corners, so no gap is negative unless a fault
+    corrupts the weights; ``weight_monotonicity_check`` tests it by tables.
     """
     w_here = cube_weight(key)
     for y in coface_keys(key, n):
@@ -385,7 +409,7 @@ class Region:
     @functools.cached_property
     def cube_weights(self):
         """Cube weights (by cube key) of this class relative to the base,
-        memoised a whole point at a time for the lifetime of the region."""
+        memoised a point table at a time for the lifetime of the region."""
         return cube_weights(self.graph, self.base)
 
     @functools.cached_property
@@ -504,17 +528,22 @@ def weight_monotonicity_check(region: Region, offsets=None) -> bool:
     """Every cube must weigh at least as much as each of its faces, so all
     U-exponents in the coboundary are nonnegative.  True when that holds
     for every face with base corner at one of the packed ``offsets`` (by
-    default all of the region's) and each of its cofaces, read through the
-    region's memo."""
-    n, weight = region.graph.n, region.cube_weights
-    steps = coface_steps(n)
+    default all of the region's) and each of its cofaces, compared per
+    direction w in the point tables of x and of x - e_w (by ``coface_steps``)
+    from the region's memo."""
+    n = region.graph.n
+    table = functools.partial(point_table, *region.cube_weights.args)
+    steps = coface_steps(n)[0]      # (x, 0) to (x, w) and (x - e_w, w)
+    dirs = [(lower, upper, steps[2 * w + 1] >> n)
+            for w, (lower, upper) in enumerate(_mask_pairs(n))]
     offsets = region.iter_offsets() if offsets is None else offsets
     for x in offsets:
-        for s in range(1 << n):
-            key = x << n | s
-            w = weight(key)
-            for d in steps[s]:
-                if weight(key + d) < w:
+        here = table(x)
+        for lower, upper, shift in dirs:
+            faces = list(map(here.__getitem__, lower))
+            for there in (here, table(x + shift)):
+                if not all(map(operator.le, faces,
+                               map(there.__getitem__, upper))):
                     return False
     return True
 

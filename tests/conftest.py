@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from latcoh import faults, make_graph
-from latcoh.lattice import pack
+from latcoh.lattice import coface_steps, pack
 
 # Seconds one test may run before it fails: a loop that stops making
 # progress fails its own test instead of stalling the suite.  The slowest
@@ -99,6 +99,24 @@ def _reference_corner_max(point_weight, memo, cube):
         val = point_weight(x)
     memo[cube] = val
     return val
+
+
+def reference_monotonicity(region, offsets=None) -> bool:
+    """The weight monotonicity check one cube at a time: each cube (x, S),
+    x among the packed ``offsets`` (by default the region's), against each
+    of its cofaces by ``coface_steps``, every weight a single read of the
+    region's memo."""
+    n, weight = region.graph.n, region.cube_weights
+    steps = coface_steps(n)
+    offsets = region.iter_offsets() if offsets is None else offsets
+    for x in offsets:
+        for s in range(1 << n):
+            key = x << n | s
+            w = weight(key)
+            for d in steps[s]:
+                if weight(key + d) < w:
+                    return False
+    return True
 
 
 def grown(region, d):

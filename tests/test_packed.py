@@ -10,16 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latcoh import (OFFSET_LIMIT, OffsetRangeError, Region, class_cells,
-                    determinant, faults, is_negative_definite, make_graph,
-                    parse_graph, relative_weight, spinc_representatives,
-                    stabilize)
+from latcoh import (OFFSET_LIMIT, LatcohError, OffsetRangeError, Region,
+                    class_cells, determinant, faults, is_negative_definite,
+                    make_graph, parse_graph, relative_weight,
+                    spinc_representatives, stabilize)
 from latcoh.engine import _admissible_cubes
 from latcoh.lattice import (BIAS, FIELD, coface_keys, coface_steps, cofaces,
-                            cube_weights, key_steps, pack, split_key, unpack)
+                            cube_weights, key_steps, pack, point_table,
+                            split_key, unpack, weight_monotonicity_check)
 from latcoh.suites import random_graph
 
-from conftest import cube_key, reference_cube_weight
+from conftest import (chain, cube_key, reference_cube_weight,
+                      reference_monotonicity)
 
 DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 
@@ -369,7 +371,10 @@ def test_point_fill_matches_the_corner_max_by_brute_force(g, base):
         corners = [tuple(xi + (t >> i & 1) for i, xi in enumerate(x))
                    for t in range(1 << n) if t & s == t]
         assert weight(cube_key(x, s)) == max(map(point.get, corners))
-    assert len(weight.args[1]) == len(cubes)    # whole points only
+    # Whole points only: one table per box point, of 2^n entries.
+    memo = weight.args[1]
+    assert sorted(memo) == sorted(map(pack, box))
+    assert {len(table) for table in memo.values()} == {1 << n}
 
 
 @pytest.mark.parametrize("g, base", _fill_cases()[::3])
@@ -380,31 +385,110 @@ def test_point_fill_keeps_the_memo_fault_free(g, base):
     clean, faulted = cube_weights(g, base), cube_weights(g, base)
     with faults.injected("cube-weight-parity-offset"):
         got = [faulted(key) for key in keys]
+        tables = {x: point_table(*faulted.args, x) for x in faulted.args[1]}
     assert got == [clean(key) + (key & ((1 << n) - 1)).bit_count() % 2
                    for key in keys]
     assert faulted.args[1] == clean.args[1]
     assert [faulted(key) for key in keys] == [clean(key) for key in keys]
+    # The table read applies the fault as the single read does, to a copy;
+    # with no fault it hands out the memo's own list.
+    mask = (1 << n) - 1
+    assert got == [tables[key >> n][key & mask] for key in keys]
+    assert all(point_table(*faulted.args, x) is table
+               for x, table in faulted.args[1].items())
+
+
+def test_cube_weights_refuse_a_base_that_is_not_characteristic():
+    # The fill floors (K_i + m_i) / 2, so a base of the wrong parity would
+    # read wrong weights ([0, 1, 1, 1] at the origin of chain22 for (1, 0))
+    # where a Region refuses it.
+    g = chain(-2, -2)
+    with pytest.raises(LatcohError,
+                       match=r"vector \(1, 0\) is not characteristic"):
+        cube_weights(g, (1, 0))
+    assert cube_weights(g, (0, 0))(cube_key((0, 0), 0)) == 0
 
 
 def test_point_fill_runs_once_per_point_and_memo_in_verify(monkeypatch):
-    # One verify pass reads 507,355 cubes through its memos, each of which
-    # fills a point only on its first miss there.
+    # One verify pass reads 178,595 single cubes and 14,532 point tables
+    # through its memos, each of which fills a point only on its first miss
+    # there.
     from latcoh import lattice, suites
-    real_read, real_fill = lattice.offset_cube_weight, lattice._fill_point
-    reads, fills, refills = [0], [0], []
+    real_read, real_table = lattice.offset_cube_weight, lattice.point_table
+    real_fill = lattice._fill_point
+    reads, tables, fills, refills = [0], [0], [0], []
 
     def read(*args):
         reads[0] += 1
         return real_read(*args)
 
+    def table(*args):
+        tables[0] += 1
+        return real_table(*args)
+
     def fill(graph, base, memo, x):
         fills[0] += 1
-        if x << graph.n in memo:
+        if x in memo:
             refills.append((graph, base, x))
-        real_fill(graph, base, memo, x)
+        return real_fill(graph, base, memo, x)
 
     monkeypatch.setattr(lattice, "offset_cube_weight", read)
+    monkeypatch.setattr(lattice, "point_table", table)
     monkeypatch.setattr(lattice, "_fill_point", fill)
     assert suites.run_all(42, 48)["passed"]
     assert refills == []
-    assert (reads[0], fills[0]) == (507_355, 15_546)
+    assert (reads[0], tables[0], fills[0]) == (178_595, 14_532, 15_546)
+
+
+# --- the monotonicity check, a point table at a time -------------------------
+
+MONOTONICITY_FAULTS = (None, "cube-weight-parity-offset",
+                       "delta-coface-shift-sign")
+
+
+@pytest.mark.parametrize("fault", MONOTONICITY_FAULTS)
+def test_table_check_matches_the_per_cube_loop(fault):
+    # On the spot {0,1}^n the suite checks and on the whole box [-1,1]^n,
+    # each side with a memo of its own.
+    got, want = [], []
+    with _fault_state(fault):
+        for g, base in _fill_cases():
+            n = g.n
+            box = (g, base, (-1,) * n, (1,) * n, 1)
+            for spot in (list(map(pack, itertools.product((0, 1), repeat=n))),
+                         None):
+                got.append(weight_monotonicity_check(Region(*box), spot))
+                want.append(reference_monotonicity(Region(*box), spot))
+    assert got == want
+    assert set(got) == ({True} if fault is None else {True, False})
+
+
+@pytest.mark.parametrize("g, base", [case for case in _fill_cases()
+                                     if case[0].n in (2, 3)])
+def test_table_check_catches_one_raised_entry(g, base):
+    # Fill the memo of a window over [-1,1]^n, then raise the weight of one
+    # face (x, T) just past one of its cofaces, (x, T + w) or (x - e_w,
+    # T + w), for every x of the box, every T and every coface in turn.
+    n = g.n
+    region = Region(g, base, (-1,) * n, (1,) * n, 1)
+    assert weight_monotonicity_check(region)
+    memo, weight = region.cube_weights.args[1], region.cube_weights
+    only_here = only_there = 0
+    for x in region.iter_offsets():
+        table = memo[x]
+        for t in range(1 << n):
+            key = x << n | t
+            up = [(c >> n == x, weight(c)) for c in coface_keys(key, n)]
+            for _, w_up in up:
+                old, table[t] = table[t], w_up + 1
+                assert old < table[t]
+                assert not weight_monotonicity_check(region)
+                table[t] = old
+                here = any(w <= w_up for same, w in up if same)
+                there = any(w <= w_up for same, w in up if not same)
+                only_here += here and not there
+                only_there += there and not here
+            assert weight_monotonicity_check(region)
+    # Some raises pass every coface at x, or every one at the neighbours,
+    # so each of the two comparisons is the only one to see some raise.
+    assert only_here and only_there
