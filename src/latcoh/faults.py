@@ -18,7 +18,7 @@ A fault flag is read through ``faults.is_active(name)`` at its one site,
 once per call wherever the loop allows: ``lattice.parity_offsets``
 (which every cube-weight read applies), ``lattice.coface_steps``,
 ``triangle._b_targets`` and
-``triangle.c_exponent_closed`` (two).  No other code in the package reads
+``triangle.c_cases`` (two).  No other code in the package reads
 the fault state, so a fault changes the program only through the value
 its site returns.  ``is_active`` is the set's own ``__contains__``, so a
 read costs no Python frame.

@@ -38,11 +38,13 @@ with their weight gaps).  Each fault hook on them has its single site here.
 ``sublevel_points`` is the one enumeration of a definite class's sublevel
 set, ``Region.bounding`` the one box around packed offsets, and
 ``retraction_box`` the box every sublevel set of a class retracts onto.
-Values are immutable; the only state is a cube-weight memo and the coface
-fans of ``delta``.  A memo holds fault-free values and is owned by the one
-object that fills it: a ``Region`` (its class), a cell bank, a triangle's
-context (one memo per side and K, which its K-box windows, the corner gap r
-and the exponent by definition all read) or a single call.  Fans hold
+A ``Region`` turns K into an offset through its offset map, the box form of
+``lattice_point``, summed a column of 2M at a time.  Values are immutable;
+the only state is a cube-weight memo and the coface fans of ``delta``.  A
+memo holds fault-free values and is owned by the one object that fills it:
+a ``Region`` (its class), a cell bank, a triangle's context (one memo per
+side and K, which its K-box windows, the corner gap r and the exponent by
+definition, a point table a side, all read) or a single call.  Fans hold
 fault-applied values, so they are owned by one call: of ``delta``, of
 ``delta_squared_failures``, or of ``triangle.chain_map_trials`` (one dict
 per window).  No cache is keyed by a graph; the codec, the packed origin,
@@ -415,11 +417,27 @@ class Region:
     @functools.cached_property
     def _offset_map(self) -> dict:
         """Characteristic vector -> first packed offset reaching it in the
-        box: the one way this window turns K into an offset, for every
-        form."""
+        box, for every form: the box form of ``lattice_point``, summed from
+        the lower corner a column of 2M (and a packed step) at a time,
+        coordinate 0 outermost, so the offsets come in ``iter_offsets``
+        order.  It raises as a build by ``iter_offsets`` would:
+        ``BasisCapError`` on the volume, ``OffsetRangeError`` at the first
+        offset past the limit (the lower corner, or it with its last
+        coordinate that passes the limit set just past it)."""
+        first = next(self.iter_offsets())   # after the volume check
+        over = [j for j, b in enumerate(self.xmax) if b > OFFSET_LIMIT]
+        if over:
+            check_offset(self.xmin[:over[-1]] + (OFFSET_LIMIT + 1,))
+        n, cols = self.graph.n, intersection_matrix(self.graph)  # symmetric
+        points = [(self.point(first), first)]
+        for w, (a, b) in enumerate(zip(self.xmin, self.xmax)):
+            steps = [(tuple(2 * j * c for c in cols[w]),
+                      j << FIELD * (n - 1 - w)) for j in range(b - a + 1)]
+            points = [(tuple(map(operator.add, k, dk)), x + dx)
+                      for k, x in points for dk, dx in steps]
         out = {}
-        for x in self.iter_offsets():
-            out.setdefault(self.point(x), x)
+        for k, x in points:
+            out.setdefault(k, x)
         return out
 
     def frame(self, k):

@@ -154,13 +154,19 @@ def suite_c_formula(seed: int, graphs: int = 20, i_range: int = 8) -> SuiteResul
         # spans at least three distinct r-values.
         draws += [tuple(x + (2 * j if i == vi else 0)
                         for i, x in enumerate(draws[0])) for j in (1, 2)]
+        irange = range(-i_range, i_range + 1)
         for k in draws:
             seen_r.add(triangle.r_value(ctx, k, 1 << vi))
+            # One r per S and one table of definitions per i, each read
+            # for every (S, i) below.
+            rs = [triangle.r_value(ctx, k, smask) if smask >> vi & 1
+                  else None for smask in range(full + 1)]
+            defs = [triangle.c_exponent_defs(ctx, i, k) for i in irange]
             for smask in range(full + 1):
-                for i in range(-i_range, i_range + 1):
+                for i, table in zip(irange, defs):
                     res.checked += 1
-                    a = triangle.c_exponent_def(ctx, i, k, smask)
-                    b = triangle.c_exponent_closed(ctx, i, k, smask)
+                    a = table[smask]
+                    b = triangle.c_cases(i, rs[smask])
                     if a != b or a < 0:
                         res.failures.append(
                             {"check": "c-def-vs-closed",

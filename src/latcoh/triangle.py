@@ -29,7 +29,7 @@ import functools
 from dataclasses import dataclass, field
 from math import isqrt
 
-from . import faults, gf2
+from . import faults, gf2, lattice
 from .graph import (LatcohError, PlumbingGraph, characteristic_base,
                     delete_vertex, graph_hash, increment_weight,
                     intersection_matrix)
@@ -64,7 +64,7 @@ class TriangleContext:
         The context is the one owner of these memos: one per (side, K),
         kept for its lifetime (``verify_ses`` drops the G frames it made
         for r when their y is done) and read by ``r_value``,
-        ``c_exponent_def`` and every ``TriangleRegion``'s ``KBox``
+        ``c_exponent_defs`` and every ``TriangleRegion``'s ``KBox``
         windows; nothing else on the chain level is memoised across
         calls.  They hold fault-free values, safe under any fault set."""
         weight = self.memos.get((side, k))
@@ -116,27 +116,34 @@ def r_value(ctx: TriangleContext, k, s) -> int:
     return weight(corner) - weight(corner + key_steps(n)[vi][1])
 
 
-def c_exponent_def(ctx: TriangleContext, i: int, k, s) -> int:
-    """The exponent straight from its definition: cube-weight brackets on G
-    and on G+, plus the quadratic term."""
-    n = ctx.graph.n
-    corner = origin(n) << n | mask_of(ctx.graph, s)
-    k = tuple(k)
+def c_exponent_defs(ctx: TriangleContext, i: int, k) -> list:
+    """The exponent c(i) of (K, S) straight from its definition, for every
+    mask S in order: cube-weight brackets on G and on G+, plus the
+    quadratic term.  The brackets are the point tables at the origin of
+    the context's memos of K on G and of K + (2i+1)E_v on G+, read through
+    ``lattice.point_table``."""
+    n, k = ctx.graph.n, tuple(k)
     kp = list(k)
     kp[ctx.v_index] += 2 * i + 1
-    bracket_g = ctx.cube_weights("g", k)(corner)
-    bracket_p = ctx.cube_weights("plus", tuple(kp))(corner)
-    return bracket_g - bracket_p + i * (i + 1) // 2
+    g = lattice.point_table(*ctx.cube_weights("g", k).args, origin(n))
+    p = lattice.point_table(*ctx.cube_weights("plus", tuple(kp)).args,
+                            origin(n))
+    quad = i * (i + 1) // 2
+    return [a - b + quad for a, b in zip(g, p)]
 
 
-def c_exponent_closed(ctx: TriangleContext, i: int, k, s) -> int:
-    """The exponent by the closed case analysis in r((K,t),S)."""
-    smask = mask_of(ctx.graph, s)
-    if not ctx.has_v(smask):
+def c_exponent_def(ctx: TriangleContext, i: int, k, s) -> int:
+    """The exponent of (K, S) by its definition: the entry of S in
+    ``c_exponent_defs``."""
+    return c_exponent_defs(ctx, i, k)[mask_of(ctx.graph, s)]
+
+
+def c_cases(i: int, r) -> int:
+    """The exponent c(i) by the closed case analysis in the corner gap
+    r = r((K,t),S), with r None when v is outside S.  This is the one site
+    of both exponent faults."""
+    if r is None or faults.is_active("c-always-first-case"):
         return i * (i + 1) // 2
-    if faults.is_active("c-always-first-case"):
-        return i * (i + 1) // 2
-    r = r_value(ctx, k, smask)
     if r >= max(0, -(i + 1)):
         c = i * (i + 1) // 2
     elif r <= min(0, -(i + 1)):
@@ -150,6 +157,13 @@ def c_exponent_closed(ctx: TriangleContext, i: int, k, s) -> int:
     return c
 
 
+def c_exponent_closed(ctx: TriangleContext, i: int, k, s) -> int:
+    """The exponent by the closed case analysis (``c_cases``) in
+    r((K,t),S)."""
+    smask = mask_of(ctx.graph, s)
+    return c_cases(i, r_value(ctx, k, smask) if ctx.has_v(smask) else None)
+
+
 @functools.cache
 def c_window(m: int) -> tuple:
     """Integers i that can have c(i) <= m: those with
@@ -157,7 +171,7 @@ def c_window(m: int) -> tuple:
 
     Lemma: c(i) >= b(i) >= 0 for every K, S and i, with no fault active.
     With v outside S, c = i(i+1)/2.  With v in S, take the four cases of
-    ``c_exponent_closed`` in r = r((K,t),S):
+    ``c_cases`` in r = r((K,t),S):
     1. r >= max(0, -(i+1)): c = i(i+1)/2;
     2. r <= min(0, -(i+1)): c = (i+1)(i+2)/2;
     3. 0 <= r <= -(i+1): c = (i+1)(i+2)/2 + r, with r >= 0;

@@ -576,6 +576,10 @@ UNREAD_IN_SRC = {
                          "kernel; demo 01 prints cofaces with it",
     "lattice.truncation_region": "perfbench/spans.py wraps the name "
                                  "(ROADMAP item 4)",
+    "triangle.c_exponent_def": "the exponent of one (K, S) by definition, "
+                               "public API; the suite reads the whole "
+                               "c_exponent_defs table, and demo 03 and the "
+                               "tests read this one entry",
 }
 
 

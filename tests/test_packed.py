@@ -10,14 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latcoh import (OFFSET_LIMIT, LatcohError, OffsetRangeError, Region,
+from latcoh import (OFFSET_LIMIT, BasisCapError, LatcohError,
+                    OffsetRangeError, Region, characteristic_base,
                     class_cells, determinant, faults, is_negative_definite,
                     make_graph, parse_graph, relative_weight,
                     spinc_representatives, stabilize)
 from latcoh.engine import _admissible_cubes
-from latcoh.lattice import (BIAS, FIELD, coface_keys, coface_steps, cofaces,
-                            cube_weights, key_steps, pack, point_table,
-                            split_key, unpack, weight_monotonicity_check)
+from latcoh.lattice import (BASIS_CAP, BIAS, FIELD, coface_keys, coface_steps,
+                            cofaces, cube_weights, key_steps, lattice_point,
+                            pack, point_table, split_key, unpack,
+                            weight_monotonicity_check)
 from latcoh.suites import random_graph
 
 from conftest import (chain, cube_key, reference_cube_weight,
@@ -107,6 +109,72 @@ def test_a_box_at_the_edge_of_the_field_computes_as_at_the_origin():
     assert at_origin
     assert degrees((lo, -hi), (hi, -lo)) == at_origin
     assert degrees((-hi, lo), (-lo, hi)) == at_origin
+
+
+def _per_offset_map(box):
+    """K -> first offset, by one ``lattice_point`` per offset of
+    ``iter_offsets``: the build the column sums replaced."""
+    out = {}
+    for x in box.iter_offsets():
+        out.setdefault(lattice_point(box.graph, box.base,
+                                     unpack(x, box.graph.n)), x)
+    return out
+
+
+def _degenerate_boxes():
+    zero = make_graph(([("a", 0)], []))
+    pair = make_graph(([("a", -1), ("b", -1)], [("a", "b")]))
+    yield Region(zero, (0,), (-2,), (3,), 1)
+    yield Region(pair, characteristic_base(pair), (-1, -2), (2, 1), 1)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_offset_map_by_columns_matches_the_per_offset_build(seed):
+    # Random trees with weights up to 1, and two degenerate forms (a
+    # weight-0 vertex, and -1 -- -1) whose boxes hold several offsets of
+    # one K; the map keeps the first, in box order.
+    rng = random.Random(seed)
+    boxes, degenerate = list(_degenerate_boxes()), 0
+    for _ in range(12):
+        g = random_graph(rng, 5, weights=(-3, 1))
+        lo = tuple(rng.randint(-2, 1) for _ in range(g.n))
+        hi = tuple(a + rng.randint(0, 2) for a in lo)
+        boxes.append(Region(g, characteristic_base(g), lo, hi, 1))
+    for box in boxes:
+        want = _per_offset_map(box)
+        assert list(box._offset_map.items()) == list(want.items())
+        degenerate += len(want) < box.volume()
+    assert degenerate >= 2
+
+
+OVER_THE_LIMIT = {
+    "upper corner, one coordinate": ((OFFSET_LIMIT - 1,), (OFFSET_LIMIT + 1,)),
+    "lower corner": ((0, -OFFSET_LIMIT - 1, 5), (1, 0, 6)),
+    "lower corner first": ((-OFFSET_LIMIT - 2, 0, 0), (0, 0, 1 << 20)),
+    "upper corner, the last coordinate over": (
+        (0, OFFSET_LIMIT - 1, OFFSET_LIMIT), (1, OFFSET_LIMIT + 1,
+                                              OFFSET_LIMIT + 3)),
+    "upper corner, an inner coordinate over": (
+        (0, OFFSET_LIMIT, OFFSET_LIMIT - 2), (1, OFFSET_LIMIT + 3,
+                                              OFFSET_LIMIT)),
+    "over the basis cap first": ((0, 0, OFFSET_LIMIT), (0, BASIS_CAP,
+                                                        OFFSET_LIMIT + 1)),
+}
+
+
+@pytest.mark.parametrize("lo, hi", list(OVER_THE_LIMIT.values()),
+                         ids=list(OVER_THE_LIMIT))
+def test_offset_map_by_columns_raises_as_the_per_offset_build(lo, hi):
+    # The same error type and message, from the lower corner, the first
+    # offset past the limit or the volume.
+    g = make_graph(([(c, 0) for c in "abc"[:len(lo)]], []))
+    box = Region(g, (0,) * g.n, lo, hi, 1)
+    with pytest.raises(LatcohError) as want:
+        _per_offset_map(box)
+    with pytest.raises(LatcohError) as got:
+        box.frame((0,) * g.n)
+    assert want.type in (OffsetRangeError, BasisCapError)
+    assert (got.type, str(got.value)) == (want.type, str(want.value))
 
 
 # --- the tuple-keyed kernel the packed one replaced ------------------------
@@ -410,9 +478,10 @@ def test_cube_weights_refuse_a_base_that_is_not_characteristic():
 
 
 def test_point_fill_runs_once_per_point_and_memo_in_verify(monkeypatch):
-    # One verify pass reads 178,595 single cubes and 14,532 point tables
+    # One verify pass reads 63,395 single cubes and 24,324 point tables
     # through its memos, each of which fills a point only on its first miss
-    # there.
+    # there.  The c-formula suite reads two tables per (K, i), 9,792 in
+    # all, through the ``lattice.point_table`` patched here.
     from latcoh import lattice, suites
     real_read, real_table = lattice.offset_cube_weight, lattice.point_table
     real_fill = lattice._fill_point
@@ -437,7 +506,7 @@ def test_point_fill_runs_once_per_point_and_memo_in_verify(monkeypatch):
     monkeypatch.setattr(lattice, "_fill_point", fill)
     assert suites.run_all(42, 48)["passed"]
     assert refills == []
-    assert (reads[0], tables[0], fills[0]) == (178_595, 14_532, 15_546)
+    assert (reads[0], tables[0], fills[0]) == (63_395, 24_324, 15_546)
 
 
 # --- the monotonicity check, a point table at a time -------------------------

@@ -9,11 +9,14 @@ from latcoh import (Chain, LatcohError, RegionTooSmallError, c_exponent_closed,
                     is_negative_definite, make_graph, map_A, map_B,
                     parse_graph, r_value, triangle_context, verify_ses)
 from latcoh import default_region
-from latcoh.lattice import OutsideRegionError, bits, relative_weight
-from latcoh.suites import random_graph, random_graph_with_classes
+import latcoh.triangle as tri
+from latcoh.lattice import (OutsideRegionError, bits, origin,
+                            relative_weight)
+from latcoh.suites import (random_graph, random_graph_with_classes,
+                           suite_c_formula)
 from latcoh.triangle import (SesReport, TriangleRegion, _a_targets,
                              _a_window, _chain_map_sample, _g_vector,
-                             _interior_y, _t_margin, c_window,
+                             _interior_y, _t_margin, c_cases, c_window,
                              chain_map_commutes, chain_map_trials)
 
 from conftest import chain, vertex
@@ -117,6 +120,65 @@ def test_c_def_equals_closed_sweep(ctx2):
                     a = c_exponent_def(ctx2, i, (t, kb), smask)
                     b = c_exponent_closed(ctx2, i, (t, kb), smask)
                     assert a == b and a >= 0
+
+
+def _reference_c_def(ctx, i, k, s):
+    """The exponent by definition, one single-cube read on each side: the
+    per-call form that ``c_exponent_defs`` replaced."""
+    n = ctx.graph.n
+    corner = origin(n) << n | s
+    kp = list(k)
+    kp[ctx.v_index] += 2 * i + 1
+    return (ctx.cube_weights("g", tuple(k))(corner)
+            - ctx.cube_weights("plus", tuple(kp))(corner) + i * (i + 1) // 2)
+
+
+def _reference_c_closed(ctx, i, k, s):
+    """The closed case analysis as one call per (K, S, i), fault reads
+    included, as it stood before ``c_cases``."""
+    if not ctx.has_v(s) or faults.is_active("c-always-first-case"):
+        return i * (i + 1) // 2
+    r = r_value(ctx, k, s)
+    if r >= max(0, -(i + 1)):
+        c = i * (i + 1) // 2
+    elif r <= min(0, -(i + 1)):
+        c = (i + 1) * (i + 2) // 2
+    elif 0 <= r <= -(i + 1):
+        c = (i + 1) * (i + 2) // 2 + r
+    else:
+        c = i * (i + 1) // 2 - r
+    if faults.is_active("c-drop-quadratic"):
+        c -= i * (i + 1) // 2
+    return c
+
+
+@pytest.mark.parametrize("fault", (None,) + faults.FAULTS)
+@pytest.mark.parametrize("seed", (42, 7))
+def test_c_tables_match_the_per_call_exponents(monkeypatch, seed, fault):
+    # Every (K, i) the c-formula suite of ``verify --seed`` draws, and
+    # every S: the table of definitions and the case analysis of (i, r)
+    # agree with the per-call forms, and so do the two public functions.
+    drawn, real = [], tri.c_exponent_defs
+
+    def c_exponent_defs(ctx, i, k):
+        table = real(ctx, i, k)
+        drawn.append((ctx, i, k, table))
+        return table
+
+    monkeypatch.setattr(tri, "c_exponent_defs", c_exponent_defs)
+    with faults.injected(fault) if fault else contextlib.nullcontext():
+        suite_c_formula(seed + 2, 48)
+        monkeypatch.undo()
+        for ctx, i, k, table in drawn:
+            assert len(table) == 1 << ctx.graph.n
+            for s, c in enumerate(table):
+                want = _reference_c_closed(ctx, i, k, s)
+                r = r_value(ctx, k, s) if ctx.has_v(s) else None
+                assert c == _reference_c_def(ctx, i, k, s)
+                assert c_exponent_def(ctx, i, k, s) == c
+                assert c_cases(i, r) == want
+                assert c_exponent_closed(ctx, i, k, s) == want
+    assert len(drawn) == 48 * 6 * 17
 
 
 def test_c_window_bound(ctx1):
