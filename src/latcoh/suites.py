@@ -154,16 +154,16 @@ def suite_c_formula(seed: int, graphs: int = 20, i_range: int = 8) -> SuiteResul
         # spans at least three distinct r-values.
         draws += [tuple(x + (2 * j if i == vi else 0)
                         for i, x in enumerate(draws[0])) for j in (1, 2)]
-        irange = range(-i_range, i_range + 1)
+        i_values = range(-i_range, i_range + 1)
         for k in draws:
             seen_r.add(triangle.r_value(ctx, k, 1 << vi))
             # One r per S and one table of definitions per i, each read
             # for every (S, i) below.
             rs = [triangle.r_value(ctx, k, smask) if smask >> vi & 1
                   else None for smask in range(full + 1)]
-            defs = [triangle.c_exponent_defs(ctx, i, k) for i in irange]
+            defs = [triangle.c_exponent_defs(ctx, i, k) for i in i_values]
             for smask in range(full + 1):
-                for i, table in zip(irange, defs):
+                for i, table in zip(i_values, defs):
                     res.checked += 1
                     a = table[smask]
                     b = triangle.c_cases(i, rs[smask])

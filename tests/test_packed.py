@@ -150,7 +150,8 @@ def test_offset_map_by_columns_matches_the_per_offset_build(seed):
 OVER_THE_LIMIT = {
     "upper corner, one coordinate": ((OFFSET_LIMIT - 1,), (OFFSET_LIMIT + 1,)),
     "lower corner": ((0, -OFFSET_LIMIT - 1, 5), (1, 0, 6)),
-    "lower corner first": ((-OFFSET_LIMIT - 2, 0, 0), (0, 0, 1 << 20)),
+    "lower corner before upper": ((-OFFSET_LIMIT - 2, 0, 0),
+                                  (-OFFSET_LIMIT, 0, OFFSET_LIMIT + 2)),
     "upper corner, the last coordinate over": (
         (0, OFFSET_LIMIT - 1, OFFSET_LIMIT), (1, OFFSET_LIMIT + 1,
                                               OFFSET_LIMIT + 3)),
