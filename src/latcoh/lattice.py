@@ -424,7 +424,7 @@ class Region:
         ``BasisCapError`` on the volume, ``OffsetRangeError`` at the first
         offset past the limit (the lower corner, or it with its last
         coordinate that passes the limit set just past it)."""
-        first = next(self.iter_offsets())   # after the volume check
+        first = next(self.iter_offsets())   # checks the volume first
         over = [j for j, b in enumerate(self.xmax) if b > OFFSET_LIMIT]
         if over:
             check_offset(self.xmin[:over[-1]] + (OFFSET_LIMIT + 1,))
